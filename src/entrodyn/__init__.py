@@ -22,13 +22,9 @@ from .entropy_bounds import (
     entropy_rate_exact,
     log_inequality_check,
     maximally_mixed_bound,
-    monotonicity_threshold,
-    rate_bound_at_entropy,
     rate_lower_bound,
     steady_state_bound,
     trace_square_audit,
-    variance,
-    variance_threshold,
     von_neumann_entropy,
 )
 from .models import ModelSpec, get_model, list_models, named_state
@@ -36,13 +32,11 @@ from .operators import (
     SpectralDecomposition,
     adjoint,
     assert_density,
-    expectation,
     frobenius_norm_sq,
     ginibre_matrix,
     ginibre_state,
     gue_hermitian,
     hermitian_eig,
-    is_density,
     is_hermitian,
     maximally_mixed,
     trace_product,

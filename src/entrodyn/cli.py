@@ -13,9 +13,12 @@ defaults to stdout):
 * ``models``    list the preset catalog (``--json`` for machine-readable).
 
 Exit codes: 0 success (audit violations are findings, not failures);
-2 config/parse error; 3 positivity lost during integration; 4 numerical
-failure; 5 degenerate steady-state manifold; 6 nothing to bound (no usable
-channel, or a variance threshold demanded for non-Hermitian channels).
+2 config/parse error, including non-finite numbers (``NaN``, ``Infinity``,
+overflowing literals) and integrator values of the wrong type (a bool or
+string for a number, anything but true/false for a flag); 3 positivity lost
+during integration; 4 numerical failure; 5 degenerate steady-state
+manifold; 6 nothing to bound (no usable channel, or a variance threshold
+demanded for non-Hermitian channels).
 
 Config conventions: complex scalars are two-element arrays [re, im] (bare
 reals are also accepted on input); matrices are row-major nested arrays.
@@ -62,10 +65,9 @@ from .errors import (
 from .models import PAULI_Z, get_model, list_models, named_state
 from .operators import (
     assert_density,
-    frobenius_norm_sq,
     ginibre_state,
     gue_hermitian,
-    is_hermitian,
+    hermitian_eig,
     maximally_mixed,
 )
 from .steady_state import build_superoperator, steady_state, vec
@@ -195,23 +197,23 @@ def _state_from_config(config: dict, model: LindbladModel) -> np.ndarray:
     return rho
 
 
-_INTEGRATOR_KEYS = {
-    "dt",
-    "t_max",
-    "hermitize_each_step",
-    "trace_renormalize_each_step",
-    "positivity_tol",
-    "record_stride",
-}
+_INTEGRATOR_NUMBERS = ("dt", "t_max", "positivity_tol", "record_stride")
+_INTEGRATOR_FLAGS = ("hermitize_each_step", "trace_renormalize_each_step")
 
 
 def _integrator_from_config(config: dict) -> IntegratorConfig:
     raw = config.get("integrator", {})
     if not isinstance(raw, dict):
         raise ConfigError("'integrator' must be an object")
-    unknown = set(raw) - _INTEGRATOR_KEYS
+    unknown = set(raw) - set(_INTEGRATOR_NUMBERS) - set(_INTEGRATOR_FLAGS)
     if unknown:
         raise ConfigError(f"unknown integrator keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if key in _INTEGRATOR_FLAGS:
+            if not isinstance(value, bool):
+                raise ConfigError(f"integrator.{key} must be true/false, got {json.dumps(value)}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"integrator.{key} must be a number, got {json.dumps(value)}")
     kwargs = {"dt": 1e-3, "t_max": 1.0}
     kwargs.update(raw)
     return IntegratorConfig(**kwargs)
@@ -287,13 +289,10 @@ def run_bounds(config: dict, out: TextIO) -> int:
     if model.dim < 2:
         raise ConfigError("bound evaluation needs dimension >= 2")
     rho = _state_from_config(config, model)
-    usable = [c for c in model.channels if frobenius_norm_sq(c) > 0.0]
-    if not usable:
+    if not np.any(model.channel_norms_sq > 0.0):
         print("error: nothing to bound; model has no non-zero channel", file=sys.stderr)
         return EXIT_NOTHING_TO_BOUND
-    if config.get("require_variance_threshold") and not all(
-        is_hermitian(c) for c in model.channels
-    ):
+    if config.get("require_variance_threshold") and not model.channels_hermitian:
         print(
             "error: variance threshold requires every channel to be Hermitian",
             file=sys.stderr,
@@ -341,8 +340,9 @@ def run_audit(config: dict, out: TextIO) -> int:
             case_id = f"case{i}"
             channel = gue_hermitian(d, seed + 2 * i)
             rho = ginibre_state(d, seed + 2 * i + 1)
-        audit = trace_square_audit(channel, rho)
-        log_min = log_inequality_check(rho)
+        spectrum = hermitian_eig(rho)
+        audit = trace_square_audit(channel, rho, spectrum=spectrum)
+        log_min = log_inequality_check(rho, spectrum=spectrum)
         if not audit.holds:
             trace_sq_violations += 1
         if log_min < -1e-10:
@@ -388,10 +388,21 @@ def run_models(out: TextIO, as_json: bool) -> int:
     return EXIT_OK
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config holds the non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} overflows to {value}")
+    return value
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

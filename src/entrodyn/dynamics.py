@@ -9,7 +9,7 @@ fourth-order Runge-Kutta scheme so trajectories are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,11 +22,14 @@ from .errors import (
     PositivityLostError,
 )
 from .operators import (
+    SpectralDecomposition,
     adjoint,
     as_operator,
     assert_density,
     frobenius_norm_sq,
+    hermitian_eig,
     hermiticity_defect,
+    is_hermitian,
 )
 
 # Recorded states must hold |tr(rho) - 1| within this drift before renormalization.
@@ -45,12 +48,17 @@ class LindbladModel:
 
     The Hamiltonian must be Hermitian to within 1e-10 relative; channel
     operators may be arbitrary complex matrices of the same dimension.
-    Stored arrays are frozen copies, so models are safe to share.
+    Stored arrays are frozen copies, so models are safe to share. Derived
+    once per model: ``channel_squares`` (each L_j^dag L_j), ``channel_norms_sq``
+    (each |L_j|_F^2) and ``channels_hermitian`` (every channel Hermitian).
     """
 
     hamiltonian: np.ndarray
     channels: tuple[np.ndarray, ...] = ()
     label: str = ""
+    channel_squares: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    channel_norms_sq: np.ndarray = field(init=False, repr=False)
+    channels_hermitian: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         h = as_operator(self.hamiltonian)
@@ -63,8 +71,16 @@ class LindbladModel:
                 raise DimMismatchError(
                     f"channel shape {c.shape} does not match hamiltonian {h.shape}"
                 )
+        chans = tuple(_frozen_copy(c) for c in chans)
+        norms = np.array([frobenius_norm_sq(c) for c in chans], dtype=np.float64)
+        norms.setflags(write=False)
         object.__setattr__(self, "hamiltonian", _frozen_copy(h))
-        object.__setattr__(self, "channels", tuple(_frozen_copy(c) for c in chans))
+        object.__setattr__(self, "channels", chans)
+        object.__setattr__(
+            self, "channel_squares", tuple(_frozen_copy(adjoint(c) @ c) for c in chans)
+        )
+        object.__setattr__(self, "channel_norms_sq", norms)
+        object.__setattr__(self, "channels_hermitian", all(is_hermitian(c) for c in chans))
 
     @property
     def dim(self) -> int:
@@ -147,8 +163,8 @@ def _rhs_factory(model: LindbladModel):
     """Precompute channel adjoints for the propagation hot loop."""
     h = model.hamiltonian
     triples = [
-        (c, np.ascontiguousarray(adjoint(c)), np.ascontiguousarray(adjoint(c) @ c))
-        for c in model.channels
+        (c, np.ascontiguousarray(adjoint(c)), sq)
+        for c, sq in zip(model.channels, model.channel_squares)
     ]
 
     def rhs(state: np.ndarray) -> np.ndarray:
@@ -173,9 +189,12 @@ def _step(rhs, state: np.ndarray, dt: float, cfg: IntegratorConfig) -> np.ndarra
     return state
 
 
-def _health_check(state: np.ndarray, t: float, cfg: IntegratorConfig) -> tuple[float, float]:
-    """Positivity/trace gate applied to recorded states; returns (trace_err, min_eig)."""
-    min_eig = float(np.linalg.eigvalsh(0.5 * (state + adjoint(state)))[0])
+def _health_check(
+    state: np.ndarray, t: float, cfg: IntegratorConfig
+) -> tuple[float, float, SpectralDecomposition]:
+    """Positivity/trace gate on a recorded state; returns (trace_err, min_eig, spectrum)."""
+    spectrum = hermitian_eig(0.5 * (state + adjoint(state)))
+    min_eig = float(spectrum.eigenvalues[-1])
     if min_eig < -cfg.positivity_tol:
         raise PositivityLostError(t, min_eig, cfg.positivity_tol)
     trace_err = abs(complex(np.trace(state)) - 1.0)
@@ -183,7 +202,7 @@ def _health_check(state: np.ndarray, t: float, cfg: IntegratorConfig) -> tuple[f
         raise NumericsError(
             f"trace drift {trace_err:.3e} exceeds {TRACE_DRIFT_TOL:.1e} at t={t:.6g}; reduce dt"
         )
-    return trace_err, min_eig
+    return trace_err, min_eig, spectrum
 
 
 def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRecord:
@@ -206,12 +225,12 @@ def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRe
 
     def record(k: int, current: np.ndarray) -> None:
         t = k * cfg.dt
-        trace_err, min_eig = _health_check(current, t, cfg)
+        trace_err, min_eig, spectrum = _health_check(current, t, cfg)
         times.append(t)
         states.append(current.copy())
         trace_errors.append(trace_err)
         min_eigs.append(min_eig)
-        reports.append(entropy_bounds.bound_report(model, current, t))
+        reports.append(entropy_bounds.bound_report(model, current, t, spectrum=spectrum))
 
     record(0, state)
     for k in range(1, n + 1):

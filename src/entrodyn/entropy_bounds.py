@@ -38,10 +38,8 @@ from .operators import (
     SpectralDecomposition,
     adjoint,
     as_operator,
-    frobenius_norm_sq,
     hermitian_eig,
     hermiticity_defect,
-    is_hermitian,
     require_hermitian,
     trace_product,
 )
@@ -65,12 +63,12 @@ _POSITIVITY_GATE = 1e-6
 _TRACE_GATE = 1e-6
 
 
-def _density_spectrum(rho) -> SpectralDecomposition:
-    """Validate the density invariants and return the spectrum (descending)."""
+def _density_spectrum(rho, spectrum: SpectralDecomposition | None = None) -> SpectralDecomposition:
+    """Validate the density invariants; return ``spectrum`` or a new one (descending)."""
     arr = as_operator(rho)
     if hermiticity_defect(arr) > _HERMITICITY_GATE:
         raise NotDensityError("state is not Hermitian within 1e-8")
-    dec = hermitian_eig(arr)
+    dec = hermitian_eig(arr) if spectrum is None else spectrum
     lam = dec.eigenvalues
     if abs(float(lam.sum()) - 1.0) > _TRACE_GATE:
         raise NotDensityError(f"state trace {lam.sum():.6f} is not 1")
@@ -79,27 +77,64 @@ def _density_spectrum(rho) -> SpectralDecomposition:
     return dec
 
 
-def von_neumann_entropy(rho, *, eig_floor: float = EIG_FLOOR) -> float:
-    """-tr(rho ln rho) with the 0 ln 0 = 0 convention.
-
-    Eigenvalues at or below ``eig_floor`` are treated as exactly zero.
-    """
-    lam = _density_spectrum(rho).eigenvalues
+def _entropy(lam: np.ndarray, eig_floor: float) -> float:
     support = lam[lam > eig_floor]
     value = float(-(support * np.log(support)).sum())
     return value if value > 0.0 else 0.0
 
 
+def von_neumann_entropy(rho, *, eig_floor: float = EIG_FLOOR) -> float:
+    """-tr(rho ln rho) with the 0 ln 0 = 0 convention.
+
+    Eigenvalues at or below ``eig_floor`` are treated as exactly zero.
+    """
+    return _entropy(_density_spectrum(rho).eigenvalues, eig_floor)
+
+
+def _gains(channels, squares, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Per channel j: gain(L_j, rho) and its first term tr(L_j^dag L_j rho).
+
+    ``squares`` holds each L_j^dag L_j. Every bound, threshold and floor is a
+    ratio or affine function of these.
+    """
+    state = as_operator(rho)
+    if channels[0].shape != state.shape:
+        raise DimMismatchError(f"channel {channels[0].shape} vs state {state.shape}")
+    first = np.array([trace_product(sq, state).real for sq in squares])
+    second = np.array([trace_product(c @ state @ adjoint(c), state).real for c in channels])
+    return first - second, first
+
+
 def channel_gain(channel, rho) -> float:
     """tr(L^dag L rho) - tr(L rho L^dag rho), the shared bound numerator."""
     op = as_operator(channel)
-    state = as_operator(rho)
-    if op.shape != state.shape:
-        raise DimMismatchError(f"channel {op.shape} vs state {state.shape}")
-    op_dag = adjoint(op)
-    first = trace_product(op_dag @ op, state).real
-    second = trace_product(op @ state @ op_dag, state).real
-    return first - second
+    gains, _ = _gains((op,), (adjoint(op) @ op,), rho)
+    return float(gains[0])
+
+
+def _exact_rate(
+    model: "LindbladModel", dec: SpectralDecomposition, eig_floor: float, leak_tol: float
+) -> float:
+    if not model.channels:
+        return 0.0
+    if model.hamiltonian.shape[0] != dec.eigenvalues.shape[0]:
+        raise DimMismatchError(f"state dim {dec.eigenvalues.shape[0]} vs model dim {model.dim}")
+    lam = dec.eigenvalues
+    basis = dec.eigenvectors
+    basis_dag = adjoint(basis)
+    null_mask = lam <= eig_floor
+    log_lam = np.log(np.maximum(lam, eig_floor))
+    lam_clipped = np.maximum(lam, 0.0)
+    total = 0.0
+    for channel in model.channels:
+        in_basis = basis_dag @ channel @ basis
+        weights = np.abs(in_basis) ** 2  # weights[j, k] = |<u_j| L |u_k>|^2
+        if null_mask.any():
+            leak = float(np.sum(weights[null_mask] * lam_clipped))
+            if leak > leak_tol:
+                return RATE_SATURATED
+        total += float(np.sum(weights * lam[None, :] * (log_lam[None, :] - log_lam[:, None])))
+    return total
 
 
 def entropy_rate_exact(
@@ -118,78 +153,12 @@ def entropy_rate_exact(
     rho the true rate diverges, and ``math.inf`` is returned instead of a
     clamped finite number.
     """
-    dec = _density_spectrum(rho)
-    if not model.channels:
-        return 0.0
-    if model.hamiltonian.shape[0] != dec.eigenvalues.shape[0]:
-        raise DimMismatchError(f"state dim {dec.eigenvalues.shape[0]} vs model dim {model.dim}")
-    lam = dec.eigenvalues
-    basis = dec.eigenvectors
-    null_mask = lam <= eig_floor
-    log_lam = np.log(np.maximum(lam, eig_floor))
-    lam_clipped = np.maximum(lam, 0.0)
-    total = 0.0
-    for channel in model.channels:
-        in_basis = adjoint(basis) @ as_operator(channel) @ basis
-        weights = np.abs(in_basis) ** 2  # weights[j, k] = |<u_j| L |u_k>|^2
-        if null_mask.any():
-            leak = float(np.sum(weights[null_mask] * lam_clipped))
-            if leak > leak_tol:
-                return RATE_SATURATED
-        total += float(np.sum(weights * lam[None, :] * (log_lam[None, :] - log_lam[:, None])))
-    return total
+    return _exact_rate(model, _density_spectrum(rho), eig_floor, leak_tol)
 
 
 def rate_lower_bound(model: "LindbladModel", rho) -> float:
     """Lower bound on dS/dt: sum_j [ -|L_j|_F^2 S(rho) + gain(L_j, rho) ]."""
-    if not model.channels:
-        _density_spectrum(rho)
-        return 0.0
-    entropy = von_neumann_entropy(rho)
-    total = 0.0
-    for channel in model.channels:
-        total += -frobenius_norm_sq(channel) * entropy + channel_gain(channel, rho)
-    return total
-
-
-def _gains_and_weight(model: "LindbladModel", rho) -> tuple[list[float], float]:
-    if not model.channels:
-        raise NoChannelsError("model has no decoherence channels")
-    weight = sum(frobenius_norm_sq(c) for c in model.channels)
-    if weight <= 0.0:
-        raise ZeroChannelError("every channel has zero Frobenius norm")
-    return [channel_gain(c, rho) for c in model.channels], weight
-
-
-def monotonicity_threshold(model: "LindbladModel", rho) -> float:
-    """Entropy level below which dS/dt >= 0 is guaranteed.
-
-    Equals sum_j gain(L_j, rho) / sum_j |L_j|_F^2. For a single channel the
-    value lies in [0, 1]. Multi-channel models use the same summed form that
-    the rate bound is built from.
-    """
-    gains, weight = _gains_and_weight(model, rho)
-    return sum(gains) / weight
-
-
-def variance(channel, rho) -> float:
-    """Observable variance tr(L^2 rho) - tr(L rho)^2 for Hermitian L."""
-    op = require_hermitian(channel, what="channel")
-    state = as_operator(rho)
-    if op.shape != state.shape:
-        raise DimMismatchError(f"channel {op.shape} vs state {state.shape}")
-    mean = trace_product(op, state).real
-    second_moment = trace_product(op @ op, state).real
-    return second_moment - mean * mean
-
-
-def variance_threshold(channel, rho) -> float:
-    """Var[L] / |L|_F^2, the entropy threshold phrased through the variance."""
-    var = variance(channel, rho)
-    weight = frobenius_norm_sq(channel)
-    if weight <= 0.0:
-        raise ZeroChannelError("channel has zero Frobenius norm")
-    return var / weight
+    return bound_report(model, rho).rate_lower_bound
 
 
 @dataclass(frozen=True)
@@ -201,36 +170,24 @@ class TraceSquareAudit:
     holds: bool
 
 
-def trace_square_audit(channel, rho, *, slack: float = 1e-10) -> TraceSquareAudit:
+def trace_square_audit(
+    channel, rho, *, slack: float = 1e-10, spectrum: SpectralDecomposition | None = None
+) -> TraceSquareAudit:
     """Check tr((sqrt(rho) L sqrt(rho))^2) <= tr(L rho)^2 on one instance.
 
     The replacement is guaranteed only for positive semidefinite L. For
     sign-indefinite Hermitian L it can fail (e.g. the z Pauli matrix against
     I/2 gives lhs 1/2 vs rhs 0), so outcomes are recorded, never raised.
+    ``spectrum`` is the decomposition of ``rho`` if the caller has it.
     """
     op = require_hermitian(channel, what="channel")
-    dec = _density_spectrum(rho)
+    dec = _density_spectrum(rho, spectrum)
     lam = np.clip(dec.eigenvalues, 0.0, None)
     sqrt_rho = (dec.eigenvectors * np.sqrt(lam)) @ adjoint(dec.eigenvectors)
     sandwiched = sqrt_rho @ op @ sqrt_rho
     lhs = trace_product(sandwiched, sandwiched).real
     rhs = trace_product(op, as_operator(rho)).real ** 2
     return TraceSquareAudit(lhs, rhs, lhs <= rhs + slack)
-
-
-def rate_bound_at_entropy(x: float, model: "LindbladModel", rho) -> float:
-    """The rate lower bound as an affine function of a hypothetical entropy x.
-
-    Evaluates -sum_j |L_j|_F^2 x + sum_j gain(L_j, rho). Its value at x = 0 is
-    nonnegative and its unique root is the monotonicity threshold.
-    """
-    if x < 0:
-        raise ValueError("entropy argument must be nonnegative")
-    if not model.channels:
-        raise NoChannelsError("model has no decoherence channels")
-    weight = sum(frobenius_norm_sq(c) for c in model.channels)
-    gain = sum(channel_gain(c, rho) for c in model.channels)
-    return -weight * x + gain
 
 
 @dataclass(frozen=True)
@@ -250,9 +207,14 @@ class SteadyStateBound:
 
 def steady_state_bound(model: "LindbladModel", rho_inf) -> SteadyStateBound:
     """Evaluate the long-time entropy floor sum_j gain_j / sum_j |L_j|_F^2."""
-    gains, weight = _gains_and_weight(model, rho_inf)
-    raw = sum(gains) / weight
-    return SteadyStateBound(max(0.0, raw), raw, tuple(gains), weight)
+    if not model.channels:
+        raise NoChannelsError("model has no decoherence channels")
+    weight = float(model.channel_norms_sq.sum())
+    if weight <= 0.0:
+        raise ZeroChannelError("every channel has zero Frobenius norm")
+    gains, _ = _gains(model.channels, model.channel_squares, rho_inf)
+    raw = float(gains.sum()) / weight
+    return SteadyStateBound(max(0.0, raw), raw, tuple(gains.tolist()), weight)
 
 
 def maximally_mixed_bound(d: int) -> float:
@@ -265,15 +227,18 @@ def maximally_mixed_bound(d: int) -> float:
     return (d - 1) / (d * d)
 
 
-def log_inequality_check(rho, *, eig_floor: float = EIG_FLOOR) -> float:
+def log_inequality_check(
+    rho, *, eig_floor: float = EIG_FLOOR, spectrum: SpectralDecomposition | None = None
+) -> float:
     """Smallest eigenvalue of (-ln rho - I + rho).
 
     Nonnegative for every density matrix (the scalar bound -ln x >= 1 - x
     applied to the spectrum); eigenvalues are floored at ``eig_floor`` under
     the log. A return value below -1e-10 on a full-rank state indicates a
-    broken eigendecomposition.
+    broken eigendecomposition. ``spectrum`` is the decomposition of ``rho``
+    if the caller has it.
     """
-    lam = _density_spectrum(rho).eigenvalues
+    lam = _density_spectrum(rho, spectrum).eigenvalues
     values = -np.log(np.maximum(lam, eig_floor)) - 1.0 + lam
     return float(values.min())
 
@@ -299,19 +264,35 @@ class BoundReport:
     log_floor_hit: bool
 
 
-def bound_report(model: "LindbladModel", rho, time: float = 0.0) -> BoundReport:
-    """Aggregate entropy, exact rate, rate bound and thresholds at one state."""
-    entropy = von_neumann_entropy(rho)
+def bound_report(
+    model: "LindbladModel",
+    rho,
+    time: float = 0.0,
+    *,
+    spectrum: SpectralDecomposition | None = None,
+) -> BoundReport:
+    """Aggregate entropy, exact rate, rate bound and thresholds at one state.
+
+    Everything derives from one validated spectrum of ``rho`` and one vector
+    of channel gains. ``spectrum`` is the decomposition of ``rho`` if the
+    caller has it.
+    """
+    dec = _density_spectrum(rho, spectrum)
+    entropy = _entropy(dec.eigenvalues, EIG_FLOOR)
     if not model.channels:
         return BoundReport(time, entropy, 0.0, 0.0, None, None, False, False)
-    rate = entropy_rate_exact(model, rho)
-    weight = sum(frobenius_norm_sq(c) for c in model.channels)
-    gains = [channel_gain(c, rho) for c in model.channels]
-    lower = -weight * entropy + sum(gains)
-    threshold = sum(gains) / weight if weight > 0.0 else None
+    rate = _exact_rate(model, dec, EIG_FLOOR, NULL_LEAK_TOL)
+    gains, first = _gains(model.channels, model.channel_squares, rho)
+    weight = float(model.channel_norms_sq.sum())
+    gain = float(gains.sum())
+    lower = -weight * entropy + gain
+    threshold = gain / weight if weight > 0.0 else None
     threshold_var = None
-    if weight > 0.0 and all(is_hermitian(c) for c in model.channels):
-        threshold_var = sum(variance(c, rho) for c in model.channels) / weight
+    if weight > 0.0 and model.channels_hermitian:
+        # Var[L_j] = tr(L_j^2 rho) - tr(L_j rho)^2, with L_j^2 = L_j^dag L_j.
+        state = as_operator(rho)
+        means = np.array([trace_product(c, state).real for c in model.channels])
+        threshold_var = float((first - means * means).sum()) / weight
     monotone = threshold is not None and entropy <= threshold
     return BoundReport(
         time=time,

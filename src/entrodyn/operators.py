@@ -88,15 +88,6 @@ def hermitian_eig(a, rtol: float = HERMITICITY_RTOL) -> SpectralDecomposition:
     return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
-def expectation(a, rho) -> complex:
-    """tr(A rho); real up to roundoff when A is Hermitian and rho a density."""
-    mat = as_operator(a)
-    state = as_operator(rho)
-    if mat.shape != state.shape:
-        raise DimMismatchError(f"operator {mat.shape} vs state {state.shape}")
-    return trace_product(mat, state)
-
-
 def trace_product(a, b) -> complex:
     """tr(A @ B) without forming the product."""
     lhs = np.asarray(a)
@@ -136,14 +127,6 @@ def assert_density(
     if min_eig < -positivity_tol:
         raise NotDensityError(f"negative eigenvalue {min_eig:.3e} < -{positivity_tol:.1e}")
     return arr
-
-
-def is_density(rho, **tols) -> bool:
-    try:
-        assert_density(rho, **tols)
-    except (NotDensityError, DimMismatchError):
-        return False
-    return True
 
 
 def _complex_gaussian(d: int, rng: np.random.Generator) -> np.ndarray:

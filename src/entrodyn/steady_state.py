@@ -45,8 +45,7 @@ def build_superoperator(model: LindbladModel, *, self_check: bool = True) -> np.
     eye = np.identity(d, dtype=np.complex128)
     h = model.hamiltonian
     gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for channel in model.channels:
-        sq = adjoint(channel) @ channel
+    for channel, sq in zip(model.channels, model.channel_squares):
         gen = gen + (
             np.kron(np.conj(channel), channel)
             - 0.5 * np.kron(eye, sq)
@@ -80,7 +79,7 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
     would fabricate a long-time bound.
     """
     gen = build_superoperator(model)
-    svals = np.linalg.svd(gen, compute_uv=False)
+    _, svals, vh = np.linalg.svd(gen)
     smax = float(svals[0]) if svals.size else 0.0
     if smax == 0.0:
         raise DegenerateSteadyStateError(svals.size)
@@ -91,7 +90,6 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
         )
     if null_dim > 1:
         raise DegenerateSteadyStateError(null_dim)
-    _, _, vh = np.linalg.svd(gen)
     rho = unvec(np.conj(vh[-1]), model.dim)
     rho = 0.5 * (rho + adjoint(rho))
     trace = float(np.trace(rho).real)

@@ -29,6 +29,11 @@ def run(tmp_path, command, config, out_name="out.txt", extra=()):
     return code, text
 
 
+def assert_one_line_error(stderr):
+    assert stderr.startswith("error: ")
+    assert stderr.count("\n") == 1
+
+
 def parse_csv(text):
     lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
@@ -318,3 +323,38 @@ class TestConfigErrors:
         )
         assert code == 0
         assert json.loads(text)["threshold_variance"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"dt": True},
+            {"hermitize_each_step": "no"},
+            {"record_stride": "x"},
+            {"positivity_tol": "a"},
+            {"dt": "0.01"},
+        ],
+    )
+    def test_mistyped_integrator_value_exits_two(self, tmp_path, capsys, override):
+        code, _ = run(
+            tmp_path,
+            "simulate",
+            {
+                "model": {"name": "dephasing"},
+                "initial_state": "plus",
+                "integrator": {"dt": 0.1, "t_max": 3.0, **override},
+            },
+        )
+        assert code == 2
+        assert_one_line_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["steady", "simulate", "bounds"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, command, literal):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"model": {"dim": 2, "channels": [[[%s, 0], [0, 0]]]}, '
+            '"initial_state": "maximally_mixed"}' % literal
+        )
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out.txt")])
+        assert code == 2
+        assert_one_line_error(capsys.readouterr().err)

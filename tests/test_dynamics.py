@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,26 @@ class TestLindbladModel:
 
     def test_dim(self):
         assert get_model("truncated_oscillator", {"d": 5}).dim == 5
+
+    def test_channel_data_is_derived_and_read_only(self):
+        model = random_model(3, seed=5, n_channels=2)
+        for c, sq, norm in zip(model.channels, model.channel_squares, model.channel_norms_sq):
+            assert np.array_equal(sq, adjoint(c) @ c)
+            assert norm == float(np.sum(np.abs(c) ** 2))
+        assert not model.channels_hermitian
+        assert get_model("depolarizing").channels_hermitian
+        assert not get_model("amplitude_damping").channels_hermitian
+        assert LindbladModel(np.zeros((2, 2))).channels_hermitian  # vacuously
+        with pytest.raises(TypeError):
+            LindbladModel(np.zeros((2, 2)), channels_hermitian=True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.channels_hermitian = True
+        with pytest.raises(ValueError):
+            model.channel_norms_sq[0] = 0.0
+        with pytest.raises(ValueError):
+            model.channel_squares[0][0, 0] = 0.0
+        rebuilt = dataclasses.replace(model, channels=model.channels[:1])
+        assert rebuilt.channel_norms_sq.shape == (1,)
 
 
 class TestIntegratorConfig:

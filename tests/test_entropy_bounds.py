@@ -13,13 +13,9 @@ from entrodyn.entropy_bounds import (
     entropy_rate_exact,
     log_inequality_check,
     maximally_mixed_bound,
-    monotonicity_threshold,
-    rate_bound_at_entropy,
     rate_lower_bound,
     steady_state_bound,
     trace_square_audit,
-    variance,
-    variance_threshold,
     von_neumann_entropy,
 )
 from entrodyn.errors import (
@@ -169,52 +165,66 @@ class TestMonotonicityThreshold:
         for d in (2, 3, 4):
             model = single_channel_model(ginibre_matrix(d, seed=d))
             expected = 1.0 / d - 1.0 / d**2
-            assert abs(monotonicity_threshold(model, maximally_mixed(d)) - expected) <= 1e-12
+            value = bound_report(model, maximally_mixed(d)).threshold_general
+            assert abs(value - expected) <= 1e-12
 
     def test_dark_state_gives_zero(self):
         model = get_model("amplitude_damping")
-        assert abs(monotonicity_threshold(model, GROUND)) <= 1e-14
+        assert abs(bound_report(model, GROUND).threshold_general) <= 1e-14
 
     def test_single_channel_at_most_one(self):
         for d in (2, 3, 4):
             for i in range(30):
                 model = single_channel_model(ginibre_matrix(d, seed=1000 + i))
-                value = monotonicity_threshold(model, ginibre_state(d, seed=2000 + i))
-                assert value <= 1.0 + 1e-10
+                rep = bound_report(model, ginibre_state(d, seed=2000 + i))
+                assert rep.threshold_general <= 1.0 + 1e-10
 
     def test_errors(self):
+        # the floor form raises; the per-state report leaves the threshold out
         with pytest.raises(NoChannelsError):
-            monotonicity_threshold(LindbladModel(np.zeros((2, 2))), PLUS)
+            steady_state_bound(LindbladModel(np.zeros((2, 2))), PLUS)
         with pytest.raises(ZeroChannelError):
-            monotonicity_threshold(single_channel_model(np.zeros((2, 2))), PLUS)
+            steady_state_bound(single_channel_model(np.zeros((2, 2))), PLUS)
+        rep = bound_report(single_channel_model(np.zeros((2, 2))), PLUS)
+        assert rep.threshold_general is None
+        assert not rep.monotone_guaranteed
+
+
+def variance_form(channel, rho):
+    return bound_report(single_channel_model(channel), rho).threshold_variance
 
 
 class TestVariance:
+    # Var[L] / |L|_F^2 read from the report's threshold_variance
     def test_identity_has_no_fluctuation(self):
-        assert abs(variance(np.identity(2), ginibre_state(2, seed=0))) <= 1e-12
+        assert abs(variance_form(np.identity(2), ginibre_state(2, seed=0))) <= 1e-12
 
     def test_sigma_z_maximally_mixed(self):
-        assert abs(variance(PAULI_Z, maximally_mixed(2)) - 1.0) <= 1e-12
+        # Var = 1 over |Z|_F^2 = 2
+        assert abs(variance_form(PAULI_Z, maximally_mixed(2)) - 0.5) <= 1e-12
 
     def test_eigenstate_has_zero_variance(self):
-        assert abs(variance(PAULI_Z, EXCITED)) <= 1e-12
+        assert abs(variance_form(PAULI_Z, EXCITED)) <= 1e-12
 
     def test_rejects_nonhermitian(self):
-        with pytest.raises(NotHermitianError):
-            variance(SIGMA_MINUS, PLUS)
+        assert variance_form(SIGMA_MINUS, PLUS) is None
+        mixed = LindbladModel(np.zeros((2, 2)), (PAULI_Z, SIGMA_MINUS))
+        assert bound_report(mixed, maximally_mixed(2)).threshold_variance is None
 
     def test_threshold_examples(self):
-        assert abs(variance_threshold(PAULI_Z, maximally_mixed(2)) - 0.5) <= 1e-12
-        assert abs(variance_threshold(PAULI_Z, EXCITED)) <= 1e-12
+        assert abs(variance_form(PAULI_Z, maximally_mixed(2)) - 0.5) <= 1e-12
+        assert abs(variance_form(PAULI_Z, EXCITED)) <= 1e-12
+        # multi-channel: sum_j Var[L_j] / sum_j |L_j|_F^2 = 3 / 6 at I/2
+        rep = bound_report(get_model("depolarizing"), maximally_mixed(2))
+        assert abs(rep.threshold_variance - 0.5) <= 1e-12
 
     def test_threshold_scale_invariance(self):
         for gamma in (0.3, 1.0, 7.5):
             scaled = math.sqrt(gamma) * np.asarray(PAULI_Z)
-            assert abs(variance_threshold(scaled, maximally_mixed(2)) - 0.5) <= 1e-12
+            assert abs(variance_form(scaled, maximally_mixed(2)) - 0.5) <= 1e-12
 
     def test_threshold_zero_channel(self):
-        with pytest.raises(ZeroChannelError):
-            variance_threshold(np.zeros((2, 2)), PLUS)
+        assert variance_form(np.zeros((2, 2)), PLUS) is None
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_variance_threshold_below_general_for_psd_channels(self, d):
@@ -224,8 +234,8 @@ class TestVariance:
             g = ginibre_matrix(d, seed=4000 + i)
             psd = g @ adjoint(g)
             rho = ginibre_state(d, seed=5000 + i)
-            model = single_channel_model(psd)
-            assert variance_threshold(psd, rho) <= monotonicity_threshold(model, rho) + 1e-10
+            rep = bound_report(single_channel_model(psd), rho)
+            assert rep.threshold_variance <= rep.threshold_general + 1e-10
 
 
 class TestTraceSquareAudit:
@@ -252,11 +262,12 @@ class TestTraceSquareAudit:
 
 
 class TestRateBoundAtEntropy:
+    # the bound is affine in S: -sum_j |L_j|_F^2 S + sum_j gain_j
     def test_nonnegative_at_zero(self):
         for i in range(20):
             model = single_channel_model(ginibre_matrix(3, seed=700 + i))
             rho = ginibre_state(3, seed=800 + i)
-            assert rate_bound_at_entropy(0.0, model, rho) >= -1e-10
+            assert sum(steady_state_bound(model, rho).channel_gains) >= -1e-10
 
     def test_negative_at_log_dim_for_maximally_mixed(self):
         for d in (2, 3, 4):
@@ -264,19 +275,16 @@ class TestRateBoundAtEntropy:
             model = single_channel_model(channel)
             weight = frobenius_norm_sq(channel)
             expected = weight * (1.0 / d - 1.0 / d**2 - math.log(d))
-            value = rate_bound_at_entropy(math.log(d), model, maximally_mixed(d))
+            value = rate_lower_bound(model, maximally_mixed(d))
             assert abs(value - expected) <= 1e-10
             assert value < 0.0
 
     def test_root_is_the_threshold(self):
         model = single_channel_model(ginibre_matrix(3, seed=55))
         rho = ginibre_state(3, seed=56)
-        root = monotonicity_threshold(model, rho)
-        assert abs(rate_bound_at_entropy(root, model, rho)) <= 1e-10
-
-    def test_rejects_negative_entropy_argument(self):
-        with pytest.raises(ValueError):
-            rate_bound_at_entropy(-0.1, get_model("dephasing"), PLUS)
+        rep = bound_report(model, rho)
+        weight = float(model.channel_norms_sq.sum())
+        assert abs(rep.rate_lower_bound - weight * (rep.threshold_general - rep.entropy)) <= 1e-10
 
 
 class TestSteadyStateBound:
@@ -380,8 +388,11 @@ class TestBoundReport:
         rep = bound_report(model, rho)
         assert rep.rate_lower_bound == pytest.approx(rate_lower_bound(model, rho), abs=1e-12)
         assert rep.threshold_general == pytest.approx(
-            monotonicity_threshold(model, rho), abs=1e-12
+            steady_state_bound(model, rho).entropy_floor_raw, abs=1e-12
         )
+        gains = [channel_gain(c, rho) for c in model.channels]
+        expected = -6.0 * von_neumann_entropy(rho) + sum(gains)
+        assert rep.rate_lower_bound == pytest.approx(expected, abs=1e-12)
 
     def test_gain_is_nonnegative_on_densities(self):
         for i in range(30):

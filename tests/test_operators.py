@@ -13,13 +13,11 @@ from entrodyn.errors import (
 from entrodyn.operators import (
     adjoint,
     assert_density,
-    expectation,
     frobenius_norm_sq,
     ginibre_matrix,
     ginibre_state,
     gue_hermitian,
     hermitian_eig,
-    is_density,
     is_hermitian,
     maximally_mixed,
     trace_product,
@@ -115,22 +113,23 @@ def test_ginibre_spectrum_is_a_probability_vector():
     assert abs(dec.eigenvalues.sum() - 1.0) <= 1e-10
 
 
+# Expectation values tr(A rho) are taken with trace_product.
 def test_expectation_examples():
     rho = ginibre_state(3, seed=9)
-    assert_allclose(expectation(np.identity(3), rho), 1.0, atol=1e-12)
-    assert_allclose(expectation(np.diag([1.0, -1.0]), np.diag([1.0, 0.0])), 1.0)
+    assert_allclose(trace_product(np.identity(3), rho), 1.0, atol=1e-12)
+    assert_allclose(trace_product(np.diag([1.0, -1.0]), np.diag([1.0, 0.0])), 1.0)
     plus = np.full((2, 2), 0.5, dtype=complex)
-    assert_allclose(expectation(SIGMA_X, plus), 1.0, atol=1e-12)
+    assert_allclose(trace_product(SIGMA_X, plus), 1.0, atol=1e-12)
 
 
 def test_expectation_dim_mismatch():
     with pytest.raises(DimMismatchError):
-        expectation(np.identity(2), ginibre_state(3, seed=0))
+        trace_product(np.identity(2), ginibre_state(3, seed=0))
 
 
 def test_expectation_of_hermitian_is_real():
     for i in range(20):
-        value = expectation(gue_hermitian(3, seed=i), ginibre_state(3, seed=100 + i))
+        value = trace_product(gue_hermitian(3, seed=i), ginibre_state(3, seed=100 + i))
         assert abs(value.imag) <= 1e-10
 
 
@@ -165,7 +164,7 @@ def test_ginibre_validity_sweep():
     seed = 0
     for d in (2, 3, 4):
         for _ in range(334):
-            assert is_density(
+            assert_density(
                 ginibre_state(d, seed),
                 hermiticity_tol=1e-10,
                 positivity_tol=1e-10,

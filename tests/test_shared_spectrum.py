@@ -1,0 +1,96 @@
+"""One eigendecomposition per state and one SVD per steady-state solve.
+
+The counts wrap ``numpy.linalg`` for the length of one test, so every call the
+package makes is seen whichever module makes it.
+"""
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from entrodyn.cli import main
+from entrodyn.dynamics import IntegratorConfig, LindbladModel, propagate
+from entrodyn.entropy_bounds import bound_report, log_inequality_check, trace_square_audit
+from entrodyn.errors import NotDensityError
+from entrodyn.models import get_model
+from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, hermitian_eig
+from entrodyn.steady_state import steady_state
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    counts = Counter()
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, params, d",
+    [("depolarizing", {}, 2), ("driven_qubit", {}, 2), ("truncated_oscillator", {"d": 4}, 4)],
+)
+def test_propagate_decomposes_each_record_once(linalg_calls, name, params, d):
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.05, record_stride=4)
+    traj = propagate(get_model(name, params), ginibre_state(d, seed=3), cfg)
+    # one eigh per recorded state; one eigvalsh validates the initial state
+    assert linalg_calls == Counter(eigh=len(traj.reports), eigvalsh=1)
+
+
+@pytest.mark.parametrize("d, count", [(2, 7), (3, 5)])
+def test_audit_decomposes_each_case_once(tmp_path, linalg_calls, d, count):
+    config = tmp_path / "audit.json"
+    config.write_text(json.dumps({"d": d, "count": count, "seed": 11}))
+    assert main(["audit", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+    assert linalg_calls == Counter(eigh=count)
+
+
+@pytest.mark.parametrize(
+    "name, params", [("driven_qubit", {}), ("truncated_oscillator", {"d": 5})]
+)
+def test_steady_state_runs_one_svd(linalg_calls, name, params):
+    steady_state(get_model(name, params))
+    assert linalg_calls["svd"] == 1
+
+
+@pytest.mark.parametrize("d, seed", [(2, 0), (3, 1), (4, 2)])
+def test_spectrum_hand_off_changes_no_result(d, seed):
+    rho = ginibre_state(d, seed)
+    spectrum = hermitian_eig(rho)
+    models = (
+        LindbladModel(gue_hermitian(d, seed + 10), (ginibre_matrix(d, seed + 20),)),
+        LindbladModel(
+            np.zeros((d, d)), (gue_hermitian(d, seed + 30), gue_hermitian(d, seed + 40))
+        ),
+    )
+    for model in models:
+        assert bound_report(model, rho, 0.5, spectrum=spectrum) == bound_report(model, rho, 0.5)
+    channel = gue_hermitian(d, seed + 50)
+    assert trace_square_audit(channel, rho, spectrum=spectrum) == trace_square_audit(channel, rho)
+    assert log_inequality_check(rho, spectrum=spectrum) == log_inequality_check(rho)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        np.diag([0.9, 0.3]).astype(complex),  # trace 1.2
+        np.diag([1.2, -0.2]).astype(complex),  # negative eigenvalue
+        np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),  # not Hermitian
+    ],
+)
+def test_handed_spectrum_is_still_validated(rho):
+    spectrum = hermitian_eig(0.5 * (rho + rho.conj().T))
+    model = get_model("depolarizing")
+    with pytest.raises(NotDensityError):
+        bound_report(model, rho, spectrum=spectrum)
+    with pytest.raises(NotDensityError):
+        trace_square_audit(np.identity(2), rho, spectrum=spectrum)
+    with pytest.raises(NotDensityError):
+        log_inequality_check(rho, spectrum=spectrum)
