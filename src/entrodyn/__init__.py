@@ -6,7 +6,6 @@ from .dynamics import (
     LindbladModel,
     TrajectoryRecord,
     convergence_order_check,
-    dissipator,
     final_state,
     liouvillian_rhs,
     propagate,

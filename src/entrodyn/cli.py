@@ -14,11 +14,13 @@ defaults to stdout):
 
 Exit codes: 0 success (audit violations are findings, not failures);
 2 config/parse error, including non-finite numbers (``NaN``, ``Infinity``,
-overflowing literals) and integrator values of the wrong type (a bool or
-string for a number, anything but true/false for a flag); 3 positivity lost
-during integration; 4 numerical failure; 5 degenerate steady-state
-manifold; 6 nothing to bound (no usable channel, or a variance threshold
-demanded for non-Hermitian channels).
+overflowing float or integer literals), a Hamiltonian or channel whose
+Frobenius norm is not finite, and integrator values of the wrong type (a
+bool or string for a number, anything but true/false for a flag); 3
+positivity lost during integration; 4 numerical failure, including a
+``numpy.linalg.LinAlgError``; 5 degenerate steady-state manifold; 6 nothing
+to bound (no usable channel, or a variance threshold demanded for
+non-Hermitian channels).
 
 Config conventions: complex scalars are two-element arrays [re, im] (bare
 reals are also accepted on input); matrices are row-major nested arrays.
@@ -38,7 +40,7 @@ from typing import Any, TextIO
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, LindbladModel, propagate
+from .dynamics import IntegratorConfig, LindbladModel, liouvillian_rhs, propagate
 from .entropy_bounds import (
     bound_report,
     log_inequality_check,
@@ -53,12 +55,9 @@ from .errors import (
     ConfigError,
     DegenerateSteadyStateError,
     DimMismatchError,
-    EigFailureError,
     EntrodynError,
-    NoSteadyStateError,
     NotDensityError,
     NotHermitianError,
-    NumericsError,
     PositivityLostError,
     UnknownModelError,
 )
@@ -70,7 +69,7 @@ from .operators import (
     hermitian_eig,
     maximally_mixed,
 )
-from .steady_state import build_superoperator, steady_state, vec
+from .steady_state import steady_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,6 +77,15 @@ EXIT_POSITIVITY = 3
 EXIT_NUMERICS = 4
 EXIT_DEGENERATE = 5
 EXIT_NOTHING_TO_BOUND = 6
+
+# First matching row wins, so subclasses precede the EntrodynError catch-all.
+_EXIT_CODES = (
+    ((ConfigError, BadParamsError, UnknownModelError, BadDimensionError), EXIT_CONFIG),
+    (PositivityLostError, EXIT_POSITIVITY),
+    # Raised outside run_steady's structured handling.
+    (DegenerateSteadyStateError, EXIT_DEGENERATE),
+    ((EntrodynError, np.linalg.LinAlgError), EXIT_NUMERICS),
+)
 
 SIMULATE_HEADER = (
     "t,S,rate_exact,rate_lower_bound,threshold_general,threshold_variance,"
@@ -265,8 +273,7 @@ def run_steady(config: dict, out: TextIO) -> int:
         out.write("\n")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    gen = build_superoperator(model, self_check=False)
-    residual = float(np.linalg.norm(gen @ vec(rho_inf)))
+    residual = float(np.linalg.norm(liouvillian_rhs(model, rho_inf)))
     bound = steady_state_bound(model, rho_inf)
     report = {
         "label": model.label,
@@ -399,10 +406,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    try:
+        value = int(text)
+        float(value)
+    except (OverflowError, ValueError):
+        raise ConfigError(
+            f"config integer with {len(text.lstrip('-'))} digits overflows a float"
+        ) from None
+    return value
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+            config = json.load(
+                fh,
+                parse_constant=_reject_constant,
+                parse_float=_finite_float,
+                parse_int=_finite_int,
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -460,27 +483,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "bounds":
                 return run_bounds(config, out)
             return run_audit(config, out)
-    except (
-        ConfigError,
-        BadParamsError,
-        UnknownModelError,
-        BadDimensionError,
-    ) as exc:
+    except (EntrodynError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PositivityLostError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POSITIVITY
-    except DegenerateSteadyStateError as exc:
-        # Raised outside run_steady's structured handling.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (NumericsError, EigFailureError, NoSteadyStateError, NotDensityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
-    except EntrodynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

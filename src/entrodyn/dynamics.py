@@ -15,6 +15,7 @@ import numpy as np
 
 from . import entropy_bounds
 from .errors import (
+    BadParamsError,
     ConfigError,
     DimMismatchError,
     NotHermitianError,
@@ -49,33 +50,45 @@ class LindbladModel:
     The Hamiltonian must be Hermitian to within 1e-10 relative; channel
     operators may be arbitrary complex matrices of the same dimension.
     Stored arrays are frozen copies, so models are safe to share. Derived
-    once per model: ``channel_squares`` (each L_j^dag L_j), ``channel_norms_sq``
-    (each |L_j|_F^2) and ``channels_hermitian`` (every channel Hermitian).
+    once per model: ``channel_adjoints`` (each L_j^dag), ``channel_squares``
+    (each L_j^dag L_j), ``channel_norms_sq`` (each |L_j|_F^2) and
+    ``channels_hermitian`` (every channel Hermitian). A Hamiltonian or channel
+    whose squared Frobenius norm is not finite raises BadParamsError.
     """
 
     hamiltonian: np.ndarray
     channels: tuple[np.ndarray, ...] = ()
     label: str = ""
+    channel_adjoints: tuple[np.ndarray, ...] = field(init=False, repr=False)
     channel_squares: tuple[np.ndarray, ...] = field(init=False, repr=False)
     channel_norms_sq: np.ndarray = field(init=False, repr=False)
     channels_hermitian: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         h = as_operator(self.hamiltonian)
-        scale = max(1.0, math.sqrt(frobenius_norm_sq(h)))
-        if hermiticity_defect(h) > 1e-10 * scale:
-            raise NotHermitianError("hamiltonian is not Hermitian within 1e-10 relative")
         chans = tuple(as_operator(c) for c in self.channels)
         for c in chans:
             if c.shape != h.shape:
                 raise DimMismatchError(
                     f"channel shape {c.shape} does not match hamiltonian {h.shape}"
                 )
+        # An overflow to inf is rejected just below, so numpy need not warn.
+        with np.errstate(over="ignore"):
+            h_norm_sq = frobenius_norm_sq(h)
+            norms = np.array([frobenius_norm_sq(c) for c in chans], dtype=np.float64)
+        if not (math.isfinite(h_norm_sq) and np.all(np.isfinite(norms))):
+            raise BadParamsError("hamiltonian or channel has a non-finite Frobenius norm")
+        if hermiticity_defect(h) > 1e-10 * max(1.0, math.sqrt(h_norm_sq)):
+            raise NotHermitianError("hamiltonian is not Hermitian within 1e-10 relative")
         chans = tuple(_frozen_copy(c) for c in chans)
-        norms = np.array([frobenius_norm_sq(c) for c in chans], dtype=np.float64)
         norms.setflags(write=False)
         object.__setattr__(self, "hamiltonian", _frozen_copy(h))
         object.__setattr__(self, "channels", chans)
+        object.__setattr__(
+            self,
+            "channel_adjoints",
+            tuple(_frozen_copy(np.ascontiguousarray(adjoint(c))) for c in chans),
+        )
         object.__setattr__(
             self, "channel_squares", tuple(_frozen_copy(adjoint(c) @ c) for c in chans)
         )
@@ -133,60 +146,43 @@ class TrajectoryRecord:
     min_eigs: np.ndarray
 
 
-def dissipator(channel, rho) -> np.ndarray:
-    """Single-channel decoherence map L rho L^dag - {L^dag L, rho}/2.
-
-    Traceless and Hermiticity-preserving by construction.
-    """
-    op = as_operator(channel)
-    state = as_operator(rho)
-    if op.shape != state.shape:
-        raise DimMismatchError(f"channel {op.shape} vs state {state.shape}")
-    op_dag = adjoint(op)
-    sq = op_dag @ op
-    return op @ state @ op_dag - 0.5 * (sq @ state + state @ sq)
-
-
 def liouvillian_rhs(model: LindbladModel, rho) -> np.ndarray:
-    """Full generator -i[H, rho] + sum_j D[L_j] rho."""
-    state = as_operator(rho)
+    """Full generator -i[H, rho] + sum_j (L_j rho L_j^dag - {L_j^dag L_j, rho}/2)."""
+    state = np.asarray(rho, dtype=np.complex128)
     if state.shape != model.hamiltonian.shape:
         raise DimMismatchError(f"state {state.shape} vs model dim {model.dim}")
     h = model.hamiltonian
     out = -1j * (h @ state - state @ h)
-    for channel in model.channels:
-        out = out + dissipator(channel, state)
+    for c, c_dag, sq in zip(model.channels, model.channel_adjoints, model.channel_squares):
+        out += c @ state @ c_dag - 0.5 * (sq @ state + state @ sq)
     return out
 
 
-def _rhs_factory(model: LindbladModel):
-    """Precompute channel adjoints for the propagation hot loop."""
-    h = model.hamiltonian
-    triples = [
-        (c, np.ascontiguousarray(adjoint(c)), sq)
-        for c, sq in zip(model.channels, model.channel_squares)
-    ]
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        out = -1j * (h @ state - state @ h)
-        for c, c_dag, sq in triples:
-            out += c @ state @ c_dag - 0.5 * (sq @ state + state @ sq)
-        return out
-
-    return rhs
-
-
-def _step(rhs, state: np.ndarray, dt: float, cfg: IntegratorConfig) -> np.ndarray:
-    k1 = rhs(state)
-    k2 = rhs(state + (0.5 * dt) * k1)
-    k3 = rhs(state + (0.5 * dt) * k2)
-    k4 = rhs(state + dt * k3)
+def _step(model: LindbladModel, state: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    dt = cfg.dt
+    k1 = liouvillian_rhs(model, state)
+    k2 = liouvillian_rhs(model, state + (0.5 * dt) * k1)
+    k3 = liouvillian_rhs(model, state + (0.5 * dt) * k2)
+    k4 = liouvillian_rhs(model, state + dt * k3)
     state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if cfg.hermitize_each_step:
         state = 0.5 * (state + adjoint(state))
     if cfg.trace_renormalize_each_step:
         state = state / float(np.trace(state).real)
     return state
+
+
+def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
+    """Yield (k, state) at step 0, at multiples of ``cfg.record_stride`` and at the last step."""
+    state = assert_density(
+        rho0, hermiticity_tol=1e-9, positivity_tol=cfg.positivity_tol, trace_tol=1e-9
+    ).copy()
+    n = cfg.n_steps
+    yield 0, state
+    for k in range(1, n + 1):
+        state = _step(model, state, cfg)
+        if k % cfg.record_stride == 0 or k == n:
+            yield k, state
 
 
 def _health_check(
@@ -212,31 +208,19 @@ def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRe
     Every recorded state is gated on positivity (within ``positivity_tol``)
     and trace drift (within 1e-9 unless renormalizing).
     """
-    state = assert_density(
-        rho0, hermiticity_tol=1e-9, positivity_tol=cfg.positivity_tol, trace_tol=1e-9
-    ).copy()
-    rhs = _rhs_factory(model)
-    n = cfg.n_steps
     times: list[float] = []
     states: list[np.ndarray] = []
     reports: list[entropy_bounds.BoundReport] = []
     trace_errors: list[float] = []
     min_eigs: list[float] = []
-
-    def record(k: int, current: np.ndarray) -> None:
+    for k, state in _recorded_steps(model, rho0, cfg):
         t = k * cfg.dt
-        trace_err, min_eig, spectrum = _health_check(current, t, cfg)
+        trace_err, min_eig, spectrum = _health_check(state, t, cfg)
         times.append(t)
-        states.append(current.copy())
+        states.append(state)
         trace_errors.append(trace_err)
         min_eigs.append(min_eig)
-        reports.append(entropy_bounds.bound_report(model, current, t, spectrum=spectrum))
-
-    record(0, state)
-    for k in range(1, n + 1):
-        state = _step(rhs, state, cfg.dt, cfg)
-        if k % cfg.record_stride == 0 or k == n:
-            record(k, state)
+        reports.append(entropy_bounds.bound_report(model, state, t, spectrum=spectrum))
     return TrajectoryRecord(
         np.asarray(times), states, reports, np.asarray(trace_errors), np.asarray(min_eigs)
     )
@@ -244,14 +228,9 @@ def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRe
 
 def final_state(model: LindbladModel, rho0, cfg: IntegratorConfig) -> np.ndarray:
     """Propagate without intermediate recording; health checks run at the end only."""
-    state = assert_density(
-        rho0, hermiticity_tol=1e-9, positivity_tol=cfg.positivity_tol, trace_tol=1e-9
-    ).copy()
-    rhs = _rhs_factory(model)
-    n = cfg.n_steps
-    for _ in range(n):
-        state = _step(rhs, state, cfg.dt, cfg)
-    _health_check(state, n * cfg.dt, cfg)
+    for k, state in _recorded_steps(model, rho0, cfg):
+        pass
+    _health_check(state, k * cfg.dt, cfg)
     return state
 
 

@@ -34,12 +34,14 @@ def unvec(v, d: int) -> np.ndarray:
     return np.asarray(v, dtype=np.complex128).reshape((d, d), order="F")
 
 
-def build_superoperator(model: LindbladModel, *, self_check: bool = True) -> np.ndarray:
+def build_superoperator(model: LindbladModel) -> np.ndarray:
     """Assemble the d^2 x d^2 matrix acting on vec(rho).
 
     -i (kron(I, H) - kron(H.T, I))
     + sum_j [ kron(conj(L_j), L_j)
               - kron(I, L_j^dag L_j)/2 - kron((L_j^dag L_j).T, I)/2 ]
+
+    The result is checked against :func:`liouvillian_rhs` on random states.
     """
     d = model.dim
     eye = np.identity(d, dtype=np.complex128)
@@ -51,8 +53,7 @@ def build_superoperator(model: LindbladModel, *, self_check: bool = True) -> np.
             - 0.5 * np.kron(eye, sq)
             - 0.5 * np.kron(sq.T, eye)
         )
-    if self_check:
-        _check_against_direct_map(model, gen)
+    _check_against_direct_map(model, gen)
     return gen
 
 

@@ -1,9 +1,11 @@
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from entrodyn import cli
 from entrodyn.cli import AUDIT_HEADER, SIMULATE_HEADER, main
 
 PRESET_NAMES = (
@@ -12,6 +14,25 @@ PRESET_NAMES = (
     "depolarizing",
     "driven_qubit",
     "truncated_oscillator",
+)
+
+
+# The package attribute of this name is the function, not the module.
+steady_state_module = importlib.import_module("entrodyn.steady_state")
+
+# Config texts with one number left open; BIG_INT is an integer literal
+# that no float can hold.
+BIG_INT = "1" + "0" * 400
+MATRIX_ENTRY = (
+    '{"model": {"dim": 2, "channels": [[[%s, 0], [0, 0]]]}, "initial_state": "maximally_mixed"}'
+)
+GAMMA_PARAM = (
+    '{"model": {"name": "depolarizing", "params": {"gamma": %s}}, '
+    '"initial_state": "maximally_mixed"}'
+)
+DT_VALUE = (
+    '{"model": {"name": "depolarizing"}, "initial_state": "maximally_mixed", '
+    '"integrator": {"dt": %s, "t_max": 1.0}}'
 )
 
 
@@ -139,6 +160,38 @@ class TestSteady:
     def test_misconfigured_tolerance_exits_four(self, tmp_path):
         code, _ = run(tmp_path, "steady", {"model": {"name": "driven_qubit"}, "tol": 1e-22})
         assert code == 4
+
+    def test_linalg_failure_exits_four(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(model, tol):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "steady_state", no_convergence)
+        code, _ = run(tmp_path, "steady", {"model": {"name": "driven_qubit"}})
+        assert code == 4
+        assert capsys.readouterr().err == "error: SVD did not converge\n"
+
+    @pytest.mark.parametrize("name", ["driven_qubit", "truncated_oscillator"])
+    def test_generator_built_once_and_residual_from_direct_map(
+        self, tmp_path, monkeypatch, name
+    ):
+        calls = []
+        build = steady_state_module.build_superoperator
+
+        def counting_build(model, **kwargs):
+            calls.append(model)
+            return build(model, **kwargs)
+
+        monkeypatch.setattr(steady_state_module, "build_superoperator", counting_build)
+        # Also count a build made from the CLI's own namespace, if it imports one.
+        monkeypatch.setattr(cli, "build_superoperator", counting_build, raising=False)
+        code, text = run(tmp_path, "steady", {"model": {"name": name}})
+        assert code == 0
+        assert len(calls) == 1
+        report = json.loads(text)
+        rho = np.array([[complex(re, im) for re, im in row] for row in report["steady_state"]])
+        gen = build(calls[0])
+        expected = float(np.linalg.norm(gen @ steady_state_module.vec(rho)))
+        assert abs(report["generator_residual"] - expected) <= 1e-15
 
 
 class TestBounds:
@@ -348,13 +401,36 @@ class TestConfigErrors:
         assert_one_line_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["steady", "simulate", "bounds"])
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
-    def test_non_finite_number_exits_two(self, tmp_path, capsys, command, literal):
+    @pytest.mark.parametrize(
+        ("literal", "template"),
+        [
+            *(pytest.param(x, MATRIX_ENTRY, id=x) for x in ("NaN", "Infinity", "-Infinity")),
+            pytest.param("1e400", MATRIX_ENTRY, id="1e400"),
+            pytest.param(BIG_INT, MATRIX_ENTRY, id="big_int"),
+            pytest.param(BIG_INT, GAMMA_PARAM, id="big_int_gamma"),
+            pytest.param(BIG_INT, DT_VALUE, id="big_int_dt"),
+        ],
+    )
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, command, literal, template):
         path = tmp_path / "config.json"
-        path.write_text(
-            '{"model": {"dim": 2, "channels": [[[%s, 0], [0, 0]]]}, '
-            '"initial_state": "maximally_mixed"}' % literal
-        )
+        path.write_text(template % literal)
         code = main([command, "--config", str(path), "--out", str(tmp_path / "out.txt")])
         assert code == 2
         assert_one_line_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["steady", "simulate", "bounds"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"dim": 2, "channels": [[[1e160, 0], [0, 1]]]},
+            {"name": "depolarizing", "params": {"gamma": 1e308}},
+        ],
+        ids=["inline_channel", "depolarizing"],
+    )
+    def test_non_finite_operator_norm_exits_two(self, tmp_path, capsys, command, model):
+        code, text = run(
+            tmp_path, command, {"model": model, "initial_state": "maximally_mixed"}
+        )
+        assert code == 2
+        assert text == ""
+        assert "non-finite Frobenius norm" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from entrodyn.dynamics import (
     IntegratorConfig,
     LindbladModel,
     convergence_order_check,
-    dissipator,
     final_state,
     liouvillian_rhs,
     propagate,
@@ -59,7 +58,12 @@ class TestLindbladModel:
 
     def test_channel_data_is_derived_and_read_only(self):
         model = random_model(3, seed=5, n_channels=2)
-        for c, sq, norm in zip(model.channels, model.channel_squares, model.channel_norms_sq):
+        derived = zip(
+            model.channels, model.channel_adjoints, model.channel_squares, model.channel_norms_sq
+        )
+        for c, c_dag, sq, norm in derived:
+            assert np.array_equal(c_dag, adjoint(c))
+            assert c_dag.flags.c_contiguous
             assert np.array_equal(sq, adjoint(c) @ c)
             assert norm == float(np.sum(np.abs(c) ** 2))
         assert not model.channels_hermitian
@@ -74,6 +78,8 @@ class TestLindbladModel:
             model.channel_norms_sq[0] = 0.0
         with pytest.raises(ValueError):
             model.channel_squares[0][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            model.channel_adjoints[0][0, 0] = 0.0
         rebuilt = dataclasses.replace(model, channels=model.channels[:1])
         assert rebuilt.channel_norms_sq.shape == (1,)
 
@@ -95,17 +101,23 @@ class TestIntegratorConfig:
         assert IntegratorConfig(dt=1e-3, t_max=1.0).n_steps == 1000
 
 
+def single_channel_rhs(op, rho):
+    """liouvillian_rhs of the model with H = 0 and the one channel ``op``."""
+    op = np.asarray(op, dtype=complex)
+    return liouvillian_rhs(LindbladModel(np.zeros(op.shape), (op,)), rho)
+
+
 class TestDissipator:
     def test_identity_channel_is_zero(self):
         rho = ginibre_state(2, seed=4)
-        assert_allclose(dissipator(np.identity(2), rho), np.zeros((2, 2)), atol=1e-14)
+        assert_allclose(single_channel_rhs(np.identity(2), rho), np.zeros((2, 2)), atol=1e-14)
 
     def test_decay_from_excited(self):
-        out = dissipator(SIGMA_MINUS, EXCITED)
+        out = single_channel_rhs(SIGMA_MINUS, EXCITED)
         assert_allclose(out, np.diag([-1.0, 1.0]), atol=1e-14)
 
     def test_dephasing_kills_coherence(self):
-        out = dissipator(PAULI_Z, PLUS)
+        out = single_channel_rhs(PAULI_Z, PLUS)
         # brute-force product: sigma_z rho sigma_z flips the off-diagonal sign
         assert_allclose(out, brute_dissipator(np.asarray(PAULI_Z), PLUS), atol=1e-14)
         assert_allclose(np.diag(out), [0.0, 0.0], atol=1e-14)
@@ -116,13 +128,14 @@ class TestDissipator:
         for i in range(20):
             op = ginibre_matrix(d, seed=300 + i)
             rho = ginibre_state(d, seed=400 + i)
-            out = dissipator(op, rho)
+            out = single_channel_rhs(op, rho)
+            assert_allclose(out, brute_dissipator(op, rho), atol=1e-12)
             assert abs(np.trace(out)) <= 1e-10 * max(1.0, np.linalg.norm(out))
             assert np.linalg.norm(out - adjoint(out)) <= 1e-10 * max(1.0, np.linalg.norm(out))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
-            dissipator(np.identity(3), PLUS)
+            single_channel_rhs(np.identity(3), PLUS)
 
 
 class TestLiouvillianRhs:
@@ -138,7 +151,7 @@ class TestLiouvillianRhs:
     def test_amplitude_damping_matches_dissipator(self):
         model = get_model("amplitude_damping")
         assert_allclose(
-            liouvillian_rhs(model, EXCITED), dissipator(SIGMA_MINUS, EXCITED), atol=1e-14
+            liouvillian_rhs(model, EXCITED), brute_dissipator(SIGMA_MINUS, EXCITED), atol=1e-14
         )
 
     def test_traceless_hermitian_random(self):
@@ -222,6 +235,14 @@ class TestPropagate:
         mixed = final_state(model, 0.5 * (rho_a + rho_b), cfg)
         separate = 0.5 * (final_state(model, rho_a, cfg) + final_state(model, rho_b, cfg))
         assert np.linalg.norm(mixed - separate) <= 1e-8
+
+    @pytest.mark.parametrize("stride", [1, 7, 1000])
+    def test_final_state_is_last_recorded_state(self, stride):
+        model = random_model(3, seed=81, n_channels=2)
+        rho0 = ginibre_state(3, seed=82)
+        cfg = IntegratorConfig(dt=1e-2, t_max=0.5, record_stride=stride)
+        last_recorded = propagate(model, rho0, cfg).states[-1]
+        assert np.array_equal(final_state(model, rho0, cfg), last_recorded)
 
     def test_positivity_lost_reports_time(self):
         # dt far beyond the stability boundary makes the coherence overshoot,
