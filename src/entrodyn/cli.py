@@ -13,14 +13,15 @@ defaults to stdout):
 * ``models``    list the preset catalog (``--json`` for machine-readable).
 
 Exit codes: 0 success (audit violations are findings, not failures);
-2 config/parse error, including non-finite numbers (``NaN``, ``Infinity``,
-overflowing float or integer literals), a Hamiltonian or channel whose
-Frobenius norm is not finite, and integrator values of the wrong type (a
-bool or string for a number, anything but true/false for a flag); 3
-positivity lost during integration; 4 numerical failure, including a
-``numpy.linalg.LinAlgError``; 5 degenerate steady-state manifold; 6 nothing
-to bound (no usable channel, or a variance threshold demanded for
-non-Hermitian channels).
+2 config/parse error: non-finite numbers (``NaN``, ``Infinity``, overflowing
+literals), a Hamiltonian or channel with a non-finite Frobenius norm, a
+dimension above ``MAX_DIM``, integrator keys other than the fields of
+``IntegratorConfig`` or values of the wrong type, an initial state outside
+the integrator's input gate, an output path that cannot be opened; 3
+positivity lost during integration; 4 numerical failure (a state that
+diverges between records, a ``numpy.linalg.LinAlgError``); 5 degenerate
+steady-state manifold; 6 nothing to bound (no usable channel, or a variance
+threshold demanded for non-Hermitian channels).
 
 Config conventions: complex scalars are two-element arrays [re, im] (bare
 reals are also accepted on input); matrices are row-major nested arrays.
@@ -36,6 +37,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 from typing import Any, TextIO
 
 import numpy as np
@@ -61,7 +63,7 @@ from .errors import (
     PositivityLostError,
     UnknownModelError,
 )
-from .models import PAULI_Z, get_model, list_models, named_state
+from .models import MAX_DIM, PAULI_Z, get_model, list_models, named_state
 from .operators import (
     assert_density,
     ginibre_state,
@@ -152,6 +154,11 @@ def _parse_matrix(obj, dim: int | None = None, what: str = "matrix") -> np.ndarr
     return out
 
 
+def _is_int_in(value, low: int, high: float) -> bool:
+    """True for a JSON integer (not a bool) in [low, high]."""
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+
+
 def _model_from_config(config: dict) -> LindbladModel:
     spec = config.get("model")
     if not isinstance(spec, dict):
@@ -161,6 +168,8 @@ def _model_from_config(config: dict) -> LindbladModel:
     if has_preset and has_inline:
         raise ConfigError("model must be either a preset reference or inline, not both")
     if has_preset:
+        if not isinstance(spec["name"], str):
+            raise ConfigError("model.name must be a string")
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("model.params must be an object")
@@ -168,8 +177,8 @@ def _model_from_config(config: dict) -> LindbladModel:
     if not has_inline:
         raise ConfigError("model needs either 'name' (preset) or 'dim' (inline)")
     dim = spec.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise ConfigError("inline model needs an integer 'dim' >= 1")
+    if not _is_int_in(dim, 1, MAX_DIM):
+        raise ConfigError(f"inline model needs an integer 'dim' in [1, {MAX_DIM}]")
     if "hamiltonian" in spec:
         hamiltonian = _parse_matrix(spec["hamiltonian"], dim, "hamiltonian")
     else:
@@ -205,33 +214,27 @@ def _state_from_config(config: dict, model: LindbladModel) -> np.ndarray:
     return rho
 
 
-_INTEGRATOR_NUMBERS = ("dt", "t_max", "positivity_tol", "record_stride")
-_INTEGRATOR_FLAGS = ("hermitize_each_step", "trace_renormalize_each_step")
-
-
 def _integrator_from_config(config: dict) -> IntegratorConfig:
     raw = config.get("integrator", {})
     if not isinstance(raw, dict):
         raise ConfigError("'integrator' must be an object")
-    unknown = set(raw) - set(_INTEGRATOR_NUMBERS) - set(_INTEGRATOR_FLAGS)
+    unknown = set(raw) - {f.name for f in fields(IntegratorConfig)}
     if unknown:
         raise ConfigError(f"unknown integrator keys: {sorted(unknown)}")
     for key, value in raw.items():
-        if key in _INTEGRATOR_FLAGS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"integrator.{key} must be true/false, got {json.dumps(value)}")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"integrator.{key} must be a number, got {json.dumps(value)}")
-    kwargs = {"dt": 1e-3, "t_max": 1.0}
-    kwargs.update(raw)
-    return IntegratorConfig(**kwargs)
+    return IntegratorConfig(**{"dt": 1e-3, "t_max": 1.0, **raw})
 
 
 def run_simulate(config: dict, out: TextIO) -> int:
     model = _model_from_config(config)
     rho0 = _state_from_config(config, model)
     cfg = _integrator_from_config(config)
-    traj = propagate(model, rho0, cfg)
+    try:
+        traj = propagate(model, rho0, cfg)
+    except NotDensityError as exc:
+        raise ConfigError(f"initial_state fails the integrator's input gate: {exc}") from exc
     lines = [SIMULATE_HEADER]
     for i, rep in enumerate(traj.reports):
         lines.append(
@@ -328,12 +331,12 @@ def run_audit(config: dict, out: TextIO) -> int:
     d = config.get("d")
     count = config.get("count")
     seed = config.get("seed", 0)
-    if not isinstance(d, int) or d < 2:
-        raise ConfigError("'d' must be an integer >= 2")
-    if not isinstance(count, int) or count < 1:
+    if not _is_int_in(d, 2, MAX_DIM):
+        raise ConfigError(f"'d' must be an integer in [2, {MAX_DIM}]")
+    if not _is_int_in(count, 1, math.inf):
         raise ConfigError("'count' must be an integer >= 1")
-    if not isinstance(seed, int):
-        raise ConfigError("'seed' must be an integer")
+    if not _is_int_in(seed, 0, math.inf):
+        raise ConfigError("'seed' must be an integer >= 0")
     lines = [AUDIT_HEADER]
     trace_sq_violations = 0
     log_violations = 0
@@ -443,7 +446,12 @@ def _resolve_out(arg_out: str | None, config: dict | None):
             path = outputs.get("path")
     if path is None:
         return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+    if not isinstance(path, str):
+        raise ConfigError("outputs.path must be a string")
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot open output: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

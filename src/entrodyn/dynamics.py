@@ -33,8 +33,11 @@ from .operators import (
     is_hermitian,
 )
 
-# Recorded states must hold |tr(rho) - 1| within this drift before renormalization.
+# Recorded states must hold |tr(rho) - 1| within this drift; the trace is never renormalized.
 TRACE_DRIFT_TOL = 1e-9
+
+# Recorded states may dip this far below zero in their smallest eigenvalue.
+POSITIVITY_TOL = 1e-8
 
 
 def _frozen_copy(a: np.ndarray) -> np.ndarray:
@@ -105,17 +108,14 @@ class IntegratorConfig:
     """Fixed-step integration settings.
 
     ``t_max`` is interpreted as ``round(t_max / dt)`` steps of exactly ``dt``.
-    Hermitization after each step is on by default; trace renormalization is
-    off by default so trace drift stays observable as an integrator
-    diagnostic. Positivity is checked only at recorded strides (it costs an
-    eigendecomposition).
+    States are recorded at step 0, every ``record_stride`` steps and the last
+    step. Each recorded state is replaced by its Hermitian part and gated on
+    positivity (``POSITIVITY_TOL``) and trace drift (``TRACE_DRIFT_TOL``); the
+    trace is never renormalized, so drift stays an integrator diagnostic.
     """
 
     dt: float
     t_max: float
-    hermitize_each_step: bool = True
-    trace_renormalize_each_step: bool = False
-    positivity_tol: float = 1e-8
     record_stride: int = 1
 
     def __post_init__(self):
@@ -125,10 +125,10 @@ class IntegratorConfig:
             raise ConfigError("t_max must be positive and finite")
         if not self.dt < self.t_max:
             raise ConfigError("dt must be smaller than t_max")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ConfigError("t_max / dt overflows; the step count must be finite")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:
             raise ConfigError("record_stride must be an integer >= 1")
-        if self.positivity_tol < 0:
-            raise ConfigError("positivity_tol must be nonnegative")
 
     @property
     def n_steps(self) -> int:
@@ -158,43 +158,47 @@ def liouvillian_rhs(model: LindbladModel, rho) -> np.ndarray:
     return out
 
 
-def _step(model: LindbladModel, state: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    dt = cfg.dt
+def _step(model: LindbladModel, state: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step: a fixed linear map of the state."""
     k1 = liouvillian_rhs(model, state)
     k2 = liouvillian_rhs(model, state + (0.5 * dt) * k1)
     k3 = liouvillian_rhs(model, state + (0.5 * dt) * k2)
     k4 = liouvillian_rhs(model, state + dt * k3)
-    state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if cfg.hermitize_each_step:
-        state = 0.5 * (state + adjoint(state))
-    if cfg.trace_renormalize_each_step:
-        state = state / float(np.trace(state).real)
-    return state
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
-    """Yield (k, state) at step 0, at multiples of ``cfg.record_stride`` and at the last step."""
+    """Yield (k, state) at step 0, at multiples of ``cfg.record_stride`` and at the last step.
+
+    Each yielded state is replaced by its Hermitian part, which is exactly
+    Hermitian, and integration continues from it. An unstable ``dt`` may
+    overflow between records; the health gate reports that.
+    """
     state = assert_density(
-        rho0, hermiticity_tol=1e-9, positivity_tol=cfg.positivity_tol, trace_tol=1e-9
-    ).copy()
-    n = cfg.n_steps
+        rho0, hermiticity_tol=1e-9, positivity_tol=POSITIVITY_TOL, trace_tol=1e-9
+    )
+    state = 0.5 * (state + adjoint(state))
+    n, stride = cfg.n_steps, int(cfg.record_stride)
     yield 0, state
-    for k in range(1, n + 1):
-        state = _step(model, state, cfg)
-        if k % cfg.record_stride == 0 or k == n:
-            yield k, state
+    for start in range(0, n, stride):
+        stop = min(start + stride, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(start, stop):
+                state = _step(model, state, cfg.dt)
+            state = 0.5 * (state + adjoint(state))
+        yield stop, state
 
 
-def _health_check(
-    state: np.ndarray, t: float, cfg: IntegratorConfig
-) -> tuple[float, float, SpectralDecomposition]:
-    """Positivity/trace gate on a recorded state; returns (trace_err, min_eig, spectrum)."""
-    spectrum = hermitian_eig(0.5 * (state + adjoint(state)))
+def _health_check(state: np.ndarray, t: float) -> tuple[float, float, SpectralDecomposition]:
+    """Gate a recorded state; returns (trace_err, min_eig, spectrum)."""
+    if not np.all(np.isfinite(state)):
+        raise NumericsError(f"state diverged to non-finite entries by t={t:.6g}; reduce dt")
+    spectrum = hermitian_eig(state)
     min_eig = float(spectrum.eigenvalues[-1])
-    if min_eig < -cfg.positivity_tol:
-        raise PositivityLostError(t, min_eig, cfg.positivity_tol)
+    if min_eig < -POSITIVITY_TOL:
+        raise PositivityLostError(t, min_eig, POSITIVITY_TOL)
     trace_err = abs(complex(np.trace(state)) - 1.0)
-    if not cfg.trace_renormalize_each_step and trace_err > TRACE_DRIFT_TOL:
+    if trace_err > TRACE_DRIFT_TOL:
         raise NumericsError(
             f"trace drift {trace_err:.3e} exceeds {TRACE_DRIFT_TOL:.1e} at t={t:.6g}; reduce dt"
         )
@@ -205,24 +209,19 @@ def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRe
     """Integrate the master equation and record states with bound reports.
 
     Records at step multiples of ``cfg.record_stride`` plus the final step.
-    Every recorded state is gated on positivity (within ``positivity_tol``)
-    and trace drift (within 1e-9 unless renormalizing).
+    Every recorded state is gated on positivity (within ``POSITIVITY_TOL``)
+    and trace drift (within ``TRACE_DRIFT_TOL``).
     """
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    reports: list[entropy_bounds.BoundReport] = []
-    trace_errors: list[float] = []
-    min_eigs: list[float] = []
+    rows = []
     for k, state in _recorded_steps(model, rho0, cfg):
         t = k * cfg.dt
-        trace_err, min_eig, spectrum = _health_check(state, t, cfg)
-        times.append(t)
-        states.append(state)
-        trace_errors.append(trace_err)
-        min_eigs.append(min_eig)
-        reports.append(entropy_bounds.bound_report(model, state, t, spectrum=spectrum))
+        trace_err, min_eig, spectrum = _health_check(state, t)
+        report = entropy_bounds.bound_report(model, state, t, spectrum=spectrum)
+        rows.append((t, state, report, trace_err, min_eig))
+    times, states, reports, trace_errors, min_eigs = zip(*rows)
     return TrajectoryRecord(
-        np.asarray(times), states, reports, np.asarray(trace_errors), np.asarray(min_eigs)
+        np.asarray(times), list(states), list(reports),
+        np.asarray(trace_errors), np.asarray(min_eigs),
     )
 
 
@@ -230,7 +229,7 @@ def final_state(model: LindbladModel, rho0, cfg: IntegratorConfig) -> np.ndarray
     """Propagate without intermediate recording; health checks run at the end only."""
     for k, state in _recorded_steps(model, rho0, cfg):
         pass
-    _health_check(state, k * cfg.dt, cfg)
+    _health_check(state, k * cfg.dt)
     return state
 
 

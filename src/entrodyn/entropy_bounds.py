@@ -77,18 +77,18 @@ def _density_spectrum(rho, spectrum: SpectralDecomposition | None = None) -> Spe
     return dec
 
 
-def _entropy(lam: np.ndarray, eig_floor: float) -> float:
-    support = lam[lam > eig_floor]
+def _entropy(lam: np.ndarray) -> float:
+    support = lam[lam > EIG_FLOOR]
     value = float(-(support * np.log(support)).sum())
     return value if value > 0.0 else 0.0
 
 
-def von_neumann_entropy(rho, *, eig_floor: float = EIG_FLOOR) -> float:
+def von_neumann_entropy(rho) -> float:
     """-tr(rho ln rho) with the 0 ln 0 = 0 convention.
 
-    Eigenvalues at or below ``eig_floor`` are treated as exactly zero.
+    Eigenvalues at or below ``EIG_FLOOR`` are treated as exactly zero.
     """
-    return _entropy(_density_spectrum(rho).eigenvalues, eig_floor)
+    return _entropy(_density_spectrum(rho).eigenvalues)
 
 
 def _gains(channels, squares, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -112,9 +112,7 @@ def channel_gain(channel, rho) -> float:
     return float(gains[0])
 
 
-def _exact_rate(
-    model: "LindbladModel", dec: SpectralDecomposition, eig_floor: float, leak_tol: float
-) -> float:
+def _exact_rate(model: "LindbladModel", dec: SpectralDecomposition) -> float:
     if not model.channels:
         return 0.0
     if model.hamiltonian.shape[0] != dec.eigenvalues.shape[0]:
@@ -122,8 +120,8 @@ def _exact_rate(
     lam = dec.eigenvalues
     basis = dec.eigenvectors
     basis_dag = adjoint(basis)
-    null_mask = lam <= eig_floor
-    log_lam = np.log(np.maximum(lam, eig_floor))
+    null_mask = lam <= EIG_FLOOR
+    log_lam = np.log(np.maximum(lam, EIG_FLOOR))
     lam_clipped = np.maximum(lam, 0.0)
     total = 0.0
     for channel in model.channels:
@@ -131,29 +129,23 @@ def _exact_rate(
         weights = np.abs(in_basis) ** 2  # weights[j, k] = |<u_j| L |u_k>|^2
         if null_mask.any():
             leak = float(np.sum(weights[null_mask] * lam_clipped))
-            if leak > leak_tol:
+            if leak > NULL_LEAK_TOL:
                 return RATE_SATURATED
         total += float(np.sum(weights * lam[None, :] * (log_lam[None, :] - log_lam[:, None])))
     return total
 
 
-def entropy_rate_exact(
-    model: "LindbladModel",
-    rho,
-    *,
-    eig_floor: float = EIG_FLOOR,
-    leak_tol: float = NULL_LEAK_TOL,
-) -> float:
+def entropy_rate_exact(model: "LindbladModel", rho) -> float:
     """Exact dS/dt under the model at the given state.
 
     The Hamiltonian contributes nothing, so only channels enter:
     sum_j [ tr(L_j^dag L_j rho ln rho) - tr(L_j rho L_j^dag ln rho) ],
-    evaluated spectrally with eigenvalues floored at ``eig_floor``. When a
-    channel feeds weight above ``leak_tol`` onto the numerical null space of
+    evaluated spectrally with eigenvalues floored at ``EIG_FLOOR``. When a
+    channel feeds weight above ``NULL_LEAK_TOL`` onto the numerical null space of
     rho the true rate diverges, and ``math.inf`` is returned instead of a
     clamped finite number.
     """
-    return _exact_rate(model, _density_spectrum(rho), eig_floor, leak_tol)
+    return _exact_rate(model, _density_spectrum(rho))
 
 
 def rate_lower_bound(model: "LindbladModel", rho) -> float:
@@ -171,14 +163,15 @@ class TraceSquareAudit:
 
 
 def trace_square_audit(
-    channel, rho, *, slack: float = 1e-10, spectrum: SpectralDecomposition | None = None
+    channel, rho, *, spectrum: SpectralDecomposition | None = None
 ) -> TraceSquareAudit:
     """Check tr((sqrt(rho) L sqrt(rho))^2) <= tr(L rho)^2 on one instance.
 
     The replacement is guaranteed only for positive semidefinite L. For
     sign-indefinite Hermitian L it can fail (e.g. the z Pauli matrix against
-    I/2 gives lhs 1/2 vs rhs 0), so outcomes are recorded, never raised.
-    ``spectrum`` is the decomposition of ``rho`` if the caller has it.
+    I/2 gives lhs 1/2 vs rhs 0), so outcomes are recorded, never raised; the
+    check allows 1e-10 of rounding. ``spectrum`` is the decomposition of
+    ``rho`` if the caller has it.
     """
     op = require_hermitian(channel, what="channel")
     dec = _density_spectrum(rho, spectrum)
@@ -187,7 +180,7 @@ def trace_square_audit(
     sandwiched = sqrt_rho @ op @ sqrt_rho
     lhs = trace_product(sandwiched, sandwiched).real
     rhs = trace_product(op, as_operator(rho)).real ** 2
-    return TraceSquareAudit(lhs, rhs, lhs <= rhs + slack)
+    return TraceSquareAudit(lhs, rhs, lhs <= rhs + 1e-10)
 
 
 @dataclass(frozen=True)
@@ -227,19 +220,17 @@ def maximally_mixed_bound(d: int) -> float:
     return (d - 1) / (d * d)
 
 
-def log_inequality_check(
-    rho, *, eig_floor: float = EIG_FLOOR, spectrum: SpectralDecomposition | None = None
-) -> float:
+def log_inequality_check(rho, *, spectrum: SpectralDecomposition | None = None) -> float:
     """Smallest eigenvalue of (-ln rho - I + rho).
 
     Nonnegative for every density matrix (the scalar bound -ln x >= 1 - x
-    applied to the spectrum); eigenvalues are floored at ``eig_floor`` under
+    applied to the spectrum); eigenvalues are floored at ``EIG_FLOOR`` under
     the log. A return value below -1e-10 on a full-rank state indicates a
     broken eigendecomposition. ``spectrum`` is the decomposition of ``rho``
     if the caller has it.
     """
     lam = _density_spectrum(rho, spectrum).eigenvalues
-    values = -np.log(np.maximum(lam, eig_floor)) - 1.0 + lam
+    values = -np.log(np.maximum(lam, EIG_FLOOR)) - 1.0 + lam
     return float(values.min())
 
 
@@ -278,10 +269,10 @@ def bound_report(
     caller has it.
     """
     dec = _density_spectrum(rho, spectrum)
-    entropy = _entropy(dec.eigenvalues, EIG_FLOOR)
+    entropy = _entropy(dec.eigenvalues)
     if not model.channels:
         return BoundReport(time, entropy, 0.0, 0.0, None, None, False, False)
-    rate = _exact_rate(model, dec, EIG_FLOOR, NULL_LEAK_TOL)
+    rate = _exact_rate(model, dec)
     gains, first = _gains(model.channels, model.channel_squares, rho)
     weight = float(model.channel_norms_sq.sum())
     gain = float(gains.sum())

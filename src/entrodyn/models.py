@@ -19,20 +19,17 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import LindbladModel
+from .dynamics import LindbladModel, _frozen_copy
 from .errors import BadParamsError, UnknownModelError
 
+# Largest Hilbert-space dimension accepted from a preset or a run config. The
+# steady-state generator is d^2 x d^2: at d = 64, 4096 x 4096 complex (268 MB).
+MAX_DIM = 64
 
-def _frozen(a) -> np.ndarray:
-    out = np.asarray(a, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
-
-
-PAULI_X = _frozen([[0, 1], [1, 0]])
-PAULI_Y = _frozen([[0, -1j], [1j, 0]])
-PAULI_Z = _frozen([[1, 0], [0, -1]])
-SIGMA_MINUS = _frozen([[0, 0], [1, 0]])  # |g><e| in (e, g) order
+PAULI_X = _frozen_copy([[0, 1], [1, 0]])
+PAULI_Y = _frozen_copy([[0, -1j], [1j, 0]])
+PAULI_Z = _frozen_copy([[1, 0], [0, -1]])
+SIGMA_MINUS = _frozen_copy([[0, 0], [1, 0]])  # |g><e| in (e, g) order
 
 
 def lowering_operator(d: int) -> np.ndarray:
@@ -143,7 +140,8 @@ def get_model(name: str, params: Mapping[str, float] | None = None) -> LindbladM
     """Build a preset, overriding defaulted parameters.
 
     Raises UnknownModelError for names outside the catalog and BadParamsError
-    for unknown parameter keys, non-positive rates, or dimensions below 2.
+    for unknown parameter keys, non-positive rates, or dimensions outside
+    [2, MAX_DIM]; the dimension is checked before anything is allocated.
     """
     spec = _BY_NAME.get(name)
     if spec is None:
@@ -153,14 +151,15 @@ def get_model(name: str, params: Mapping[str, float] | None = None) -> LindbladM
     for key, value in (params or {}).items():
         if key not in merged:
             raise BadParamsError(f"unknown parameter '{key}' for preset '{name}'")
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)):
             raise BadParamsError(f"parameter '{key}' must be a finite number")
         merged[key] = value
     if "gamma" in merged and merged["gamma"] <= 0:
         raise BadParamsError("rate gamma must be positive")
     if "d" in merged:
-        if float(merged["d"]) != int(merged["d"]) or int(merged["d"]) < 2:
-            raise BadParamsError("dimension d must be an integer >= 2")
+        if float(merged["d"]) != int(merged["d"]) or not 2 <= int(merged["d"]) <= MAX_DIM:
+            raise BadParamsError(f"dimension d must be an integer in [2, {MAX_DIM}]")
         merged["d"] = int(merged["d"])
     return spec.builder(**merged)
 

@@ -50,15 +50,15 @@ def hermiticity_defect(a) -> float:
     return float(np.linalg.norm(arr - adjoint(arr)))
 
 
-def is_hermitian(a, rtol: float = HERMITICITY_RTOL) -> bool:
+def is_hermitian(a) -> bool:
     arr = np.asarray(a)
     scale = max(1.0, float(np.linalg.norm(arr)))
-    return hermiticity_defect(arr) <= rtol * scale
+    return hermiticity_defect(arr) <= HERMITICITY_RTOL * scale
 
 
-def require_hermitian(a, rtol: float = HERMITICITY_RTOL, what: str = "matrix") -> np.ndarray:
+def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     arr = as_operator(a)
-    if not is_hermitian(arr, rtol):
+    if not is_hermitian(arr):
         raise NotHermitianError(
             f"{what} is not Hermitian (defect {hermiticity_defect(arr):.3e})"
         )
@@ -73,14 +73,14 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
 
 
-def hermitian_eig(a, rtol: float = HERMITICITY_RTOL) -> SpectralDecomposition:
+def hermitian_eig(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NotHermitianError when the input fails the Hermiticity gate and
     EigFailureError when the backend does not converge. Eigenvectors of
     degenerate eigenvalues are an arbitrary orthonormal choice.
     """
-    arr = require_hermitian(a, rtol)
+    arr = require_hermitian(a)
     try:
         w, v = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:

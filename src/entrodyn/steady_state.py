@@ -57,9 +57,9 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
     return gen
 
 
-def _check_against_direct_map(model: LindbladModel, gen: np.ndarray, n_states: int = 10) -> None:
+def _check_against_direct_map(model: LindbladModel, gen: np.ndarray) -> None:
     scale = max(1.0, float(np.linalg.norm(gen)))
-    for seed in range(n_states):
+    for seed in range(10):
         rho = ginibre_state(model.dim, seed)
         residual = unvec(gen @ vec(rho), model.dim) - liouvillian_rhs(model, rho)
         if float(np.linalg.norm(residual)) > 1e-10 * scale:

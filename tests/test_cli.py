@@ -7,6 +7,7 @@ import pytest
 
 from entrodyn import cli
 from entrodyn.cli import AUDIT_HEADER, SIMULATE_HEADER, main
+from entrodyn.models import MAX_DIM
 
 PRESET_NAMES = (
     "dephasing",
@@ -34,6 +35,10 @@ DT_VALUE = (
     '{"model": {"name": "depolarizing"}, "initial_state": "maximally_mixed", '
     '"integrator": {"dt": %s, "t_max": 1.0}}'
 )
+
+
+def oscillator(d):
+    return {"model": {"name": "truncated_oscillator", "params": {"d": d}}}
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -120,6 +125,23 @@ class TestSimulate:
             },
         )
         assert code == 3
+
+    def test_divergent_integration_exits_four(self, tmp_path, capsys):
+        # dt far beyond the stability boundary overflows between two records.
+        code, text = run(
+            tmp_path,
+            "simulate",
+            {
+                "model": {"name": "depolarizing", "params": {"gamma": 1e6}},
+                "initial_state": "plus",
+                "integrator": {"dt": 0.01, "t_max": 1.0, "record_stride": 100},
+            },
+        )
+        assert code == 4
+        assert text == ""
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "non-finite" in err
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_output_is_run_to_run_identical(self, tmp_path, name):
@@ -361,6 +383,26 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg_path]) == 0
         assert target.read_text().startswith(SIMULATE_HEADER)
 
+    @pytest.mark.parametrize(
+        ("command", "out_arg", "outputs"),
+        [
+            ("simulate", "missing_dir/out.csv", None),
+            ("models", "missing_dir/out.txt", None),
+            ("simulate", None, {"path": []}),
+            ("bounds", None, {"path": {"a": 1}}),
+        ],
+        ids=["out_in_missing_dir", "models_out_in_missing_dir", "path_list", "path_object"],
+    )
+    def test_unusable_output_path_exits_two(self, tmp_path, capsys, command, out_arg, outputs):
+        config = {"model": {"name": "dephasing"}, "initial_state": "plus", "outputs": outputs}
+        argv = [command]
+        if command != "models":
+            argv += ["--config", write_config(tmp_path, config)]
+        if out_arg is not None:
+            argv += ["--out", str(tmp_path / out_arg)]
+        assert main(argv) == 2
+        assert_one_line_error(capsys.readouterr().err)
+
     def test_complex_entries_accepted_as_pairs(self, tmp_path):
         code, text = run(
             tmp_path,
@@ -385,6 +427,10 @@ class TestConfigErrors:
             {"record_stride": "x"},
             {"positivity_tol": "a"},
             {"dt": "0.01"},
+            {"hermitize_each_step": True},
+            {"trace_renormalize_each_step": False},
+            {"positivity_tol": 1e-8},
+            {"dt": 1e-310},  # t_max / dt overflows to inf
         ],
     )
     def test_mistyped_integrator_value_exits_two(self, tmp_path, capsys, override):
@@ -434,3 +480,39 @@ class TestConfigErrors:
         assert code == 2
         assert text == ""
         assert "non-finite Frobenius norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [10**20, MAX_DIM + 1], ids=["1e20", "max_dim_plus_one"])
+    @pytest.mark.parametrize(
+        ("command", "config"),
+        [
+            ("audit", lambda d: {"d": d, "count": 1}),
+            ("simulate", lambda d: {"model": {"dim": d}, "initial_state": "plus"}),
+            ("steady", lambda d: {"model": {"dim": d}}),
+            ("bounds", lambda d: {**oscillator(d), "initial_state": "plus"}),
+            ("steady", lambda d: oscillator(d)),
+        ],
+        ids=["audit_d", "simulate_dim", "steady_dim", "bounds_preset_d", "steady_preset_d"],
+    )
+    def test_dimension_above_cap_exits_two(self, tmp_path, capsys, command, config, d):
+        code, text = run(tmp_path, command, config(d))
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert str(MAX_DIM) in err
+
+    @pytest.mark.parametrize(
+        "state",
+        [[[0.50000005, 0], [0, 0.5]], [[0.5, [0, 3e-9]], [0, 0.5]]],
+        ids=["trace_error_5e-8", "hermiticity_defect_4e-9"],
+    )
+    def test_state_outside_integrator_gate_exits_two(self, tmp_path, capsys, state):
+        config = {"model": {"name": "dephasing"}, "initial_state": state}
+        assert run(tmp_path, "bounds", config)[0] == 0
+        capsys.readouterr()
+        code, text = run(
+            tmp_path, "simulate", {**config, "integrator": {"dt": 0.1, "t_max": 1.0}}
+        )
+        assert code == 2
+        assert text == ""
+        assert_one_line_error(capsys.readouterr().err)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from entrodyn.dynamics import (
     IntegratorConfig,
+    _step,
     LindbladModel,
     convergence_order_check,
     final_state,
@@ -212,12 +213,16 @@ class TestPropagate:
 
     def test_hermiticity_at_recorded_steps_without_hermitization(self):
         model = random_model(3, seed=71, n_channels=2)
-        traj = propagate(
-            model,
-            ginibre_state(3, seed=72),
-            IntegratorConfig(dt=1e-3, t_max=0.5, record_stride=100, hermitize_each_step=False),
-        )
-        for state in traj.states:
+        rho0 = ginibre_state(3, seed=72)
+        for stride in (1, 7, 100):
+            cfg = IntegratorConfig(dt=1e-3, t_max=0.5, record_stride=stride)
+            for state in propagate(model, rho0, cfg).states:
+                assert np.array_equal(state, adjoint(state))
+        # Between records the plain RK4 map barely leaves the Hermitian
+        # matrices, which is why projecting only recorded states suffices.
+        state = rho0
+        for _ in range(500):
+            state = _step(model, state, 1e-3)
             assert np.linalg.norm(state - adjoint(state)) <= 1e-9
 
     def test_purity_never_increases_under_dephasing(self):
@@ -251,17 +256,6 @@ class TestPropagate:
             propagate(get_model("dephasing"), PLUS, IntegratorConfig(dt=1.5, t_max=3.0))
         assert excinfo.value.time == pytest.approx(1.5)
         assert "smaller dt" in str(excinfo.value)
-
-    def test_trace_renormalization_pins_the_trace(self):
-        model = random_model(3, seed=91, n_channels=2)
-        traj = propagate(
-            model,
-            ginibre_state(3, seed=92),
-            IntegratorConfig(
-                dt=1e-3, t_max=0.5, record_stride=100, trace_renormalize_each_step=True
-            ),
-        )
-        assert np.all(traj.trace_errors <= 1e-14)
 
 
 class TestConvergenceOrder:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from entrodyn.dynamics import IntegratorConfig, propagate
 from entrodyn.errors import BadParamsError, UnknownModelError
 from entrodyn.models import (
+    MAX_DIM,
     PAULI_Z,
     SIGMA_MINUS,
     get_model,
@@ -97,6 +98,10 @@ def test_bad_params():
         get_model("truncated_oscillator", {"d": 1})
     with pytest.raises(BadParamsError):
         get_model("truncated_oscillator", {"d": 2.5})
+    with pytest.raises(BadParamsError):
+        get_model("truncated_oscillator", {"d": MAX_DIM + 1})
+    with pytest.raises(BadParamsError):
+        get_model("depolarizing", {"gamma": True})
 
 
 def test_named_states():
