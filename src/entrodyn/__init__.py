@@ -5,10 +5,13 @@ from .dynamics import (
     IntegratorConfig,
     LindbladModel,
     TrajectoryRecord,
+    build_superoperator,
     convergence_order_check,
     final_state,
     liouvillian_rhs,
     propagate,
+    unvec,
+    vec,
 )
 from .entropy_bounds import (
     EIG_FLOOR,
@@ -40,6 +43,6 @@ from .operators import (
     maximally_mixed,
     trace_product,
 )
-from .steady_state import build_superoperator, long_time_entropy, steady_state, unvec, vec
+from .steady_state import long_time_entropy, steady_state
 
 __version__ = "0.1.0"

@@ -1,9 +1,15 @@
-"""Lindblad generator and fixed-step time propagation with physicality safeguards.
+"""Lindblad generator, its superoperator and fixed-step time propagation.
 
 The generator is ``d rho/dt = -i[H, rho] + sum_j D[L_j] rho`` with
 ``D[L] rho = L rho L^dag - (L^dag L rho + rho L^dag L)/2`` and hbar = 1; all
 rates and times are dimensionless. Propagation uses a classical fixed-step
 fourth-order Runge-Kutta scheme so trajectories are bit-reproducible.
+
+Vectorization uses the column-stacking convention throughout: ``vec(X)``
+stacks the columns of X, so ``vec(A X B) = kron(B.T, A) @ vec(X)``. Mixing
+stacking conventions is the classic silent-corruption bug for this kind of
+code, so the superoperator builder cross-checks the assembled matrix against
+the direct generator on random states.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .operators import (
     as_operator,
     assert_density,
     frobenius_norm_sq,
+    ginibre_state,
     hermitian_eig,
     hermiticity_defect,
     is_hermitian,
@@ -38,6 +45,14 @@ TRACE_DRIFT_TOL = 1e-9
 
 # Recorded states may dip this far below zero in their smallest eigenvalue.
 POSITIVITY_TOL = 1e-8
+
+# Largest dimension advanced by the dense RK4 propagator, one d^2 x d^2 matvec
+# per step; above it each step applies the direct generator four times.
+# Measured with BLAS on one thread on a 2-core x86-64 VM (direct step vs
+# matvec, then the one-off build of the matrix): d=2 173 vs 1.0 us, 1.0 ms;
+# d=16 169 vs 28 us, 18 ms (repaid after 130 steps); d=20 193 vs 105 us,
+# 51 ms (repaid after 570 steps); d=24 238 vs 254 us; d=32 369 vs 796 us.
+DENSE_MAX_DIM = 16
 
 
 def _frozen_copy(a: np.ndarray) -> np.ndarray:
@@ -158,6 +173,51 @@ def liouvillian_rhs(model: LindbladModel, rho) -> np.ndarray:
     return out
 
 
+def vec(x) -> np.ndarray:
+    """Column-stack a matrix into a vector."""
+    return np.asarray(x, dtype=np.complex128).reshape(-1, order="F")
+
+
+def unvec(v, d: int) -> np.ndarray:
+    """Inverse of :func:`vec` for a d x d matrix."""
+    return np.asarray(v, dtype=np.complex128).reshape((d, d), order="F")
+
+
+def build_superoperator(model: LindbladModel) -> np.ndarray:
+    """Assemble the d^2 x d^2 matrix acting on vec(rho).
+
+    -i (kron(I, H) - kron(H.T, I))
+    + sum_j [ kron(conj(L_j), L_j)
+              - kron(I, L_j^dag L_j)/2 - kron((L_j^dag L_j).T, I)/2 ]
+
+    The result is checked against :func:`liouvillian_rhs` on random states.
+    """
+    d = model.dim
+    eye = np.identity(d, dtype=np.complex128)
+    h = model.hamiltonian
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for channel, sq in zip(model.channels, model.channel_squares):
+        gen = gen + (
+            np.kron(np.conj(channel), channel)
+            - 0.5 * np.kron(eye, sq)
+            - 0.5 * np.kron(sq.T, eye)
+        )
+    _check_against_direct_map(model, gen)
+    return gen
+
+
+def _check_against_direct_map(model: LindbladModel, gen: np.ndarray) -> None:
+    scale = max(1.0, float(np.linalg.norm(gen)))
+    for seed in range(10):
+        rho = ginibre_state(model.dim, seed)
+        residual = unvec(gen @ vec(rho), model.dim) - liouvillian_rhs(model, rho)
+        if float(np.linalg.norm(residual)) > 1e-10 * scale:
+            raise NumericsError(
+                "superoperator disagrees with the direct generator; "
+                "vectorization convention broken"
+            )
+
+
 def _step(model: LindbladModel, state: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step: a fixed linear map of the state."""
     k1 = liouvillian_rhs(model, state)
@@ -167,24 +227,51 @@ def _step(model: LindbladModel, state: np.ndarray, dt: float) -> np.ndarray:
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_propagator(model: LindbladModel, dt: float) -> np.ndarray:
+    """The map of one :func:`_step` as a d^2 x d^2 matrix on vec(rho).
+
+    For a linear generator L, classical RK4 is exactly the polynomial
+    sum_{k<=4} (dt L)^k / k!; it is evaluated here by Horner's rule.
+    """
+    a = dt * build_superoperator(model)
+    eye = np.identity(a.shape[0], dtype=np.complex128)
+    return eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
+
+
 def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     """Yield (k, state) at step 0, at multiples of ``cfg.record_stride`` and at the last step.
 
     Each yielded state is replaced by its Hermitian part, which is exactly
     Hermitian, and integration continues from it. An unstable ``dt`` may
-    overflow between records; the health gate reports that.
+    overflow between records; the health gate reports that. Up to
+    ``DENSE_MAX_DIM`` the steps multiply vec(rho) by the RK4 propagator, the
+    same map as :func:`_step` in a different order of arithmetic; a propagator
+    that overflows (huge rates) falls back to :func:`_step`, which keeps an
+    exactly stationary state finite.
     """
     state = assert_density(
         rho0, hermiticity_tol=1e-9, positivity_tol=POSITIVITY_TOL, trace_tol=1e-9
     )
     state = 0.5 * (state + adjoint(state))
-    n, stride = cfg.n_steps, int(cfg.record_stride)
+    n, stride, d = cfg.n_steps, int(cfg.record_stride), model.dim
+    prop = None
+    if d <= DENSE_MAX_DIM:
+        with np.errstate(over="ignore", invalid="ignore"):
+            prop = _rk4_propagator(model, cfg.dt)
+        if not np.all(np.isfinite(prop)):
+            prop = None
     yield 0, state
     for start in range(0, n, stride):
         stop = min(start + stride, n)
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(start, stop):
-                state = _step(model, state, cfg.dt)
+            if prop is None:
+                for _ in range(start, stop):
+                    state = _step(model, state, cfg.dt)
+            else:
+                v = vec(state)
+                for _ in range(start, stop):
+                    v = prop @ v
+                state = unvec(v, d)
             state = 0.5 * (state + adjoint(state))
         yield stop, state
 

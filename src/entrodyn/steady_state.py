@@ -1,10 +1,8 @@
-"""Vectorized generator construction and steady-state extraction.
+"""Steady states from the null space of the vectorized generator.
 
-Vectorization uses the column-stacking convention throughout: ``vec(X)``
-stacks the columns of X, so ``vec(A X B) = kron(B.T, A) @ vec(X)``. Mixing
-stacking conventions is the classic silent-corruption bug for this kind of
-code, so the builder cross-checks the assembled matrix against the direct
-generator on random states.
+The generator matrix and the column-stacking ``vec``/``unvec`` convention
+live in :mod:`entrodyn.dynamics`, next to the direct map they are checked
+against.
 """
 
 from __future__ import annotations
@@ -13,60 +11,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, LindbladModel, final_state, liouvillian_rhs
-from .entropy_bounds import von_neumann_entropy
-from .errors import (
-    DegenerateSteadyStateError,
-    NoSteadyStateError,
-    NotDensityError,
-    NumericsError,
+from .dynamics import (
+    IntegratorConfig,
+    LindbladModel,
+    build_superoperator,
+    final_state,
+    unvec,
+    vec,
 )
-from .operators import adjoint, assert_density, ginibre_state
-
-
-def vec(x) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(x, dtype=np.complex128).reshape(-1, order="F")
-
-
-def unvec(v, d: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a d x d matrix."""
-    return np.asarray(v, dtype=np.complex128).reshape((d, d), order="F")
-
-
-def build_superoperator(model: LindbladModel) -> np.ndarray:
-    """Assemble the d^2 x d^2 matrix acting on vec(rho).
-
-    -i (kron(I, H) - kron(H.T, I))
-    + sum_j [ kron(conj(L_j), L_j)
-              - kron(I, L_j^dag L_j)/2 - kron((L_j^dag L_j).T, I)/2 ]
-
-    The result is checked against :func:`liouvillian_rhs` on random states.
-    """
-    d = model.dim
-    eye = np.identity(d, dtype=np.complex128)
-    h = model.hamiltonian
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for channel, sq in zip(model.channels, model.channel_squares):
-        gen = gen + (
-            np.kron(np.conj(channel), channel)
-            - 0.5 * np.kron(eye, sq)
-            - 0.5 * np.kron(sq.T, eye)
-        )
-    _check_against_direct_map(model, gen)
-    return gen
-
-
-def _check_against_direct_map(model: LindbladModel, gen: np.ndarray) -> None:
-    scale = max(1.0, float(np.linalg.norm(gen)))
-    for seed in range(10):
-        rho = ginibre_state(model.dim, seed)
-        residual = unvec(gen @ vec(rho), model.dim) - liouvillian_rhs(model, rho)
-        if float(np.linalg.norm(residual)) > 1e-10 * scale:
-            raise NumericsError(
-                "superoperator disagrees with the direct generator; "
-                "vectorization convention broken"
-            )
+from .entropy_bounds import von_neumann_entropy
+from .errors import DegenerateSteadyStateError, NoSteadyStateError, NotDensityError
+from .operators import adjoint, assert_density
 
 
 def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:

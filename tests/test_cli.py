@@ -143,6 +143,27 @@ class TestSimulate:
         assert_one_line_error(err)
         assert "non-finite" in err
 
+    def test_overflowing_propagator_falls_back_to_direct_steps(self, tmp_path, capsys):
+        # gamma = 1e300 overflows the dense d^2 x d^2 RK4 propagator. The ground
+        # state is exactly stationary, and only the direct step keeps it finite.
+        config = {
+            "model": {"name": "truncated_oscillator", "params": {"d": 16, "gamma": 1e300}},
+            "initial_state": "ground",
+            "integrator": {"dt": 1e-3, "t_max": 0.01, "record_stride": 5},
+        }
+        code, text = run(tmp_path, "simulate", config)
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert len(rows) == 3
+        assert all(float(r["S"]) == 0.0 for r in rows)
+        config["initial_state"] = "maximally_mixed"
+        code, text = run(tmp_path, "simulate", config, out_name="moving.csv")
+        assert code == 4
+        assert text == ""
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "diverged to non-finite entries" in err
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_output_is_run_to_run_identical(self, tmp_path, name):
         config = {
