@@ -47,12 +47,14 @@ TRACE_DRIFT_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
 
 # Largest dimension advanced by the dense RK4 propagator, one d^2 x d^2 matvec
-# per step; above it each step applies the direct generator four times.
-# Measured with BLAS on one thread on a 2-core x86-64 VM (direct step vs
-# matvec, then the one-off build of the matrix): d=2 173 vs 1.0 us, 1.0 ms;
-# d=16 169 vs 28 us, 18 ms (repaid after 130 steps); d=20 193 vs 105 us,
-# 51 ms (repaid after 570 steps); d=24 238 vs 254 us; d=32 369 vs 796 us.
+# per step; above it each step applies the direct generator four times. Runs
+# shorter than DENSE_MIN_STEPS * (d/16)^6 steps also step directly: the build
+# costs three d^2 x d^2 products. Measured with BLAS on one thread on a 2-core
+# x86-64 VM (direct step vs matvec, build, break-even): d=2 113 vs 1.9 us,
+# 1.0 ms, 9 steps; d=14 105 vs 12 us, 5.1 ms, 55; d=16 105 vs 18 us, 9.6 ms,
+# 110 (130 with Kronecker products); d=20 187 vs 110 us, 40 ms, 510.
 DENSE_MAX_DIM = 16
+DENSE_MIN_STEPS = 110
 
 
 def _frozen_copy(a: np.ndarray) -> np.ndarray:
@@ -186,32 +188,42 @@ def unvec(v, d: int) -> np.ndarray:
 def build_superoperator(model: LindbladModel) -> np.ndarray:
     """Assemble the d^2 x d^2 matrix acting on vec(rho).
 
-    -i (kron(I, H) - kron(H.T, I))
-    + sum_j [ kron(conj(L_j), L_j)
-              - kron(I, L_j^dag L_j)/2 - kron((L_j^dag L_j).T, I)/2 ]
-
-    The result is checked against :func:`liouvillian_rhs` on random states.
+    kron(I, K) + kron(R.T, I) + sum_j kron(conj(L_j), L_j), where
+    K = -iH - sum_j L_j^dag L_j / 2 multiplies rho from the left and
+    R = iH - sum_j L_j^dag L_j / 2 from the right. The jump terms are one
+    einsum over the stacked channels; K and R.T are added into strided block
+    diagonals, O(d^3) each, so no Kronecker product is formed. The result is
+    checked against :func:`liouvillian_rhs` on random states.
     """
-    d = model.dim
-    eye = np.identity(d, dtype=np.complex128)
-    h = model.hamiltonian
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for channel, sq in zip(model.channels, model.channel_squares):
-        gen = gen + (
-            np.kron(np.conj(channel), channel)
-            - 0.5 * np.kron(eye, sq)
-            - 0.5 * np.kron(sq.T, eye)
-        )
+    d, h = model.dim, model.hamiltonian
+    half_decay = sum((0.5 * sq for sq in model.channel_squares), np.zeros((d, d), complex))
+    chans = np.array(model.channels, dtype=np.complex128).reshape(-1, d, d)
+    # entry (b*d + a, e*d + c) of kron(conj(L), L) is conj(L)[b, e] L[a, c]
+    gen4 = np.einsum("jbe,jac->baec", np.conj(chans), chans)
+    idx = np.arange(d)
+    gen4[idx, :, idx, :] += -1j * h - half_decay
+    gen4[:, idx, :, idx] += (1j * h - half_decay).T
+    gen = gen4.reshape(d * d, d * d)
     _check_against_direct_map(model, gen)
     return gen
 
 
+def _magnitudes(gen: np.ndarray) -> tuple[float, float, float]:
+    """Largest |entry| (1 for a zero matrix); |G|_F and largest column norm in its units."""
+    rel = np.abs(gen)
+    peak = float(rel.max(initial=0.0)) or 1.0
+    rel /= peak
+    col_sq = np.einsum("ij,ij->j", rel, rel)
+    return peak, math.sqrt(float(col_sq.sum())), math.sqrt(float(col_sq.max(initial=0.0)))
+
+
 def _check_against_direct_map(model: LindbladModel, gen: np.ndarray) -> None:
-    scale = max(1.0, float(np.linalg.norm(gen)))
-    for seed in range(10):
-        rho = ginibre_state(model.dim, seed)
-        residual = unvec(gen @ vec(rho), model.dim) - liouvillian_rhs(model, rho)
-        if float(np.linalg.norm(residual)) > 1e-10 * scale:
+    peak, frob, _ = _magnitudes(gen)
+    probes = [ginibre_state(model.dim, seed) / peak for seed in range(10)]  # units of peak
+    applied = gen @ np.stack([vec(rho) for rho in probes], axis=1)
+    for rho, column in zip(probes, applied.T):
+        residual = unvec(column, model.dim) - liouvillian_rhs(model, rho)
+        if not float(np.linalg.norm(residual)) <= 1e-10 * max(1.0 / peak, frob):  # NaN fails
             raise NumericsError(
                 "superoperator disagrees with the direct generator; "
                 "vectorization convention broken"
@@ -245,9 +257,10 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     Hermitian, and integration continues from it. An unstable ``dt`` may
     overflow between records; the health gate reports that. Up to
     ``DENSE_MAX_DIM`` the steps multiply vec(rho) by the RK4 propagator, the
-    same map as :func:`_step` in a different order of arithmetic; a propagator
-    that overflows (huge rates) falls back to :func:`_step`, which keeps an
-    exactly stationary state finite.
+    same map as :func:`_step` in a different order of arithmetic. Runs too
+    short to repay the propagator's build (``DENSE_MIN_STEPS``), and
+    propagators that overflow (huge rates), use :func:`_step`; the latter keeps
+    an exactly stationary state finite.
     """
     state = assert_density(
         rho0, hermiticity_tol=1e-9, positivity_tol=POSITIVITY_TOL, trace_tol=1e-9
@@ -255,7 +268,7 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     state = 0.5 * (state + adjoint(state))
     n, stride, d = cfg.n_steps, int(cfg.record_stride), model.dim
     prop = None
-    if d <= DENSE_MAX_DIM:
+    if d <= DENSE_MAX_DIM and n >= DENSE_MIN_STEPS * (d / DENSE_MAX_DIM) ** 6:
         with np.errstate(over="ignore", invalid="ignore"):
             prop = _rk4_propagator(model, cfg.dt)
         if not np.all(np.isfinite(prop)):

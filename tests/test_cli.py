@@ -144,12 +144,13 @@ class TestSimulate:
         assert "non-finite" in err
 
     def test_overflowing_propagator_falls_back_to_direct_steps(self, tmp_path, capsys):
-        # gamma = 1e300 overflows the dense d^2 x d^2 RK4 propagator. The ground
-        # state is exactly stationary, and only the direct step keeps it finite.
+        # gamma = 1e300 overflows the dense d^2 x d^2 RK4 propagator, which 200
+        # steps at d=16 would use. The ground state is exactly stationary, and
+        # only the direct step keeps it finite.
         config = {
             "model": {"name": "truncated_oscillator", "params": {"d": 16, "gamma": 1e300}},
             "initial_state": "ground",
-            "integrator": {"dt": 1e-3, "t_max": 0.01, "record_stride": 5},
+            "integrator": {"dt": 1e-3, "t_max": 0.2, "record_stride": 100},
         }
         code, text = run(tmp_path, "simulate", config)
         assert code == 0
@@ -203,6 +204,17 @@ class TestSteady:
     def test_misconfigured_tolerance_exits_four(self, tmp_path):
         code, _ = run(tmp_path, "steady", {"model": {"name": "driven_qubit"}, "tol": 1e-22})
         assert code == 4
+
+    def test_huge_rates_give_the_ground_state_silently(self, tmp_path, capsys):
+        # Generator entries near 1e300: a plain Frobenius norm of it overflows.
+        config = {"model": {"name": "truncated_oscillator", "params": {"d": 4, "gamma": 1e300}}}
+        code, text = run(tmp_path, "steady", config)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        state = np.array(json.loads(text)["steady_state"])
+        ground = np.zeros((4, 4, 2))
+        ground[3, 3, 0] = 1.0
+        assert np.max(np.abs(state - ground)) <= 1e-12
 
     def test_linalg_failure_exits_four(self, tmp_path, capsys, monkeypatch):
         def no_convergence(model, tol):

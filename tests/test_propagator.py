@@ -1,13 +1,18 @@
 """The dense RK4 propagator against the direct step loop and the exact propagator."""
 
+import math
+
 import numpy as np
 import pytest
 
+from entrodyn import dynamics
 from entrodyn.dynamics import (
     DENSE_MAX_DIM,
+    DENSE_MIN_STEPS,
     IntegratorConfig,
     LindbladModel,
     _recorded_steps,
+    _rk4_propagator,
     _step,
     build_superoperator,
     final_state,
@@ -89,6 +94,42 @@ def test_above_dense_max_dim_takes_the_direct_path(stride):
     for (k, got), (k_ref, want) in zip(taken, reference):
         assert k == k_ref
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 250])
+def test_short_run_at_dense_max_dim_takes_the_direct_path(stride):
+    d = DENSE_MAX_DIM
+    model = get_model("truncated_oscillator", {"d": d})
+    rho0 = ginibre_state(d, seed=302)
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.06, record_stride=stride)
+    assert cfg.n_steps < DENSE_MIN_STEPS
+    taken = list(_recorded_steps(model, rho0, cfg))
+    reference = direct_recorded_steps(model, rho0, cfg)
+    assert [k for k, _ in taken] == [k for k, _ in reference]
+    prop = _rk4_propagator(model, cfg.dt)
+    v, done = vec(reference[0][1]), 0
+    for (k, got), (_, want) in zip(taken, reference):
+        assert np.array_equal(got, want)
+        for _ in range(done, k):
+            v = prop @ v
+        dense = unvec(v, d)
+        v, done = vec(0.5 * (dense + adjoint(dense))), k
+        assert np.max(np.abs(got - unvec(v, d))) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [12, 14, DENSE_MAX_DIM])
+def test_propagator_is_built_from_the_break_even_step_count(monkeypatch, d):
+    builds = []
+    monkeypatch.setattr(
+        dynamics, "_rk4_propagator", lambda *args: builds.append(args) or _rk4_propagator(*args)
+    )
+    model = get_model("truncated_oscillator", {"d": d})
+    first_dense = math.ceil(DENSE_MIN_STEPS * (d / DENSE_MAX_DIM) ** 6)
+    for n_steps, built in ((first_dense - 1, 0), (first_dense, 1)):
+        cfg = IntegratorConfig(dt=1e-3, t_max=n_steps * 1e-3, record_stride=n_steps)
+        assert cfg.n_steps == n_steps
+        final_state(model, ginibre_state(d, seed=303), cfg)
+        assert len(builds) == built
 
 
 @pytest.mark.parametrize("d", [4, DENSE_MAX_DIM + 1])

@@ -1,4 +1,4 @@
-"""One eigendecomposition per state and one SVD per steady-state solve.
+"""One eigendecomposition per state; an SVD only for an uncertified steady state.
 
 The counts wrap ``numpy.linalg`` for the length of one test, so every call the
 package makes is seen whichever module makes it.
@@ -13,7 +13,7 @@ import pytest
 from entrodyn.cli import main
 from entrodyn.dynamics import IntegratorConfig, LindbladModel, propagate
 from entrodyn.entropy_bounds import bound_report, log_inequality_check, trace_square_audit
-from entrodyn.errors import NotDensityError
+from entrodyn.errors import DegenerateSteadyStateError, NotDensityError
 from entrodyn.models import get_model
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, hermitian_eig
 from entrodyn.steady_state import steady_state
@@ -55,8 +55,14 @@ def test_audit_decomposes_each_case_once(tmp_path, linalg_calls, d, count):
 @pytest.mark.parametrize(
     "name, params", [("driven_qubit", {}), ("truncated_oscillator", {"d": 5})]
 )
-def test_steady_state_runs_one_svd(linalg_calls, name, params):
+def test_certified_steady_state_runs_no_svd(linalg_calls, name, params):
     steady_state(get_model(name, params))
+    assert linalg_calls["svd"] == 0
+
+
+def test_degenerate_steady_state_runs_one_svd(linalg_calls):
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(get_model("dephasing"))
     assert linalg_calls["svd"] == 1
 
 

@@ -7,14 +7,16 @@ from numpy.testing import assert_allclose
 from entrodyn.dynamics import (
     IntegratorConfig,
     LindbladModel,
+    _check_against_direct_map,
     final_state,
     liouvillian_rhs,
 )
 from entrodyn.entropy_bounds import steady_state_bound, von_neumann_entropy
-from entrodyn.errors import DegenerateSteadyStateError, NoSteadyStateError
-from entrodyn.models import SIGMA_MINUS, get_model, named_state
+from entrodyn.errors import DegenerateSteadyStateError, NoSteadyStateError, NumericsError
+from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, named_state
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, maximally_mixed
 from entrodyn.steady_state import (
+    _svd_solve,
     build_superoperator,
     long_time_entropy,
     steady_state,
@@ -147,3 +149,96 @@ class TestLongTimeEntropy:
         cfg = IntegratorConfig(dt=1e-3, t_max=1.0)
         value = long_time_entropy(model, rho0, 2.0, cfg)
         assert abs(value - von_neumann_entropy(rho0)) <= 1e-9
+
+
+def kron_superoperator(model):
+    """Oracle: the generator on column-stacked vec(rho) as a sum of Kronecker products."""
+    eye = np.identity(model.dim)
+    h = model.hamiltonian
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for channel, sq in zip(model.channels, model.channel_squares):
+        gen = gen + np.kron(np.conj(channel), channel)
+        gen = gen - 0.5 * np.kron(eye, sq) - 0.5 * np.kron(sq.T, eye)
+    return gen
+
+
+def random_model(d, seed, n_channels):
+    channels = tuple(ginibre_matrix(d, 1000 * seed + k) for k in range(n_channels))
+    return LindbladModel(gue_hermitian(d, seed), channels)
+
+
+KRON_CASES = {
+    **{name: lambda name=name: get_model(name) for name in UNIQUE_PRESETS + ("dephasing",)},
+    "oscillator_d7": lambda: get_model("truncated_oscillator", {"d": 7}),
+    # Hermitian only within 1e-10: rho is multiplied by H.T on the right, not conj(H)
+    "nearly_hermitian_h": lambda: LindbladModel(
+        gue_hermitian(3, 7) + 1e-11 * ginibre_matrix(3, 8), (ginibre_matrix(3, 9),)
+    ),
+    **{
+        f"random_d{d}_{n}ch": lambda d=d, n=n: random_model(d, 40 + d, n)
+        for d in range(1, 7)
+        for n in (0, 1, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRON_CASES))
+def test_superoperator_matches_kron_formula(name):
+    model = KRON_CASES[name]()
+    assert np.max(np.abs(build_superoperator(model) - kron_superoperator(model))) <= 1e-13
+
+
+class TestSelfCheck:
+    """The build's check against the direct map, at rates whose norms overflow."""
+
+    def huge_model(self):
+        return get_model("truncated_oscillator", {"d": 4, "gamma": 1e300})
+
+    def test_huge_generator_passes(self):
+        model = self.huge_model()
+        _check_against_direct_map(model, build_superoperator(model))
+
+    def test_disagreement_at_huge_scale_fails(self):
+        model = self.huge_model()
+        gen = build_superoperator(model).copy()
+        gen[5, 2] += 1e-6 * np.max(np.abs(gen))
+        with pytest.raises(NumericsError):
+            _check_against_direct_map(model, gen)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_residual_fails(self, bad):
+        model = get_model("driven_qubit")
+        gen = build_superoperator(model).copy()
+        gen[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
+            _check_against_direct_map(model, gen)
+
+
+class TestCertifiedSolve:
+    """The direct solve reproduces the SVD rule's outcomes and state."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-9])
+    def test_weak_decay_gives_the_ground_state(self, eps):
+        model = LindbladModel(np.diag([0.5, -0.5]), (PAULI_Z, math.sqrt(eps) * SIGMA_MINUS))
+        assert_allclose(steady_state(model), np.diag([0.0, 1.0]), atol=1e-9)
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-12, 0.0])
+    def test_weaker_decay_is_degenerate(self, eps):
+        model = LindbladModel(np.diag([0.5, -0.5]), (PAULI_Z, math.sqrt(eps) * SIGMA_MINUS))
+        with pytest.raises(DegenerateSteadyStateError) as excinfo:
+            steady_state(model)
+        assert excinfo.value.null_dimension == 2
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_the_svd_state_on_random_models(self, d):
+        for seed in range(8):
+            model = random_model(d, seed, 1 + seed % 3)
+            direct = steady_state(model)
+            by_svd = _svd_solve(build_superoperator(model), d, 1e-10)
+            assert np.max(np.abs(direct - by_svd)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_absurd_tolerance_still_finds_no_null_space(self, d):
+        # a generic null direction leaves a roundoff-sized smallest singular value
+        with pytest.raises(NoSteadyStateError):
+            steady_state(random_model(d, 5, 2), tol=1e-22)
