@@ -36,6 +36,7 @@ from .operators import (
     frobenius_norm_sq,
     ginibre_state,
     hermitian_eig,
+    hermitian_part,
     hermiticity_defect,
     is_hermitian,
 )
@@ -56,6 +57,9 @@ POSITIVITY_TOL = 1e-8
 DENSE_MAX_DIM = 16
 DENSE_MIN_STEPS = 110
 
+# Largest |H|_F^2 + sum_j |L_j|_F^2: derived numbers, at most 32x it, stay finite.
+MAX_SCALE = np.finfo(np.float64).max / 64
+
 
 def _frozen_copy(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128)
@@ -73,7 +77,8 @@ class LindbladModel:
     once per model: ``channel_adjoints`` (each L_j^dag), ``channel_squares``
     (each L_j^dag L_j), ``channel_norms_sq`` (each |L_j|_F^2) and
     ``channels_hermitian`` (every channel Hermitian). A Hamiltonian or channel
-    whose squared Frobenius norm is not finite raises BadParamsError.
+    whose squared Frobenius norm is not finite, or a model whose scale
+    |H|_F^2 + sum_j |L_j|_F^2 exceeds ``MAX_SCALE``, raises BadParamsError.
     """
 
     hamiltonian: np.ndarray
@@ -98,6 +103,9 @@ class LindbladModel:
             norms = np.array([frobenius_norm_sq(c) for c in chans], dtype=np.float64)
         if not (math.isfinite(h_norm_sq) and np.all(np.isfinite(norms))):
             raise BadParamsError("hamiltonian or channel has a non-finite Frobenius norm")
+        scale = sum(norms.tolist(), h_norm_sq)  # Python floats overflow to inf silently
+        if scale > MAX_SCALE:
+            raise BadParamsError(f"model scale {scale:.3e} exceeds {MAX_SCALE:.3e}; rescale time")
         if hermiticity_defect(h) > 1e-10 * max(1.0, math.sqrt(h_norm_sq)):
             raise NotHermitianError("hamiltonian is not Hermitian within 1e-10 relative")
         chans = tuple(_frozen_copy(c) for c in chans)
@@ -192,8 +200,9 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
     K = -iH - sum_j L_j^dag L_j / 2 multiplies rho from the left and
     R = iH - sum_j L_j^dag L_j / 2 from the right. The jump terms are one
     einsum over the stacked channels; K and R.T are added into strided block
-    diagonals, O(d^3) each, so no Kronecker product is formed. The result is
-    checked against :func:`liouvillian_rhs` on random states.
+    diagonals, O(d^3) each, so no Kronecker product is formed. Every caller in
+    the package checks the result with :func:`_check_against_direct_map`,
+    which also returns the magnitudes the caller needs.
     """
     d, h = model.dim, model.hamiltonian
     half_decay = sum((0.5 * sq for sq in model.channel_squares), np.zeros((d, d), complex))
@@ -203,9 +212,7 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
     idx = np.arange(d)
     gen4[idx, :, idx, :] += -1j * h - half_decay
     gen4[:, idx, :, idx] += (1j * h - half_decay).T
-    gen = gen4.reshape(d * d, d * d)
-    _check_against_direct_map(model, gen)
-    return gen
+    return gen4.reshape(d * d, d * d)
 
 
 def _magnitudes(gen: np.ndarray) -> tuple[float, float, float]:
@@ -217,8 +224,9 @@ def _magnitudes(gen: np.ndarray) -> tuple[float, float, float]:
     return peak, math.sqrt(float(col_sq.sum())), math.sqrt(float(col_sq.max(initial=0.0)))
 
 
-def _check_against_direct_map(model: LindbladModel, gen: np.ndarray) -> None:
-    peak, frob, _ = _magnitudes(gen)
+def _check_against_direct_map(model: LindbladModel, gen: np.ndarray) -> tuple[float, float, float]:
+    """Check gen against :func:`liouvillian_rhs` on random states; return its _magnitudes."""
+    peak, frob, col = _magnitudes(gen)
     probes = [ginibre_state(model.dim, seed) / peak for seed in range(10)]  # units of peak
     applied = gen @ np.stack([vec(rho) for rho in probes], axis=1)
     for rho, column in zip(probes, applied.T):
@@ -228,6 +236,7 @@ def _check_against_direct_map(model: LindbladModel, gen: np.ndarray) -> None:
                 "superoperator disagrees with the direct generator; "
                 "vectorization convention broken"
             )
+    return peak, frob, col
 
 
 def _step(model: LindbladModel, state: np.ndarray, dt: float) -> np.ndarray:
@@ -245,7 +254,9 @@ def _rk4_propagator(model: LindbladModel, dt: float) -> np.ndarray:
     For a linear generator L, classical RK4 is exactly the polynomial
     sum_{k<=4} (dt L)^k / k!; it is evaluated here by Horner's rule.
     """
-    a = dt * build_superoperator(model)
+    a = build_superoperator(model)
+    _check_against_direct_map(model, a)
+    a *= dt  # in place: no second d^2 x d^2 matrix stays alive
     eye = np.identity(a.shape[0], dtype=np.complex128)
     return eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
 
@@ -265,7 +276,7 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     state = assert_density(
         rho0, hermiticity_tol=1e-9, positivity_tol=POSITIVITY_TOL, trace_tol=1e-9
     )
-    state = 0.5 * (state + adjoint(state))
+    state = hermitian_part(state)
     n, stride, d = cfg.n_steps, int(cfg.record_stride), model.dim
     prop = None
     if d <= DENSE_MAX_DIM and n >= DENSE_MIN_STEPS * (d / DENSE_MAX_DIM) ** 6:
@@ -285,24 +296,40 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
                 for _ in range(start, stop):
                     v = prop @ v
                 state = unvec(v, d)
-            state = 0.5 * (state + adjoint(state))
+            state = hermitian_part(state)
         yield stop, state
 
 
-def _health_check(state: np.ndarray, t: float) -> tuple[float, float, SpectralDecomposition]:
-    """Gate a recorded state; returns (trace_err, min_eig, spectrum)."""
-    if not np.all(np.isfinite(state)):
-        raise NumericsError(f"state diverged to non-finite entries by t={t:.6g}; reduce dt")
-    spectrum = hermitian_eig(state)
-    min_eig = float(spectrum.eigenvalues[-1])
-    if min_eig < -POSITIVITY_TOL:
-        raise PositivityLostError(t, min_eig, POSITIVITY_TOL)
-    trace_err = abs(complex(np.trace(state)) - 1.0)
-    if trace_err > TRACE_DRIFT_TOL:
-        raise NumericsError(
-            f"trace drift {trace_err:.3e} exceeds {TRACE_DRIFT_TOL:.1e} at t={t:.6g}; reduce dt"
-        )
-    return trace_err, min_eig, spectrum
+def _health_check(states, times) -> tuple[np.ndarray, np.ndarray, SpectralDecomposition]:
+    """Gate states at ``times`` (finite, positivity, trace drift); first failure raises."""
+    finite = np.isfinite(states).all(axis=(1, 2))
+    n = len(states) if finite.all() else int(np.argmin(finite))
+    with np.errstate(over="ignore", invalid="ignore"):  # a state overflowing here fails below
+        spectra = hermitian_eig(states[:n])
+        trace_errs = np.abs(np.trace(states[:n], axis1=1, axis2=2) - 1.0)
+    min_eigs = spectra.eigenvalues[:, -1]
+    bad = np.flatnonzero((min_eigs < -POSITIVITY_TOL) | (trace_errs > TRACE_DRIFT_TOL))
+    if bad.size and min_eigs[bad[0]] < -POSITIVITY_TOL:
+        raise PositivityLostError(times[bad[0]], float(min_eigs[bad[0]]), POSITIVITY_TOL)
+    if bad.size:
+        raise NumericsError(f"trace drift {trace_errs[bad[0]]:.3e} exceeds "
+                            f"{TRACE_DRIFT_TOL:.1e} at t={times[bad[0]]:.6g}; reduce dt")
+    if n < len(states):
+        raise NumericsError(f"state diverged to non-finite entries by t={times[n]:.6g}; reduce dt")
+    return trace_errs, min_eigs, spectra
+
+
+def _recorded_stacks(model: LindbladModel, rho0, cfg: IntegratorConfig):
+    """(times, states) stacks of :func:`_recorded_steps`; a non-finite state ends its stack."""
+    size, times, states = max(1, entropy_bounds.STACK_ENTRIES // model.dim**2), [], []
+    for k, state in _recorded_steps(model, rho0, cfg):
+        times.append(k * cfg.dt)
+        states.append(state)
+        if len(states) == size or not np.all(np.isfinite(state)):
+            yield times, np.stack(states)
+            times, states = [], []
+    if states:
+        yield times, np.stack(states)
 
 
 def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRecord:
@@ -310,14 +337,13 @@ def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRe
 
     Records at step multiples of ``cfg.record_stride`` plus the final step.
     Every recorded state is gated on positivity (within ``POSITIVITY_TOL``)
-    and trace drift (within ``TRACE_DRIFT_TOL``).
+    and trace drift (within ``TRACE_DRIFT_TOL``), in stacks of one ``eigh``.
     """
     rows = []
-    for k, state in _recorded_steps(model, rho0, cfg):
-        t = k * cfg.dt
-        trace_err, min_eig, spectrum = _health_check(state, t)
-        report = entropy_bounds.bound_report(model, state, t, spectrum=spectrum)
-        rows.append((t, state, report, trace_err, min_eig))
+    for ts, stack in _recorded_stacks(model, rho0, cfg):
+        trace_errs, min_eigs, spectra = _health_check(stack, ts)
+        reports = entropy_bounds.bound_reports(model, stack, ts, spectra)
+        rows += zip(ts, stack, reports, trace_errs.tolist(), min_eigs.tolist())
     times, states, reports, trace_errors, min_eigs = zip(*rows)
     return TrajectoryRecord(
         np.asarray(times), list(states), list(reports),
@@ -329,7 +355,7 @@ def final_state(model: LindbladModel, rho0, cfg: IntegratorConfig) -> np.ndarray
     """Propagate without intermediate recording; health checks run at the end only."""
     for k, state in _recorded_steps(model, rho0, cfg):
         pass
-    _health_check(state, k * cfg.dt)
+    _health_check(state[None], [k * cfg.dt])
     return state
 
 

@@ -2,7 +2,8 @@
 
 Operators are plain complex128 numpy arrays; a density matrix is any operator
 that passes :func:`assert_density`. Throughout the package the squared
-Frobenius norm means ``tr(A^dag A) = sum_ij |a_ij|^2``.
+Frobenius norm means ``tr(A^dag A) = sum_ij |a_ij|^2``. The Hermiticity and
+eigen functions and :func:`gram_state` also act on each matrix of a stack.
 
 Random ensembles are drawn from numpy's default PCG64 bit generator, seeded
 per call, so repeated calls with the same seed are bit-identical.
@@ -36,7 +37,7 @@ def as_operator(a) -> np.ndarray:
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T
+    return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
 def frobenius_norm_sq(a) -> float:
@@ -44,39 +45,39 @@ def frobenius_norm_sq(a) -> float:
     return float(np.sum(np.abs(np.asarray(a)) ** 2))
 
 
-def hermiticity_defect(a) -> float:
+def hermiticity_defect(a):
     """Frobenius norm of A - A^dag."""
     arr = np.asarray(a)
-    return float(np.linalg.norm(arr - adjoint(arr)))
+    return np.linalg.norm(arr - adjoint(arr), axis=(-2, -1))
 
 
-def is_hermitian(a) -> bool:
+def is_hermitian(a):
     arr = np.asarray(a)
-    scale = max(1.0, float(np.linalg.norm(arr)))
+    scale = np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
     return hermiticity_defect(arr) <= HERMITICITY_RTOL * scale
 
 
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
-    arr = as_operator(a)
-    if not is_hermitian(arr):
-        raise NotHermitianError(
-            f"{what} is not Hermitian (defect {hermiticity_defect(arr):.3e})"
-        )
+    arr = as_operator(a) if np.ndim(a) < 3 else np.asarray(a, dtype=np.complex128)
+    ok = np.atleast_1d(is_hermitian(arr))
+    if not ok.all():
+        bad = arr.reshape(-1, *arr.shape[-2:])[np.argmin(ok)]
+        raise NotHermitianError(f"{what} is not Hermitian (defect {hermiticity_defect(bad):.3e})")
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix, eigenvalues sorted descending."""
+    """Eigensystem of a Hermitian matrix (or of each of a stack), eigenvalues descending."""
 
-    eigenvalues: np.ndarray  # real, descending
-    eigenvectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
+    eigenvalues: np.ndarray  # real, descending along the last axis
+    eigenvectors: np.ndarray  # unitary; column j pairs with eigenvalues[..., j]
 
 
 def hermitian_eig(a) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack by one ``eigh``.
 
-    Raises NotHermitianError when the input fails the Hermiticity gate and
+    Raises NotHermitianError when an input fails the Hermiticity gate and
     EigFailureError when the backend does not converge. Eigenvectors of
     degenerate eigenvalues are an arbitrary orthonormal choice.
     """
@@ -85,7 +86,7 @@ def hermitian_eig(a) -> SpectralDecomposition:
         w, v = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise EigFailureError(str(exc)) from exc
-    return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
+    return SpectralDecomposition(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
 def trace_product(a, b) -> complex:
@@ -130,7 +131,8 @@ def assert_density(
 
 
 def _complex_gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    real, imag = rng.standard_normal((2, d, d))  # one call: the same stream as two
+    return real + 1j * imag
 
 
 def ginibre_matrix(d: int, seed: int) -> np.ndarray:
@@ -140,15 +142,22 @@ def ginibre_matrix(d: int, seed: int) -> np.ndarray:
     return _complex_gaussian(d, np.random.default_rng(seed))
 
 
+def hermitian_part(a) -> np.ndarray:
+    """(A + A^dag) / 2, exactly Hermitian."""
+    return 0.5 * (a + adjoint(a))
+
+
+def gram_state(g) -> np.ndarray:
+    """The density G G^dag / tr(G G^dag), Hermitized."""
+    rho = hermitian_part(g @ adjoint(g))
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def ginibre_state(d: int, seed: int) -> np.ndarray:
     """Random full-rank density matrix G G^dag / tr(G G^dag)."""
-    g = ginibre_matrix(d, seed)
-    rho = g @ adjoint(g)
-    rho = 0.5 * (rho + adjoint(rho))
-    return rho / float(np.trace(rho).real)
+    return gram_state(ginibre_matrix(d, seed))
 
 
 def gue_hermitian(d: int, seed: int) -> np.ndarray:
     """Random Hermitian matrix (G + G^dag)/2, deterministic in seed."""
-    g = ginibre_matrix(d, seed)
-    return 0.5 * (g + adjoint(g))
+    return hermitian_part(ginibre_matrix(d, seed))

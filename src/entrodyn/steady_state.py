@@ -12,7 +12,7 @@ import numpy as np
 from .dynamics import (
     IntegratorConfig,
     LindbladModel,
-    _magnitudes,
+    _check_against_direct_map,
     build_superoperator,
     final_state,
     unvec,
@@ -39,7 +39,7 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
     largest |entry|, so none overflows). Otherwise a full SVD counts them.
     """
     gen = build_superoperator(model)
-    peak, frob, col = _magnitudes(gen)
+    peak, frob, col = _check_against_direct_map(model, gen)
     m = gen / peak
     m[0] = vec(np.identity(model.dim))
     try:

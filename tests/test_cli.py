@@ -514,6 +514,21 @@ class TestConfigErrors:
         assert text == ""
         assert "non-finite Frobenius norm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["steady", "simulate", "bounds"])
+    @pytest.mark.parametrize("count", [1, 2], ids=["one_channel", "two_channels"])
+    def test_model_scale_without_headroom_exits_two(self, tmp_path, capsys, command, count):
+        # |L|_F^2 = 1.69e308 is finite, but the channel's squared Hermiticity
+        # defect overflows, and so does the weight summed over two channels.
+        model = {"dim": 2, "channels": [[[0, 1.3e154], [0, 0]]] * count}
+        code, text = run(
+            tmp_path, command, {"model": model, "initial_state": "maximally_mixed"}
+        )
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "model scale" in err
+
     @pytest.mark.parametrize("d", [10**20, MAX_DIM + 1], ids=["1e20", "max_dim_plus_one"])
     @pytest.mark.parametrize(
         ("command", "config"),

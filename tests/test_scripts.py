@@ -38,3 +38,26 @@ def test_run_preset_trajectories_writes_one_csv_per_preset(tmp_path, capsys, mon
         lines = (tmp_path / f"{name}.csv").read_text().splitlines()
         assert lines[0] == SIMULATE_HEADER
         assert len(lines) == 1 + 6  # t = 0, 0.01, ..., 0.05 at stride 10
+
+
+def test_bench_pairs_summarizes_synthetic_pairs():
+    bench = load_script("bench_pairs")
+
+    def run(cpu_s, ok_frac, correct=True):
+        return {"correct": correct, "metrics": {"cpu_s": {"value": cpu_s, "unit": "s"},
+                                                "ok_frac": {"value": ok_frac, "unit": "ratio"}}}
+
+    parent = [run(0.40, 1.0), run(0.38, 1.0), run(0.42, 1.0), run(0.39, 1.0)]
+    change = [run(0.15, 1.0), run(0.41, 1.0), run(0.16, 1.0), run(0.14, 0.99)]
+    summary = bench.summarize(parent, change, {"cpu_s": "lower", "ok_frac": "higher"})
+    assert summary["pairs"] == 4 and summary["all_outputs_correct"]
+    cpu = summary["metrics"]["cpu_s"]
+    assert cpu["parent_runs"] == [0.40, 0.38, 0.42, 0.39]
+    assert cpu["parent_median"] == 0.395 and cpu["change_median"] == 0.155
+    assert (cpu["parent_q1"], cpu["parent_q3"]) == (0.3875, 0.405)  # inclusive method
+    assert cpu["change_better_pairs"] == 3  # the second pair went to the parent
+    # ties count for neither side; higher is better for ok_frac
+    assert summary["metrics"]["ok_frac"]["change_better_pairs"] == 0
+    assert not bench.summarize(parent, [run(0.1, 1.0, correct=False)] * 4,
+                               {"cpu_s": "lower"})["all_outputs_correct"]
+    assert bench.parse_seeds("101-103,7") == [101, 102, 103, 7]

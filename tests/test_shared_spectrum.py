@@ -1,18 +1,27 @@
 """One eigendecomposition per state; an SVD only for an uncertified steady state.
 
 The counts wrap ``numpy.linalg`` for the length of one test, so every call the
-package makes is seen whichever module makes it.
+package makes is seen whichever module makes it. A call on an (n, d, d) stack
+decomposes n matrices.
 """
 
+import importlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from entrodyn import dynamics
 from entrodyn.cli import main
 from entrodyn.dynamics import IntegratorConfig, LindbladModel, propagate
-from entrodyn.entropy_bounds import bound_report, log_inequality_check, trace_square_audit
+from entrodyn.entropy_bounds import (
+    STACK_ENTRIES,
+    bound_report,
+    log_inequality_check,
+    trace_square_audit,
+)
 from entrodyn.errors import DegenerateSteadyStateError, NotDensityError
 from entrodyn.models import get_model
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, hermitian_eig
@@ -21,16 +30,24 @@ from entrodyn.steady_state import steady_state
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    counts = Counter()
+    """Matrices decomposed per routine; ``.largest`` holds the most one call took."""
+    counts, largest = Counter(), Counter()
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            matrices = math.prod(np.shape(a)[:-2])
+            counts[_name] += matrices
+            largest[_name] = max(largest[_name], matrices)
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    counts.largest = largest
     return counts
+
+
+def stack_size(d):
+    return max(1, STACK_ENTRIES // d**2)
 
 
 @pytest.mark.parametrize(
@@ -42,14 +59,41 @@ def test_propagate_decomposes_each_record_once(linalg_calls, name, params, d):
     traj = propagate(get_model(name, params), ginibre_state(d, seed=3), cfg)
     # one eigh per recorded state; one eigvalsh validates the initial state
     assert linalg_calls == Counter(eigh=len(traj.reports), eigvalsh=1)
+    assert linalg_calls.largest["eigh"] <= stack_size(d)
 
 
-@pytest.mark.parametrize("d, count", [(2, 7), (3, 5)])
+def test_propagate_splits_long_runs_into_stacks(linalg_calls):
+    d = 32
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.15, record_stride=1)
+    traj = propagate(get_model("truncated_oscillator", {"d": d}), ginibre_state(d, seed=4), cfg)
+    assert len(traj.reports) == 151 > 2 * stack_size(d)
+    assert linalg_calls == Counter(eigh=151, eigvalsh=1)
+    assert linalg_calls.largest["eigh"] == stack_size(d)
+
+
+@pytest.mark.parametrize("d, count", [(2, 7), (3, 5), (64, 40)])
 def test_audit_decomposes_each_case_once(tmp_path, linalg_calls, d, count):
     config = tmp_path / "audit.json"
     config.write_text(json.dumps({"d": d, "count": count, "seed": 11}))
     assert main(["audit", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
     assert linalg_calls == Counter(eigh=count)
+    assert linalg_calls.largest["eigh"] == min(count, stack_size(d))
+
+
+def test_steady_state_takes_the_generator_magnitudes_once(monkeypatch):
+    calls = []
+    original = dynamics._magnitudes
+
+    def counted(gen):
+        calls.append(gen.shape)
+        return original(gen)
+
+    monkeypatch.setattr(dynamics, "_magnitudes", counted)
+    # also wherever the solver module may import it by name
+    solver = importlib.import_module("entrodyn.steady_state")
+    monkeypatch.setattr(solver, "_magnitudes", counted, raising=False)
+    steady_state(get_model("truncated_oscillator", {"d": 5}))
+    assert calls == [(25, 25)]
 
 
 @pytest.mark.parametrize(
