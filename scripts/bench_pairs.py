@@ -9,11 +9,12 @@ Usage, from anywhere inside the repository:
 The parent revision is exported with ``git archive`` into a temporary
 directory (created under ``$TMPDIR``, removed at the end; no git worktree is
 made). For each seed, ``benchmark/run.py --trace 0`` runs once on each tree,
-back to back, and the tree that goes first alternates from seed to seed. The
-end-to-end metrics of every run are summarized per workload: medians and
-quartiles (inclusive method) of each side, the number of pairs the change won
-(ties count for neither side) and the raw runs. The better direction of each
-metric is read from ``BENCHMARK.json``.
+back to back, for the ``run_seconds`` that ``BENCHMARK.json`` fixes, and the
+tree that goes first alternates from seed to seed. The end-to-end metrics of
+every run are summarized per workload: medians and quartiles (inclusive
+method) of each side, the number of pairs the change won (ties count for
+neither side) and the raw runs. The better direction of each metric is read
+from ``BENCHMARK.json``.
 
 The output file is updated in place: a workload already in it is replaced,
 the others are kept, so one file can collect several workloads.
@@ -33,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FACT_KEYS = ("python", "numpy", "blas", "blas_version", "blas_threads", "nproc", "machine")
-COMMAND = "python3 benchmark/run.py --workload <w> --seed <s> --seconds {seconds:g} --trace 0"
+COMMAND = "python3 benchmark/run.py --workload <w> --seed <s> --seconds {seconds} --trace 0"
 METHOD = (
     "each seed runs the parent and the change back to back, alternating which goes "
     "first; each checkout in its own directory; medians and quartiles (inclusive "
@@ -50,7 +51,7 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced benchmark run: its final JSON line plus the machine facts."""
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
@@ -123,7 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 101-110")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", required=True, type=Path, help="BENCH_<pr>.json to update")
     parser.add_argument("--claim", help="metric this workload's claim rests on")
     parser.add_argument("--change", help="one-line description of the change")
@@ -131,13 +131,14 @@ def main(argv: list[str] | None = None) -> int:
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    seconds = contract["run_seconds"]
     parent_runs, change_runs = [], []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_commit = export_tree(args.parent, Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            runs = {side: run_once(trees[side], args.workload, seed, args.seconds)
+            runs = {side: run_once(trees[side], args.workload, seed, seconds)
                     for side in order}
             parent_runs.append(runs["parent"])
             change_runs.append(runs["change"])
@@ -149,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.out.exists():
         report = json.loads(args.out.read_text(encoding="utf-8"))
         report["change"] = args.change or report.get("change")
-    report.update(parent_commit=parent_commit, command=COMMAND.format(seconds=args.seconds),
+    report.update(parent_commit=parent_commit, command=COMMAND.format(seconds=seconds),
                   method=METHOD, facts=change_runs[0]["facts"])
     if args.claim:
         report["claimed"] = {"workload": args.workload, "metric": args.claim}

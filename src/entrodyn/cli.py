@@ -45,10 +45,10 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, LindbladModel, liouvillian_rhs, propagate
 from .entropy_bounds import (
-    STACK_ENTRIES,
     bound_report,
     log_inequality_checks,
     maximally_mixed_bound,
+    stack_size,
     steady_state_bound,
     trace_square_audits,
     von_neumann_entropy,
@@ -343,7 +343,7 @@ def run_audit(config: dict, out: TextIO) -> int:
     out.write(AUDIT_HEADER + "\n")  # rows follow stack by stack, so memory stays flat
     trace_sq_violations = 0
     log_violations = 0
-    size = max(1, STACK_ENTRIES // d**2)
+    size = stack_size(d)
     for start in range(0, count, size):  # each case draws from its own two seeds
         cases = range(start, min(start + size, count))
         channels = hermitian_part(np.stack([ginibre_matrix(d, seed + 2 * i) for i in cases]))

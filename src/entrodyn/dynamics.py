@@ -200,9 +200,9 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
     K = -iH - sum_j L_j^dag L_j / 2 multiplies rho from the left and
     R = iH - sum_j L_j^dag L_j / 2 from the right. The jump terms are one
     einsum over the stacked channels; K and R.T are added into strided block
-    diagonals, O(d^3) each, so no Kronecker product is formed. Every caller in
-    the package checks the result with :func:`_check_against_direct_map`,
-    which also returns the magnitudes the caller needs.
+    diagonals, O(d^3) each, so no Kronecker product is formed. Nothing is
+    checked here: each caller in the package runs :func:`_check_against_direct_map`,
+    which also returns the magnitudes the steady-state solve reuses.
     """
     d, h = model.dim, model.hamiltonian
     half_decay = sum((0.5 * sq for sq in model.channel_squares), np.zeros((d, d), complex))
@@ -319,31 +319,26 @@ def _health_check(states, times) -> tuple[np.ndarray, np.ndarray, SpectralDecomp
     return trace_errs, min_eigs, spectra
 
 
-def _recorded_stacks(model: LindbladModel, rho0, cfg: IntegratorConfig):
-    """(times, states) stacks of :func:`_recorded_steps`; a non-finite state ends its stack."""
-    size, times, states = max(1, entropy_bounds.STACK_ENTRIES // model.dim**2), [], []
-    for k, state in _recorded_steps(model, rho0, cfg):
-        times.append(k * cfg.dt)
-        states.append(state)
-        if len(states) == size or not np.all(np.isfinite(state)):
-            yield times, np.stack(states)
-            times, states = [], []
-    if states:
-        yield times, np.stack(states)
-
-
 def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRecord:
     """Integrate the master equation and record states with bound reports.
 
     Records at step multiples of ``cfg.record_stride`` plus the final step.
     Every recorded state is gated on positivity (within ``POSITIVITY_TOL``)
-    and trace drift (within ``TRACE_DRIFT_TOL``), in stacks of one ``eigh``.
+    and trace drift (within ``TRACE_DRIFT_TOL``), a stack at a time with one
+    ``eigh``. Stacks hold 1, 2, 4, ... records up to ``stack_size``, so a
+    failing run stops within about twice the records before its failure; a
+    non-finite state ends its stack, so an earlier failure still raises first.
     """
-    rows = []
-    for ts, stack in _recorded_stacks(model, rho0, cfg):
-        trace_errs, min_eigs, spectra = _health_check(stack, ts)
-        reports = entropy_bounds.bound_reports(model, stack, ts, spectra)
-        rows += zip(ts, stack, reports, trace_errs.tolist(), min_eigs.tolist())
+    rows, times, states, size = [], [], [], 1
+    for k, state in _recorded_steps(model, rho0, cfg):
+        times.append(k * cfg.dt)
+        states.append(state)
+        if len(states) == size or k == cfg.n_steps or not np.all(np.isfinite(state)):
+            stack = np.stack(states)
+            trace_errs, min_eigs, spectra = _health_check(stack, times)
+            reports = entropy_bounds.bound_reports(model, stack, times, spectra)
+            rows += zip(times, stack, reports, trace_errs.tolist(), min_eigs.tolist())
+            times, states, size = [], [], min(2 * size, entropy_bounds.stack_size(model.dim))
     times, states, reports, trace_errors, min_eigs = zip(*rows)
     return TrajectoryRecord(
         np.asarray(times), list(states), list(reports),

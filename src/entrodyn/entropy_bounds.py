@@ -67,6 +67,11 @@ _POSITIVITY_GATE = 1e-6
 _TRACE_GATE = 1e-6
 
 
+def stack_size(d: int) -> int:
+    """Most d x d states per stack: ``STACK_ENTRIES // d^2``, at least one."""
+    return max(1, STACK_ENTRIES // d**2)
+
+
 def _one(rho, spectrum: SpectralDecomposition | None = None):
     """A state, and its spectrum if given, as a stack of one."""
     if spectrum is not None:

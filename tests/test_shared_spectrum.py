@@ -17,9 +17,9 @@ from entrodyn import dynamics
 from entrodyn.cli import main
 from entrodyn.dynamics import IntegratorConfig, LindbladModel, propagate
 from entrodyn.entropy_bounds import (
-    STACK_ENTRIES,
     bound_report,
     log_inequality_check,
+    stack_size,
     trace_square_audit,
 )
 from entrodyn.errors import DegenerateSteadyStateError, NotDensityError
@@ -44,10 +44,6 @@ def linalg_calls(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     counts.largest = largest
     return counts
-
-
-def stack_size(d):
-    return max(1, STACK_ENTRIES // d**2)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """The stacked evaluations against loops over the single-state APIs.
 
 ``audit`` and ``propagate`` evaluate cases and recorded states in stacks of at
-most ``STACK_ENTRIES // d^2``. Each test here rebuilds the same numbers one
+most ``stack_size(d)``. Each test here rebuilds the same numbers one
 state at a time through the single-state APIs and compares.
 """
 
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from entrodyn.cli import main
+from entrodyn import dynamics
 from entrodyn.dynamics import (
     IntegratorConfig,
     LindbladModel,
@@ -19,9 +20,9 @@ from entrodyn.dynamics import (
     propagate,
 )
 from entrodyn.entropy_bounds import (
-    STACK_ENTRIES,
     bound_report,
     log_inequality_check,
+    stack_size,
     trace_square_audit,
 )
 from entrodyn.errors import EntrodynError, PositivityLostError
@@ -52,7 +53,7 @@ def per_case_audit(d, count, seed):
 
 @pytest.mark.parametrize("d, count", [(2, 40), (3, 30), (8, 30), (64, 20)])
 def test_audit_matches_the_per_case_loop(tmp_path, d, count):
-    assert count > STACK_ENTRIES // 64**2  # d=64 spans several stacks
+    assert count > stack_size(64)  # d=64 spans several stacks
     seed = 1000 + d
     config, out = tmp_path / "audit.json", tmp_path / "audit.csv"
     config.write_text(json.dumps({"d": d, "count": count, "seed": seed}))
@@ -81,7 +82,7 @@ def test_propagate_longer_than_a_stack_matches_per_record_reports(name):
     model = STACK_MODELS[name](d)
     cfg = IntegratorConfig(dt=1e-3, t_max=0.3, record_stride=1)
     traj = propagate(model, ginibre_state(d, seed=5), cfg)
-    assert len(traj.reports) == 301 > STACK_ENTRIES // d**2
+    assert len(traj.reports) == 301 > stack_size(d)
     for t, state, report, trace_err, min_eig in zip(
         traj.times, traj.states, traj.reports, traj.trace_errors, traj.min_eigs
     ):
@@ -106,17 +107,54 @@ def first_failure_per_record(model, rho0, cfg):
     return None
 
 
-def test_positivity_loss_mid_stack_wins_over_a_later_divergence():
+def unstable_decay():
     # dt * gamma = 3.5 lies outside the RK4 stability interval [-2.785, 0]: the
     # excited population grows by 2.73 per step from 1e-6, so the ground
-    # population turns negative at step 14 and the state overflows at step 720,
-    # all inside one d=2 stack. No numpy warning may escape.
+    # population turns negative at step 14 and the state overflows at step 720.
     model = get_model("amplitude_damping")
     cfg = IntegratorConfig(dt=3.5, t_max=3.5 * 1000, record_stride=1)
-    rho0 = np.diag([1e-6, 1.0 - 1e-6]).astype(complex)
+    return model, np.diag([1e-6, 1.0 - 1e-6]).astype(complex), cfg
+
+
+def test_gate_raises_a_mid_stack_positivity_loss_before_a_divergence():
+    good, lost = maximally_mixed(2), np.diag([1.1, -0.1]).astype(complex)
+    stack = np.stack([good, lost, good, np.full((2, 2), np.inf, dtype=complex)])
+    with pytest.raises(PositivityLostError) as caught:
+        _health_check(stack, [0.0, 0.5, 1.0, 1.5])
+    assert caught.value.time == 0.5 and caught.value.min_eig == pytest.approx(-0.1)
+
+
+def test_positivity_loss_wins_over_a_later_divergence():
+    # No numpy warning may escape.
+    model, rho0, cfg = unstable_decay()
     expected = first_failure_per_record(model, rho0, cfg)
     assert isinstance(expected, PositivityLostError) and expected.time == 3.5 * 14
     with pytest.raises(PositivityLostError) as caught:
         propagate(model, rho0, cfg)
     assert str(caught.value) == str(expected)
     assert caught.value.time == expected.time and caught.value.min_eig == expected.min_eig
+
+
+@pytest.mark.parametrize("loss_step", [14, 40, 200])
+def test_failing_run_stops_within_twice_its_records(monkeypatch, loss_step):
+    # Stacks of 1, 2, 4, ... records: the stack holding the failing record i
+    # ends by record 2i, so at most 2i + 1 records are integrated.
+    model, rho0, cfg = unstable_decay()
+    rho0 = np.diag([1e-6 / 2.73 ** (loss_step - 14), 1.0]).astype(complex)
+    rho0[1, 1] -= rho0[0, 0]
+    expected = first_failure_per_record(model, rho0, cfg)
+    assert isinstance(expected, PositivityLostError)
+    failing = round(expected.time / cfg.dt)
+    assert abs(failing - loss_step) <= 1
+    yielded = []
+    original = dynamics._recorded_steps
+
+    def counted(*args):
+        for k, state in original(*args):
+            yielded.append(k)
+            yield k, state
+
+    monkeypatch.setattr(dynamics, "_recorded_steps", counted)
+    with pytest.raises(PositivityLostError):
+        propagate(model, rho0, cfg)
+    assert failing < len(yielded) <= 2 * failing + 1

@@ -63,7 +63,8 @@ def test_superoperator_self_check_random_model():
         gue_hermitian(3, seed=14),
         (ginibre_matrix(3, seed=15), ginibre_matrix(3, seed=16)),
     )
-    gen = build_superoperator(model)  # raises on self-check failure
+    gen = build_superoperator(model)
+    _check_against_direct_map(model, gen)  # raises on self-check failure
     for seed in range(10):
         rho = ginibre_state(3, seed)
         residual = unvec(gen @ vec(rho), 3) - liouvillian_rhs(model, rho)
