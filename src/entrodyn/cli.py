@@ -21,8 +21,8 @@ or values of the wrong type, an initial state outside the integrator's input
 gate, an output path that cannot be opened; 3 positivity lost during
 integration; 4 numerical failure (a state that diverges between records, a
 ``numpy.linalg.LinAlgError``); 5 degenerate steady-state manifold; 6 nothing
-to bound (no usable channel, or a variance threshold demanded for
-non-Hermitian channels).
+to bound (no usable channel in ``bounds`` or ``steady``, or a variance
+threshold demanded for non-Hermitian channels).
 
 Config conventions: complex scalars are two-element arrays [re, im] (bare
 reals are also accepted on input); matrices are row-major nested arrays.
@@ -46,6 +46,7 @@ import numpy as np
 from .dynamics import IntegratorConfig, LindbladModel, liouvillian_rhs, propagate
 from .entropy_bounds import (
     bound_report,
+    gated_spectra,
     log_inequality_checks,
     maximally_mixed_bound,
     stack_size,
@@ -60,17 +61,18 @@ from .errors import (
     DegenerateSteadyStateError,
     DimMismatchError,
     EntrodynError,
+    NoChannelsError,
     NotDensityError,
     NotHermitianError,
     PositivityLostError,
     UnknownModelError,
+    ZeroChannelError,
 )
 from .models import MAX_DIM, PAULI_Z, get_model, list_models, named_state
 from .operators import (
     assert_density,
     ginibre_matrix,
     gram_state,
-    hermitian_eig,
     hermitian_part,
     maximally_mixed,
 )
@@ -89,6 +91,7 @@ _EXIT_CODES = (
     (PositivityLostError, EXIT_POSITIVITY),
     # Raised outside run_steady's structured handling.
     (DegenerateSteadyStateError, EXIT_DEGENERATE),
+    ((NoChannelsError, ZeroChannelError), EXIT_NOTHING_TO_BOUND),
     ((EntrodynError, np.linalg.LinAlgError), EXIT_NUMERICS),
 )
 
@@ -303,8 +306,7 @@ def run_bounds(config: dict, out: TextIO) -> int:
         raise ConfigError("bound evaluation needs dimension >= 2")
     rho = _state_from_config(config, model)
     if not np.any(model.channel_norms_sq > 0.0):
-        print("error: nothing to bound; model has no non-zero channel", file=sys.stderr)
-        return EXIT_NOTHING_TO_BOUND
+        raise ZeroChannelError("nothing to bound; model has no non-zero channel")
     if config.get("require_variance_threshold") and not model.channels_hermitian:
         print(
             "error: variance threshold requires every channel to be Hermitian",
@@ -352,9 +354,9 @@ def run_audit(config: dict, out: TextIO) -> int:
         if d == 2 and start == 0:
             # Canned sign-indefinite case: the z Pauli matrix against I/2.
             ids[0], channels[0], states[0] = "canned", PAULI_Z, maximally_mixed(2)
-        spectra = hermitian_eig(states)
+        spectra = gated_spectra(states)
         lhs, rhs, holds = trace_square_audits(channels, states, spectra)
-        gaps = log_inequality_checks(states, spectra)
+        gaps = log_inequality_checks(spectra)
         trace_sq_violations += int(np.count_nonzero(~holds))
         log_violations += int(np.count_nonzero(gaps < -1e-10))
         for c, a, b, h, g in zip(ids, lhs.tolist(), rhs.tolist(), holds.tolist(), gaps.tolist()):

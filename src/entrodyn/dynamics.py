@@ -336,6 +336,8 @@ def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRe
         if len(states) == size or k == cfg.n_steps or not np.all(np.isfinite(state)):
             stack = np.stack(states)
             trace_errs, min_eigs, spectra = _health_check(stack, times)
+            # These spectra stand in for entropy_bounds.gated_spectra: records are exactly
+            # Hermitian, and positivity 1e-8 and trace 1e-9 are stricter than its 1e-6/1e-6.
             reports = entropy_bounds.bound_reports(model, stack, times, spectra)
             rows += zip(times, stack, reports, trace_errs.tolist(), min_eigs.tolist())
             times, states, size = [], [], min(2 * size, entropy_bounds.stack_size(model.dim))

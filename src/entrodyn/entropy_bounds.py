@@ -27,19 +27,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    BadDimensionError,
-    DimMismatchError,
-    NoChannelsError,
-    NotDensityError,
-    ZeroChannelError,
-)
+from .errors import BadDimensionError, DimMismatchError, NoChannelsError, ZeroChannelError
 from .operators import (
     SpectralDecomposition,
     adjoint,
     as_operator,
-    hermitian_eig,
-    hermiticity_defect,
+    density_spectra,
     require_hermitian,
 )
 
@@ -72,26 +65,16 @@ def stack_size(d: int) -> int:
     return max(1, STACK_ENTRIES // d**2)
 
 
-def _one(rho, spectrum: SpectralDecomposition | None = None):
-    """A state, and its spectrum if given, as a stack of one."""
-    if spectrum is not None:
-        spectrum = SpectralDecomposition(spectrum.eigenvalues[None], spectrum.eigenvectors[None])
-    return as_operator(rho)[None], spectrum
+def gated_spectra(states) -> SpectralDecomposition:
+    """:func:`density_spectra` of a stack at the entropy-evaluation gates."""
+    return density_spectra(states, hermiticity_tol=_HERMITICITY_GATE, trace_tol=_TRACE_GATE,
+                           positivity_tol=_POSITIVITY_GATE)
 
 
-def _density_spectra(states, spectra: SpectralDecomposition | None) -> SpectralDecomposition:
-    """Gate densities in turn (Hermitian, :func:`hermitian_eig`, trace, positivity)."""
-    if np.any(hermiticity_defect(states) > _HERMITICITY_GATE):
-        raise NotDensityError("state is not Hermitian within 1e-8")
-    dec = hermitian_eig(states) if spectra is None else spectra
-    trace = dec.eigenvalues.sum(axis=-1)
-    off = np.flatnonzero(np.abs(trace - 1.0) > _TRACE_GATE)
-    if off.size:
-        raise NotDensityError(f"state trace {trace[off[0]]:.6f} is not 1")
-    low = dec.eigenvalues[:, -1][dec.eigenvalues[:, -1] < -_POSITIVITY_GATE]
-    if low.size:
-        raise NotDensityError(f"state has negative eigenvalue {low[0]:.3e}")
-    return dec
+def _one(rho) -> tuple[np.ndarray, SpectralDecomposition]:
+    """A state as a stack of one, and its gated spectrum."""
+    states = as_operator(rho)[None]
+    return states, gated_spectra(states)
 
 
 def _entropies(lam: np.ndarray) -> np.ndarray:
@@ -109,7 +92,7 @@ def von_neumann_entropy(rho) -> float:
 
     Eigenvalues at or below ``EIG_FLOOR`` are treated as exactly zero.
     """
-    return float(_entropies(_density_spectra(*_one(rho)).eigenvalues)[0])
+    return float(_entropies(_one(rho)[1].eigenvalues)[0])
 
 
 def _gains(channels, squares, states) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +111,7 @@ def _gains(channels, squares, states) -> tuple[np.ndarray, np.ndarray]:
 def channel_gain(channel, rho) -> float:
     """tr(L^dag L rho) - tr(L rho L^dag rho), the shared bound numerator."""
     op = as_operator(channel)
-    return float(_gains((op,), (adjoint(op) @ op,), _one(rho)[0])[0][0, 0])
+    return float(_gains((op,), (adjoint(op) @ op,), as_operator(rho)[None])[0][0, 0])
 
 
 def _exact_rates(model: "LindbladModel", dec: SpectralDecomposition) -> np.ndarray:
@@ -157,7 +140,7 @@ def entropy_rate_exact(model: "LindbladModel", rho) -> float:
     rho the true rate diverges, and ``math.inf`` is returned instead of a
     clamped finite number.
     """
-    return float(_exact_rates(model, _density_spectra(*_one(rho)))[0])
+    return float(_exact_rates(model, _one(rho)[1])[0])
 
 
 def rate_lower_bound(model: "LindbladModel", rho) -> float:
@@ -174,30 +157,26 @@ class TraceSquareAudit:
     holds: bool
 
 
-def trace_square_audits(channels, states, spectra=None) -> tuple[np.ndarray, ...]:
-    """The lhs, rhs and holds arrays of :func:`trace_square_audit` over two stacks."""
+def trace_square_audits(channels, states, spectra) -> tuple[np.ndarray, ...]:
+    """The lhs, rhs and holds arrays of :func:`trace_square_audit`, given :func:`gated_spectra`."""
     ops = require_hermitian(channels, what="channel")
-    dec = _density_spectra(states, spectra)
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    sqrt_rho = (dec.eigenvectors * np.sqrt(lam)[:, None, :]) @ adjoint(dec.eigenvectors)
+    lam = np.clip(spectra.eigenvalues, 0.0, None)
+    sqrt_rho = (spectra.eigenvectors * np.sqrt(lam)[:, None, :]) @ adjoint(spectra.eigenvectors)
     sandwiched = sqrt_rho @ ops @ sqrt_rho
     lhs = np.einsum("nij,nji->n", sandwiched, sandwiched).real
     rhs = np.einsum("nij,nji->n", ops, states).real ** 2
     return lhs, rhs, lhs <= rhs + 1e-10
 
 
-def trace_square_audit(
-    channel, rho, *, spectrum: SpectralDecomposition | None = None
-) -> TraceSquareAudit:
+def trace_square_audit(channel, rho) -> TraceSquareAudit:
     """Check tr((sqrt(rho) L sqrt(rho))^2) <= tr(L rho)^2 on one instance.
 
     The replacement is guaranteed only for positive semidefinite L. For
     sign-indefinite Hermitian L it can fail (e.g. the z Pauli matrix against
     I/2 gives lhs 1/2 vs rhs 0), so outcomes are recorded, never raised; the
-    check allows 1e-10 of rounding. ``spectrum`` is the decomposition of
-    ``rho`` if the caller has it.
+    check allows 1e-10 of rounding.
     """
-    lhs, rhs, holds = trace_square_audits(as_operator(channel)[None], *_one(rho, spectrum))
+    lhs, rhs, holds = trace_square_audits(as_operator(channel)[None], *_one(rho))
     return TraceSquareAudit(float(lhs[0]), float(rhs[0]), bool(holds[0]))
 
 
@@ -223,7 +202,7 @@ def steady_state_bound(model: "LindbladModel", rho_inf) -> SteadyStateBound:
     weight = float(model.channel_norms_sq.sum())
     if weight <= 0.0:
         raise ZeroChannelError("every channel has zero Frobenius norm")
-    gains = _gains(model.channels, model.channel_squares, _one(rho_inf)[0])[0][0]
+    gains = _gains(model.channels, model.channel_squares, as_operator(rho_inf)[None])[0][0]
     raw = float(gains.sum()) / weight
     return SteadyStateBound(max(0.0, raw), raw, tuple(gains.tolist()), weight)
 
@@ -238,22 +217,21 @@ def maximally_mixed_bound(d: int) -> float:
     return (d - 1) / (d * d)
 
 
-def log_inequality_checks(states, spectra=None) -> np.ndarray:
-    """:func:`log_inequality_check` of each state of a stack."""
-    lam = _density_spectra(states, spectra).eigenvalues
+def log_inequality_checks(spectra) -> np.ndarray:
+    """:func:`log_inequality_check` of each state of a stack, from its :func:`gated_spectra`."""
+    lam = spectra.eigenvalues
     return (-np.log(np.maximum(lam, EIG_FLOOR)) - 1.0 + lam).min(axis=-1)
 
 
-def log_inequality_check(rho, *, spectrum: SpectralDecomposition | None = None) -> float:
+def log_inequality_check(rho) -> float:
     """Smallest eigenvalue of (-ln rho - I + rho).
 
     Nonnegative for every density matrix (the scalar bound -ln x >= 1 - x
     applied to the spectrum); eigenvalues are floored at ``EIG_FLOOR`` under
     the log. A return value below -1e-10 on a full-rank state indicates a
-    broken eigendecomposition. ``spectrum`` is the decomposition of ``rho``
-    if the caller has it.
+    broken eigendecomposition.
     """
-    return float(log_inequality_checks(*_one(rho, spectrum))[0])
+    return float(log_inequality_checks(_one(rho)[1])[0])
 
 
 @dataclass(frozen=True)
@@ -277,14 +255,13 @@ class BoundReport:
     log_floor_hit: bool
 
 
-def bound_reports(model: "LindbladModel", states, times, spectra=None) -> list[BoundReport]:
-    """:func:`bound_report` of each state of a stack, from one stacked spectrum and gains."""
-    dec = _density_spectra(states, spectra)
-    entropy = _entropies(dec.eigenvalues)
+def bound_reports(model: "LindbladModel", states, times, spectra) -> list[BoundReport]:
+    """:func:`bound_report` of each state of a stack, from its :func:`gated_spectra` and gains."""
+    entropy = _entropies(spectra.eigenvalues)
     if not model.channels:
         return [BoundReport(t, s, 0.0, 0.0, None, None, False, False)
                 for t, s in zip(times, entropy.tolist())]
-    rate = _exact_rates(model, dec)
+    rate = _exact_rates(model, spectra)
     gains, first = _gains(model.channels, model.channel_squares, states)
     weight = float(model.channel_norms_sq.sum())
     gain = gains.sum(axis=1)
@@ -301,16 +278,7 @@ def bound_reports(model: "LindbladModel", states, times, spectra=None) -> list[B
             for t, s, r, low, th, var in rows]
 
 
-def bound_report(
-    model: "LindbladModel",
-    rho,
-    time: float = 0.0,
-    *,
-    spectrum: SpectralDecomposition | None = None,
-) -> BoundReport:
-    """Aggregate entropy, exact rate, rate bound and thresholds at one state.
-
-    ``spectrum`` is the decomposition of ``rho`` if the caller has it.
-    """
-    states, spectra = _one(rho, spectrum)
+def bound_report(model: "LindbladModel", rho, time: float = 0.0) -> BoundReport:
+    """Aggregate entropy, exact rate, rate bound and thresholds at one state."""
+    states, spectra = _one(rho)
     return bound_reports(model, states, [time], spectra)[0]

@@ -21,6 +21,7 @@ import numpy as np
 
 from .dynamics import LindbladModel, _frozen_copy
 from .errors import BadParamsError, UnknownModelError
+from .operators import maximally_mixed
 
 # Largest Hilbert-space dimension accepted from a preset or a run config. The
 # steady-state generator is d^2 x d^2: at d = 64, 4096 x 4096 complex (268 MB).
@@ -171,7 +172,7 @@ def named_state(name: str, dim: int) -> np.ndarray:
     uniform-superposition pure state (the sigma_x +1 eigenstate for d = 2).
     """
     if name == "maximally_mixed":
-        return np.identity(dim, dtype=np.complex128) / dim
+        return maximally_mixed(dim)
     if name == "ground":
         rho = np.zeros((dim, dim), dtype=np.complex128)
         rho[dim - 1, dim - 1] = 1.0

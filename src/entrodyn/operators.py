@@ -1,9 +1,10 @@
 """Dense complex matrix core shared by every other module.
 
 Operators are plain complex128 numpy arrays; a density matrix is any operator
-that passes :func:`assert_density`. Throughout the package the squared
-Frobenius norm means ``tr(A^dag A) = sum_ij |a_ij|^2``. The Hermiticity and
-eigen functions and :func:`gram_state` also act on each matrix of a stack.
+that passes :func:`density_spectra`, the one density gate. Throughout the
+package the squared Frobenius norm means ``tr(A^dag A) = sum_ij |a_ij|^2``.
+The Hermiticity, eigen and gate functions and :func:`gram_state` also act on
+each matrix of a stack.
 
 Random ensembles are drawn from numpy's default PCG64 bit generator, seeded
 per call, so repeated calls with the same seed are bit-identical.
@@ -81,7 +82,10 @@ def hermitian_eig(a) -> SpectralDecomposition:
     EigFailureError when the backend does not converge. Eigenvectors of
     degenerate eigenvalues are an arbitrary orthonormal choice.
     """
-    arr = require_hermitian(a)
+    return _eigh(require_hermitian(a))
+
+
+def _eigh(arr: np.ndarray) -> SpectralDecomposition:
     try:
         w, v = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
@@ -105,6 +109,35 @@ def maximally_mixed(d: int) -> np.ndarray:
     return np.identity(d, dtype=np.complex128) / d
 
 
+def density_spectra(
+    states, *, hermiticity_tol: float, trace_tol: float, positivity_tol: float
+) -> SpectralDecomposition:
+    """Gate each density of a stack and return the spectra of their Hermitian parts.
+
+    Tolerances are absolute: ``|rho - rho^dag|_F <= hermiticity_tol``,
+    ``|tr(rho) - 1| <= trace_tol``, smallest eigenvalue ``>= -positivity_tol``.
+    The first state failing a check, checked in that order, raises
+    NotDensityError; non-finite or overflowing values fail without a numpy warning.
+    """
+    arr = np.asarray(states, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # each check below fails on NaN
+        defect = hermiticity_defect(arr)
+        bad = np.flatnonzero(~(defect <= hermiticity_tol))
+        if bad.size:
+            raise NotDensityError(f"not Hermitian: defect {defect[bad[0]]:.3e} "
+                                  f"> {hermiticity_tol:.1e}")
+        trace_err = np.abs(np.trace(arr, axis1=-2, axis2=-1) - 1.0)
+        bad = np.flatnonzero(~(trace_err <= trace_tol))
+        if bad.size:
+            raise NotDensityError(f"trace error {trace_err[bad[0]]:.3e} > {trace_tol:.1e}")
+        dec = _eigh(hermitian_part(arr))  # entries near the float limit overflow to NaN
+    low = dec.eigenvalues[:, -1]
+    bad = np.flatnonzero(~(low >= -positivity_tol))
+    if bad.size:
+        raise NotDensityError(f"negative eigenvalue {low[bad[0]]:.3e} < -{positivity_tol:.1e}")
+    return dec
+
+
 def assert_density(
     rho,
     *,
@@ -112,21 +145,10 @@ def assert_density(
     positivity_tol: float = 1e-10,
     trace_tol: float = 1e-10,
 ) -> np.ndarray:
-    """Validate the three density-matrix invariants and return the array.
-
-    Tolerances are absolute: ``|rho - rho^dag|_F <= hermiticity_tol``,
-    smallest eigenvalue ``>= -positivity_tol``, ``|tr(rho) - 1| <= trace_tol``.
-    """
+    """Gate one state with :func:`density_spectra` and return it as an operator."""
     arr = as_operator(rho)
-    defect = hermiticity_defect(arr)
-    if defect > hermiticity_tol:
-        raise NotDensityError(f"not Hermitian: defect {defect:.3e} > {hermiticity_tol:.1e}")
-    trace_err = abs(complex(np.trace(arr)) - 1.0)
-    if trace_err > trace_tol:
-        raise NotDensityError(f"trace error {trace_err:.3e} > {trace_tol:.1e}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (arr + adjoint(arr)))[0])
-    if min_eig < -positivity_tol:
-        raise NotDensityError(f"negative eigenvalue {min_eig:.3e} < -{positivity_tol:.1e}")
+    density_spectra(arr[None], hermiticity_tol=hermiticity_tol, trace_tol=trace_tol,
+                    positivity_tol=positivity_tol)
     return arr
 
 

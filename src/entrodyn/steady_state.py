@@ -20,7 +20,7 @@ from .dynamics import (
 )
 from .entropy_bounds import von_neumann_entropy
 from .errors import DegenerateSteadyStateError, NoSteadyStateError, NotDensityError
-from .operators import adjoint, assert_density
+from .operators import assert_density, hermitian_part
 
 
 def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
@@ -77,7 +77,7 @@ def _svd_solve(gen: np.ndarray, d: int, tol: float) -> np.ndarray:
 
 
 def _normalized(v: np.ndarray, d: int) -> np.ndarray:
-    rho = 0.5 * (unvec(v, d) + adjoint(unvec(v, d)))
+    rho = hermitian_part(unvec(v, d))
     trace = float(np.trace(rho).real)
     if abs(trace) < 1e-12:
         raise NotDensityError("extracted null vector is traceless; cannot normalize")

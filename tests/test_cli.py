@@ -277,7 +277,7 @@ class TestBounds:
         assert report["maximally_mixed_floor"] == pytest.approx(2.0 / 9.0)
         assert report["max_entropy"] == pytest.approx(math.log(3))
 
-    def test_no_channels_exits_six(self, tmp_path):
+    def test_no_channels_exits_six(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,
             "bounds",
@@ -287,6 +287,12 @@ class TestBounds:
             },
         )
         assert code == 6
+        # steady has no usable channel to take a floor from either
+        for model in ({"dim": 1}, {"dim": 1, "channels": [[[0]]]}):
+            capsys.readouterr()
+            code, _ = run(tmp_path, "steady", {"model": model})
+            assert code == 6
+            assert_one_line_error(capsys.readouterr().err)
 
     def test_variance_demand_on_nonhermitian_channel_exits_six(self, tmp_path):
         code, _ = run(
@@ -372,13 +378,19 @@ class TestConfigErrors:
         code, _ = run(tmp_path, "bounds", {"model": {"name": "qubitz"}, "initial_state": "plus"})
         assert code == 2
 
-    def test_bad_initial_state(self, tmp_path):
+    def test_bad_initial_state(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,
             "simulate",
             {"model": {"name": "dephasing"}, "initial_state": [[1, 0], [0, 1]]},
         )
         assert code == 2  # trace 2
+        # the Hermiticity defect overflows a float; numpy must not warn
+        for command in ("bounds", "simulate"):
+            capsys.readouterr()
+            config = {"model": {"name": "dephasing"}, "initial_state": [[0.5, 1e200], [0, 0.5]]}
+            assert run(tmp_path, command, config)[0] == 2
+            assert_one_line_error(capsys.readouterr().err)
 
     def test_wrong_matrix_dimension(self, tmp_path):
         code, _ = run(

@@ -38,6 +38,7 @@ AWKWARD = (
     "x",
     None,
     10**20,
+    1e200,  # finite, but its square overflows
     MAX_DIM + 1,
     [],
     [[1, 2], [3]],

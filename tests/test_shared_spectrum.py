@@ -13,9 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from entrodyn import dynamics
+from entrodyn import dynamics, entropy_bounds, operators
 from entrodyn.cli import main
-from entrodyn.dynamics import IntegratorConfig, LindbladModel, propagate
+from entrodyn.dynamics import IntegratorConfig, propagate
 from entrodyn.entropy_bounds import (
     bound_report,
     log_inequality_check,
@@ -24,7 +24,7 @@ from entrodyn.entropy_bounds import (
 )
 from entrodyn.errors import DegenerateSteadyStateError, NotDensityError
 from entrodyn.models import get_model
-from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, hermitian_eig
+from entrodyn.operators import ginibre_state
 from entrodyn.steady_state import steady_state
 
 
@@ -53,8 +53,8 @@ def linalg_calls(monkeypatch):
 def test_propagate_decomposes_each_record_once(linalg_calls, name, params, d):
     cfg = IntegratorConfig(dt=1e-3, t_max=0.05, record_stride=4)
     traj = propagate(get_model(name, params), ginibre_state(d, seed=3), cfg)
-    # one eigh per recorded state; one eigvalsh validates the initial state
-    assert linalg_calls == Counter(eigh=len(traj.reports), eigvalsh=1)
+    # one eigh per recorded state; one more validates the initial state
+    assert linalg_calls == Counter(eigh=len(traj.reports) + 1)
     assert linalg_calls.largest["eigh"] <= stack_size(d)
 
 
@@ -63,7 +63,7 @@ def test_propagate_splits_long_runs_into_stacks(linalg_calls):
     cfg = IntegratorConfig(dt=1e-3, t_max=0.15, record_stride=1)
     traj = propagate(get_model("truncated_oscillator", {"d": d}), ginibre_state(d, seed=4), cfg)
     assert len(traj.reports) == 151 > 2 * stack_size(d)
-    assert linalg_calls == Counter(eigh=151, eigvalsh=1)
+    assert linalg_calls == Counter(eigh=151 + 1)
     assert linalg_calls.largest["eigh"] == stack_size(d)
 
 
@@ -106,23 +106,6 @@ def test_degenerate_steady_state_runs_one_svd(linalg_calls):
     assert linalg_calls["svd"] == 1
 
 
-@pytest.mark.parametrize("d, seed", [(2, 0), (3, 1), (4, 2)])
-def test_spectrum_hand_off_changes_no_result(d, seed):
-    rho = ginibre_state(d, seed)
-    spectrum = hermitian_eig(rho)
-    models = (
-        LindbladModel(gue_hermitian(d, seed + 10), (ginibre_matrix(d, seed + 20),)),
-        LindbladModel(
-            np.zeros((d, d)), (gue_hermitian(d, seed + 30), gue_hermitian(d, seed + 40))
-        ),
-    )
-    for model in models:
-        assert bound_report(model, rho, 0.5, spectrum=spectrum) == bound_report(model, rho, 0.5)
-    channel = gue_hermitian(d, seed + 50)
-    assert trace_square_audit(channel, rho, spectrum=spectrum) == trace_square_audit(channel, rho)
-    assert log_inequality_check(rho, spectrum=spectrum) == log_inequality_check(rho)
-
-
 @pytest.mark.parametrize(
     "rho",
     [
@@ -131,12 +114,44 @@ def test_spectrum_hand_off_changes_no_result(d, seed):
         np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),  # not Hermitian
     ],
 )
-def test_handed_spectrum_is_still_validated(rho):
-    spectrum = hermitian_eig(0.5 * (rho + rho.conj().T))
+def test_single_state_functions_gate_their_state(rho):
     model = get_model("depolarizing")
     with pytest.raises(NotDensityError):
-        bound_report(model, rho, spectrum=spectrum)
+        bound_report(model, rho)
     with pytest.raises(NotDensityError):
-        trace_square_audit(np.identity(2), rho, spectrum=spectrum)
+        trace_square_audit(np.identity(2), rho)
     with pytest.raises(NotDensityError):
-        log_inequality_check(rho, spectrum=spectrum)
+        log_inequality_check(rho)
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Stack sizes passed to the density gate, under each name it is called by."""
+    sizes = []
+    original = operators.density_spectra
+
+    def counted(states, **tols):
+        sizes.append(len(states))
+        return original(states, **tols)
+
+    monkeypatch.setattr(operators, "density_spectra", counted)
+    monkeypatch.setattr(entropy_bounds, "density_spectra", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("d, count", [(2, 7), (64, 40)])
+def test_audit_gates_each_stack_once(tmp_path, gate_calls, d, count):
+    config = tmp_path / "audit.json"
+    config.write_text(json.dumps({"d": d, "count": count, "seed": 11}))
+    assert main(["audit", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+    size = stack_size(d)
+    assert gate_calls == [min(size, count - start) for start in range(0, count, size)]
+
+
+def test_propagate_gates_only_its_initial_state(gate_calls):
+    d = 32
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.15, record_stride=1)
+    traj = propagate(get_model("truncated_oscillator", {"d": d}), ginibre_state(d, seed=4), cfg)
+    assert len(traj.reports) == 151
+    # the records reuse _health_check's spectra
+    assert gate_calls == [1]
