@@ -15,10 +15,12 @@ defaults to stdout):
 Exit codes: 0 success (audit violations are findings, not failures);
 2 config/parse error: non-finite numbers (``NaN``, ``Infinity``, overflowing
 literals), a Hamiltonian or channel with a non-finite Frobenius norm, a model
-scale |H|_F^2 + sum_j |L_j|_F^2 above ``dynamics.MAX_SCALE``, a dimension
-above ``MAX_DIM``, integrator keys other than the fields of ``IntegratorConfig``
-or values of the wrong type, an initial state outside the integrator's input
-gate, an output path that cannot be opened; 3 positivity lost during
+scale |H|_F^2 + sum_j |L_j|_F^2 above ``dynamics.MAX_SCALE`` or a ``steady``
+generator whose largest entry is below 1/``MAX_SCALE``, a dimension above
+``MAX_DIM``, integrator keys other than the fields of ``IntegratorConfig`` or
+values of the wrong type, a non-bool ``require_variance_threshold``, an
+initial state outside its density gate (in ``simulate``, the integrator's),
+an output path that cannot be opened; 3 positivity lost during
 integration; 4 numerical failure (a state that diverges between records, a
 ``numpy.linalg.LinAlgError``); 5 degenerate steady-state manifold; 6 nothing
 to bound (no usable channel in ``bounds`` or ``steady``, or a variance
@@ -45,7 +47,7 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, LindbladModel, liouvillian_rhs, propagate
 from .entropy_bounds import (
-    bound_report,
+    bound_reports,
     gated_spectra,
     log_inequality_checks,
     maximally_mixed_bound,
@@ -70,7 +72,7 @@ from .errors import (
 )
 from .models import MAX_DIM, PAULI_Z, get_model, list_models, named_state
 from .operators import (
-    assert_density,
+    density_spectra,
     ginibre_matrix,
     gram_state,
     hermitian_part,
@@ -89,7 +91,6 @@ EXIT_NOTHING_TO_BOUND = 6
 _EXIT_CODES = (
     ((ConfigError, BadParamsError, UnknownModelError, BadDimensionError), EXIT_CONFIG),
     (PositivityLostError, EXIT_POSITIVITY),
-    # Raised outside run_steady's structured handling.
     (DegenerateSteadyStateError, EXIT_DEGENERATE),
     ((NoChannelsError, ZeroChannelError), EXIT_NOTHING_TO_BOUND),
     ((EntrodynError, np.linalg.LinAlgError), EXIT_NUMERICS),
@@ -202,22 +203,14 @@ def _model_from_config(config: dict) -> LindbladModel:
         raise ConfigError(f"inline model invalid: {exc}") from exc
 
 
-def _state_from_config(config: dict, model: LindbladModel) -> np.ndarray:
+def _state_from_config(config: dict, dim: int) -> np.ndarray:
+    """The initial state, parsed only: each command gates it once."""
     spec = config.get("initial_state")
     if spec is None:
         raise ConfigError("config needs 'initial_state' (named state or matrix)")
     if isinstance(spec, str):
-        try:
-            rho = named_state(spec, model.dim)
-        except BadParamsError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        rho = _parse_matrix(spec, model.dim, "initial_state")
-    try:
-        assert_density(rho, hermiticity_tol=1e-8, positivity_tol=1e-8, trace_tol=1e-6)
-    except NotDensityError as exc:
-        raise ConfigError(f"initial_state is not a density matrix: {exc}") from exc
-    return rho
+        return named_state(spec, dim)
+    return _parse_matrix(spec, dim, "initial_state")
 
 
 def _integrator_from_config(config: dict) -> IntegratorConfig:
@@ -235,7 +228,7 @@ def _integrator_from_config(config: dict) -> IntegratorConfig:
 
 def run_simulate(config: dict, out: TextIO) -> int:
     model = _model_from_config(config)
-    rho0 = _state_from_config(config, model)
+    rho0 = _state_from_config(config, model.dim)
     cfg = _integrator_from_config(config)
     try:
         traj = propagate(model, rho0, cfg)
@@ -280,8 +273,7 @@ def run_steady(config: dict, out: TextIO) -> int:
             indent=2,
         )
         out.write("\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        raise
     residual = float(np.linalg.norm(liouvillian_rhs(model, rho_inf)))
     bound = steady_state_bound(model, rho_inf)
     report = {
@@ -304,16 +296,20 @@ def run_bounds(config: dict, out: TextIO) -> int:
     model = _model_from_config(config)
     if model.dim < 2:
         raise ConfigError("bound evaluation needs dimension >= 2")
-    rho = _state_from_config(config, model)
+    demand = config.get("require_variance_threshold", False)
+    if not isinstance(demand, bool):
+        raise ConfigError(f"require_variance_threshold must be a bool, got {json.dumps(demand)}")
+    states = _state_from_config(config, model.dim)[None]
+    try:
+        spectra = density_spectra(states, hermiticity_tol=1e-8, trace_tol=1e-6,
+                                  positivity_tol=1e-8)
+    except NotDensityError as exc:
+        raise ConfigError(f"initial_state is not a density matrix: {exc}") from exc
     if not np.any(model.channel_norms_sq > 0.0):
         raise ZeroChannelError("nothing to bound; model has no non-zero channel")
-    if config.get("require_variance_threshold") and not model.channels_hermitian:
-        print(
-            "error: variance threshold requires every channel to be Hermitian",
-            file=sys.stderr,
-        )
-        return EXIT_NOTHING_TO_BOUND
-    rep = bound_report(model, rho)
+    if demand and not model.channels_hermitian:
+        raise NoChannelsError("variance threshold requires every channel to be Hermitian")
+    rep = bound_reports(model, states, [0.0], spectra)[0]
     payload = {
         "label": model.label,
         "dim": model.dim,

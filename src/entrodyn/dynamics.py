@@ -219,6 +219,9 @@ def _magnitudes(gen: np.ndarray) -> tuple[float, float, float]:
     """Largest |entry| (1 for a zero matrix); |G|_F and largest column norm in its units."""
     rel = np.abs(gen)
     peak = float(rel.max(initial=0.0)) or 1.0
+    if peak < 1.0 / MAX_SCALE:  # its reciprocal, which scales the self-check's probes, overflows
+        raise BadParamsError(f"generator scale {peak:.3e} is below 1/MAX_SCALE = "
+                             f"{1.0 / MAX_SCALE:.3e}; rescale time")
     rel /= peak
     col_sq = np.einsum("ij,ij->j", rel, rel)
     return peak, math.sqrt(float(col_sq.sum())), math.sqrt(float(col_sq.max(initial=0.0)))
@@ -269,9 +272,10 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     overflow between records; the health gate reports that. Up to
     ``DENSE_MAX_DIM`` the steps multiply vec(rho) by the RK4 propagator, the
     same map as :func:`_step` in a different order of arithmetic. Runs too
-    short to repay the propagator's build (``DENSE_MIN_STEPS``), and
-    propagators that overflow (huge rates), use :func:`_step`; the latter keeps
-    an exactly stationary state finite.
+    short to repay the propagator's build (``DENSE_MIN_STEPS``), propagators
+    that overflow (huge rates) and generators too small to self-check (below
+    1 / ``MAX_SCALE``) use :func:`_step`; the second keeps an exactly
+    stationary state finite.
     """
     state = assert_density(
         rho0, hermiticity_tol=1e-9, positivity_tol=POSITIVITY_TOL, trace_tol=1e-9
@@ -280,9 +284,12 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     n, stride, d = cfg.n_steps, int(cfg.record_stride), model.dim
     prop = None
     if d <= DENSE_MAX_DIM and n >= DENSE_MIN_STEPS * (d / DENSE_MAX_DIM) ** 6:
-        with np.errstate(over="ignore", invalid="ignore"):
-            prop = _rk4_propagator(model, cfg.dt)
-        if not np.all(np.isfinite(prop)):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                prop = _rk4_propagator(model, cfg.dt)
+        except BadParamsError:
+            pass
+        if prop is not None and not np.all(np.isfinite(prop)):
             prop = None
     yield 0, state
     for start in range(0, n, stride):

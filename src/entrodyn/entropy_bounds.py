@@ -158,13 +158,12 @@ class TraceSquareAudit:
 
 
 def trace_square_audits(channels, states, spectra) -> tuple[np.ndarray, ...]:
-    """The lhs, rhs and holds arrays of :func:`trace_square_audit`, given :func:`gated_spectra`."""
-    ops = require_hermitian(channels, what="channel")
+    """lhs, rhs, holds of :func:`trace_square_audit`, given Hermitian channels and gated spectra."""
     lam = np.clip(spectra.eigenvalues, 0.0, None)
     sqrt_rho = (spectra.eigenvectors * np.sqrt(lam)[:, None, :]) @ adjoint(spectra.eigenvectors)
-    sandwiched = sqrt_rho @ ops @ sqrt_rho
+    sandwiched = sqrt_rho @ channels @ sqrt_rho
     lhs = np.einsum("nij,nji->n", sandwiched, sandwiched).real
-    rhs = np.einsum("nij,nji->n", ops, states).real ** 2
+    rhs = np.einsum("nij,nji->n", channels, states).real ** 2
     return lhs, rhs, lhs <= rhs + 1e-10
 
 
@@ -176,7 +175,7 @@ def trace_square_audit(channel, rho) -> TraceSquareAudit:
     I/2 gives lhs 1/2 vs rhs 0), so outcomes are recorded, never raised; the
     check allows 1e-10 of rounding.
     """
-    lhs, rhs, holds = trace_square_audits(as_operator(channel)[None], *_one(rho))
+    lhs, rhs, holds = trace_square_audits(require_hermitian(channel, "channel")[None], *_one(rho))
     return TraceSquareAudit(float(lhs[0]), float(rhs[0]), bool(holds[0]))
 
 

@@ -13,10 +13,6 @@ class NotHermitianError(EntrodynError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
 
-class EigFailureError(EntrodynError):
-    """The eigensolver backend did not converge."""
-
-
 class NotDensityError(EntrodynError):
     """A matrix fails the density-matrix invariants (Hermitian, PSD, unit trace)."""
 

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     BadDimensionError,
     DimMismatchError,
-    EigFailureError,
     NotDensityError,
     NotHermitianError,
 )
@@ -78,18 +77,15 @@ class SpectralDecomposition:
 def hermitian_eig(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of each of a stack by one ``eigh``.
 
-    Raises NotHermitianError when an input fails the Hermiticity gate and
-    EigFailureError when the backend does not converge. Eigenvectors of
-    degenerate eigenvalues are an arbitrary orthonormal choice.
+    Raises NotHermitianError when an input fails the Hermiticity gate; a
+    backend that does not converge raises ``numpy.linalg.LinAlgError``.
+    Eigenvectors of degenerate eigenvalues are an arbitrary orthonormal choice.
     """
     return _eigh(require_hermitian(a))
 
 
 def _eigh(arr: np.ndarray) -> SpectralDecomposition:
-    try:
-        w, v = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise EigFailureError(str(exc)) from exc
+    w, v = np.linalg.eigh(arr)
     return SpectralDecomposition(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 

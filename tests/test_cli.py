@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entrodyn import cli
+from entrodyn import cli, dynamics
 from entrodyn.cli import AUDIT_HEADER, SIMULATE_HEADER, main
 from entrodyn.models import MAX_DIM
 
@@ -195,11 +195,12 @@ class TestSteady:
         assert abs(report["entropy_floor"]) <= 1e-12
         assert abs(report["entropy"]) <= 1e-9
 
-    def test_dephasing_exits_five_with_null_dimension(self, tmp_path):
+    def test_dephasing_exits_five_with_null_dimension(self, tmp_path, capsys):
         code, text = run(tmp_path, "steady", {"model": {"name": "dephasing"}})
         assert code == 5
         report = json.loads(text)
         assert report["null_dimension"] == 2
+        assert_one_line_error(capsys.readouterr().err)
 
     def test_misconfigured_tolerance_exits_four(self, tmp_path):
         code, _ = run(tmp_path, "steady", {"model": {"name": "driven_qubit"}, "tol": 1e-22})
@@ -294,7 +295,7 @@ class TestBounds:
             assert code == 6
             assert_one_line_error(capsys.readouterr().err)
 
-    def test_variance_demand_on_nonhermitian_channel_exits_six(self, tmp_path):
+    def test_variance_demand_on_nonhermitian_channel_exits_six(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,
             "bounds",
@@ -305,6 +306,7 @@ class TestBounds:
             },
         )
         assert code == 6
+        assert_one_line_error(capsys.readouterr().err)
 
 
 class TestAudit:
@@ -476,6 +478,7 @@ class TestConfigErrors:
             {"trace_renormalize_each_step": False},
             {"positivity_tol": 1e-8},
             {"dt": 1e-310},  # t_max / dt overflows to inf
+            {"t_max": -1},
         ],
     )
     def test_mistyped_integrator_value_exits_two(self, tmp_path, capsys, override):
@@ -540,6 +543,61 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert_one_line_error(err)
         assert "model scale" in err
+
+    @pytest.mark.parametrize(
+        "model, bounds_code",
+        [
+            ({"name": "amplitude_damping", "params": {"gamma": 1e-310}}, 0),
+            ({"name": "dephasing", "params": {"gamma": 1e-320}}, 0),
+            ({"dim": 2, "channels": [[[0, 1e-155], [0, 0]]]}, 0),
+            ({"dim": 2, "hamiltonian": [[1e-310, 0], [0, -1e-310]]}, 6),
+            # the commutator's entries cancel to 1.7e-316
+            ({"dim": 2, "hamiltonian": [[1e-300, 0], [0, 1e-300 * (1 + 2**-52)]]}, 6),
+        ],
+        ids=["amplitude_damping", "dephasing", "inline_channel", "hamiltonian", "cancelling"],
+    )
+    def test_generator_below_float_range(self, tmp_path, capsys, monkeypatch, model, bounds_code):
+        # The largest generator entry has a reciprocal that overflows, so the
+        # superoperator's self-check cannot probe it: steady refuses it, and
+        # simulate steps directly on the dense path too.
+        config = {
+            "model": model,
+            "initial_state": "plus",
+            "integrator": {"dt": 0.1, "t_max": 1.0},
+        }
+        code, text = run(tmp_path, "steady", config)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "generator scale" in err
+        assert run(tmp_path, "bounds", config)[0] == bounds_code
+        dense = run(tmp_path, "simulate", config, out_name="dense.csv")
+        monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", 0)
+        assert run(tmp_path, "simulate", config, out_name="direct.csv") == dense
+        assert dense[0] == 0
+
+    @pytest.mark.parametrize(
+        ("command", "config", "message"),
+        [
+            ("simulate", {"initial_state": "x"}, "unknown named state 'x'"),
+            ("bounds", {"initial_state": "x"}, "unknown named state 'x'"),
+            ("bounds", {"model": {"dim": 1}}, "dimension >= 2"),
+            *(
+                ("bounds", {"require_variance_threshold": value}, "require_variance_threshold")
+                for value in ("false", 1, None)
+            ),
+        ],
+        ids=["simulate_state", "bounds_state", "bounds_dim_1", "rvt_false", "rvt_1", "rvt_null"],
+    )
+    def test_rejected_input_exits_two(self, tmp_path, capsys, command, config, message):
+        base = {"model": {"name": "amplitude_damping"}, "initial_state": "maximally_mixed"}
+        code, text = run(tmp_path, command, {**base, **config})
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert message in err
 
     @pytest.mark.parametrize("d", [10**20, MAX_DIM + 1], ids=["1e20", "max_dim_plus_one"])
     @pytest.mark.parametrize(

@@ -36,9 +36,11 @@ AWKWARD = (
     True,
     False,
     "x",
+    "false",
     None,
     10**20,
     1e200,  # finite, but its square overflows
+    1e-155,  # finite, but its square is subnormal
     MAX_DIM + 1,
     [],
     [[1, 2], [3]],

@@ -76,6 +76,28 @@ def test_audit_decomposes_each_case_once(tmp_path, linalg_calls, d, count):
     assert linalg_calls.largest["eigh"] == min(count, stack_size(d))
 
 
+def test_cli_simulate_decomposes_its_initial_state_once(tmp_path, linalg_calls):
+    config = tmp_path / "simulate.json"
+    config.write_text(json.dumps({
+        "model": {"name": "depolarizing"},
+        "initial_state": "plus",
+        "integrator": {"dt": 0.1, "t_max": 1.0, "record_stride": 5},
+    }))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    records = len(out.read_text().splitlines()) - 1
+    assert records == 3
+    # one eigh per record; one more is the integrator's input gate, the state's only gate
+    assert linalg_calls == Counter(eigh=records + 1)
+
+
+def test_cli_bounds_decomposes_its_state_once(tmp_path, linalg_calls):
+    config = tmp_path / "bounds.json"
+    config.write_text(json.dumps({"model": {"name": "depolarizing"}, "initial_state": "plus"}))
+    assert main(["bounds", "--config", str(config), "--out", str(tmp_path / "out.json")]) == 0
+    assert linalg_calls == Counter(eigh=1)
+
+
 def test_steady_state_takes_the_generator_magnitudes_once(monkeypatch):
     calls = []
     original = dynamics._magnitudes
