@@ -6,9 +6,13 @@ Usage, from anywhere inside the repository:
     python3 scripts/bench_pairs.py --parent HEAD --workload audit-sweep \\
         --seeds 501-510 --out BENCH_7.json --claim cpu_s --change "what changed"
 
-The parent revision is exported with ``git archive`` into a temporary
-directory (created under ``$TMPDIR``, removed at the end; no git worktree is
-made). For each seed, ``benchmark/run.py --trace 0`` runs once on each tree,
+Both sides run from sibling directories of one temporary directory (created
+under ``$TMPDIR``, removed at the end; no git worktree is made), named
+``parent`` and ``change``: names of equal length, because the path of a
+checkout alone moved traj-steps ``cpu_s`` by about 4%. The parent revision is
+exported with ``git archive``; the change is a copy of the working tree, with
+uncommitted edits to tracked files and untracked files that git does not
+ignore. For each seed, ``benchmark/run.py --trace 0`` runs once on each tree,
 back to back, for the ``run_seconds`` that ``BENCHMARK.json`` fixes, and the
 tree that goes first alternates from seed to seed. The end-to-end metrics of
 every run are summarized per workload: medians and quartiles (inclusive
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,12 +38,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")  # directory names of equal length
 FACT_KEYS = ("python", "numpy", "blas", "blas_version", "blas_threads", "nproc", "machine")
 COMMAND = "python3 benchmark/run.py --workload <w> --seed <s> --seconds {seconds} --trace 0"
 METHOD = (
     "each seed runs the parent and the change back to back, alternating which goes "
-    "first; each checkout in its own directory; medians and quartiles (inclusive "
-    "method) over the seeds"
+    "first; the two checkouts in sibling directories with names of equal length; "
+    "medians and quartiles (inclusive method) over the seeds"
 )
 
 
@@ -104,19 +110,41 @@ def summarize(parent_runs: list[dict], change_runs: list[dict], better: dict[str
     }
 
 
-def export_tree(rev: str, dest: Path) -> str:
-    """Extract ``rev`` of the repository into ``dest``; return its short commit id."""
+def export_tree(rev: str, dest: Path, root: Path = ROOT) -> str:
+    """Extract ``rev`` of the repository at ``root`` into ``dest``; return its short commit id."""
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        ["git", "-C", str(root), "archive", "--format=tar", rev],
         capture_output=True, check=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         extra = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         tar.extractall(dest, **extra)
     return subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+        ["git", "-C", str(root), "rev-parse", "--short", rev],
         capture_output=True, text=True, check=True,
     ).stdout.strip()
+
+
+def export_worktree(dest: Path, root: Path = ROOT) -> None:
+    """Copy the tracked and the untracked, not ignored files of ``root`` into ``dest``."""
+    listed = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    for name in filter(None, listed.split("\0")):
+        if (root / name).is_file():  # a tracked file deleted from the working tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
+def make_trees(work: Path, parent: str, root: Path = ROOT) -> tuple[dict[str, Path], str]:
+    """Export the parent and the change into siblings under ``work``; return them and the commit."""
+    trees = {side: work / side for side in SIDES}
+    for tree in trees.values():
+        tree.mkdir(parents=True)
+    parent_commit = export_tree(parent, trees["parent"], root)
+    export_worktree(trees["change"], root)
+    return trees, parent_commit
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,9 +161,8 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
     seconds = contract["run_seconds"]
     parent_runs, change_runs = [], []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_commit = export_tree(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees, parent_commit = make_trees(Path(tmp), args.parent)
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             runs = {side: run_once(trees[side], args.workload, seed, seconds)

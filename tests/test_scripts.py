@@ -1,6 +1,7 @@
 """Smoke tests: each script in scripts/ runs over the whole preset catalog."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,3 +62,38 @@ def test_bench_pairs_summarizes_synthetic_pairs():
     assert not bench.summarize(parent, [run(0.1, 1.0, correct=False)] * 4,
                                {"cpu_s": "lower"})["all_outputs_correct"]
     assert bench.parse_seeds("101-103,7") == [101, 102, 103, 7]
+
+
+def test_bench_pairs_runs_both_sides_from_equal_sibling_trees(tmp_path):
+    bench = load_script("bench_pairs")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=bench", "-c",
+                        "user.email=bench@example.org", *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "edited.py").write_text("parent\n")
+    (repo / "deleted.py").write_text("parent\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "edited.py").write_text("change\n")  # uncommitted edit
+    (repo / "deleted.py").unlink()
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+
+    trees, commit = bench.make_trees(tmp_path / "work", "HEAD", repo)
+    parent, change = trees["parent"], trees["change"]
+    assert parent.parent == change.parent == tmp_path / "work"
+    assert len(parent.name) == len(change.name) and parent.name != change.name
+    assert commit == subprocess.run(["git", "-C", str(repo), "rev-parse", "--short", "HEAD"],
+                                    capture_output=True, text=True).stdout.strip()
+    files = {tree: sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+             for tree in (parent, change)}
+    assert files[parent] == [".gitignore", "deleted.py", "edited.py"]
+    assert files[change] == [".gitignore", "edited.py", "pkg/new.py"]
+    assert (parent / "edited.py").read_text() == "parent\n"
+    assert (change / "edited.py").read_text() == "change\n"

@@ -16,6 +16,8 @@ from entrodyn.errors import DegenerateSteadyStateError, NoSteadyStateError, Nume
 from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, named_state
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, maximally_mixed
 from entrodyn.steady_state import (
+    _components,
+    _sectors,
     _svd_solve,
     build_superoperator,
     long_time_entropy,
@@ -243,3 +245,173 @@ class TestCertifiedSolve:
         # a generic null direction leaves a roundoff-sized smallest singular value
         with pytest.raises(NoSteadyStateError):
             steady_state(random_model(d, 5, 2), tol=1e-22)
+
+
+def bfs_labels(pattern):
+    """Reference: smallest index of each index's component, by breadth-first search."""
+    n = len(pattern)
+    neighbours = [set() for _ in range(n)]
+    for i, j in zip(*np.nonzero(pattern)):
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    label = [-1] * n
+    for start in range(n):
+        if label[start] < 0:
+            label[start] = start
+            queue = [start]
+            while queue:
+                for j in neighbours[queue.pop()]:
+                    if label[j] < 0:
+                        label[j] = start
+                        queue.append(j)
+    return np.array(label)
+
+
+def permuted_blocks(sizes, seed):
+    """A pattern that is block diagonal in shuffled indices; each block is connected."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    pattern = np.zeros((n, n), dtype=bool)
+    start = 0
+    for size in sizes:
+        members = perm[start:start + size]
+        for k in range(1, size):  # a random spanning tree, entries in either orientation
+            i, j = members[k], members[rng.integers(k)]
+            pattern[(i, j) if rng.random() < 0.5 else (j, i)] = True
+        extra = rng.random((size, size)) < 0.2
+        pattern[np.ix_(members, members)] |= extra
+        start += size
+    return pattern, perm
+
+
+class TestComponents:
+    """The labelling against a plain breadth-first search."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_permuted_block_diagonal_patterns(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        sizes = [int(s) for s in rng.choice([1, 1, 2, 3, 5, 9], size=12)]
+        pattern, _ = permuted_blocks(sizes, seed)
+        label = _components(pattern)
+        assert np.array_equal(label, bfs_labels(pattern))
+        assert sorted(np.unique(label, return_counts=True)[1]) == sorted(sizes)
+
+    def test_dense_pattern_is_one_block(self):
+        assert np.array_equal(_components(np.ones((7, 7), dtype=bool)), np.zeros(7))
+        # dense but for row and column 0, which meet the rest in one entry
+        pattern = np.ones((7, 7), dtype=bool)
+        pattern[0] = pattern[:, 0] = False
+        pattern[0, 5] = True
+        assert np.array_equal(_components(pattern), np.zeros(7))
+
+    def test_patterns_that_need_several_sweeps(self):
+        # in the path 0 - 2 - 1, index 1 is below its only neighbour, so the
+        # first sweep leaves it a root of its own; a path through shuffled
+        # indices has many such local minima
+        path = np.zeros((3, 3), dtype=bool)
+        path[0, 2] = path[1, 2] = True
+        assert np.array_equal(_components(path), np.zeros(3))
+        order = np.random.default_rng(7).permutation(60)
+        chain = np.zeros((90, 90), dtype=bool)
+        chain[order[1:], order[:-1]] = True
+        expected = bfs_labels(chain)
+        assert np.array_equal(_components(chain), expected)
+        assert np.count_nonzero(expected == 0) == 60 and len(set(expected)) == 31
+
+    def test_no_entries_leaves_singletons(self):
+        assert np.array_equal(_components(np.zeros((4, 4), dtype=bool)), np.arange(4))
+
+
+def full_direct_solve(model):
+    """Reference: column 0 of the full inverse of the trace-substituted generator."""
+    d = model.dim
+    gen = build_superoperator(model)
+    m = gen / np.max(np.abs(gen))
+    m[0] = vec(np.identity(d))
+    rho = unvec(np.linalg.inv(m)[:, 0], d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def sector_model(d, seed):
+    """A random model conserving n - m, in a shuffled basis."""
+    rng = np.random.default_rng(seed)
+    lower = np.diag(rng.normal(size=d - 1) + 1j * rng.normal(size=d - 1), -1)
+    raise_ = 0.4 * np.diag(rng.normal(size=d - 1) + 1j * rng.normal(size=d - 1), 1)
+    ops = (np.diag(rng.normal(size=d)), lower, raise_, np.diag(rng.normal(size=d)))
+    p = np.identity(d)[rng.permutation(d)]
+    h, *channels = (p @ op @ p.T for op in ops)
+    return LindbladModel(h, tuple(channels))
+
+
+class TestBlockSolve:
+    """The block-by-block solves against full references."""
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_oscillator_matches_the_full_inverse(self, d):
+        model = get_model("truncated_oscillator", {"d": d, "gamma": 0.3})
+        assert np.max(np.abs(steady_state(model) - full_direct_solve(model))) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_shuffled_sector_models_match_the_full_inverse(self, d):
+        for seed in range(3):
+            model = sector_model(d, 10 * d + seed)
+            sectors = _sectors(build_superoperator(model), d)
+            assert len(sectors) > 1
+            assert any(np.any(np.diff(block) != 1) for idx in sectors for block in idx)
+            rho = steady_state(model)
+            assert np.max(np.abs(rho - full_direct_solve(model))) <= 1e-12
+            # the block SVD gives the full SVD's null vector
+            gen = build_superoperator(model)
+            null = unvec(np.conj(np.linalg.svd(gen)[2][-1]), d)
+            null = 0.5 * (null + null.conj().T)
+            assert np.max(np.abs(_svd_solve(gen, d, 1e-10) - null / np.trace(null).real)) <= 1e-12
+
+    @pytest.mark.parametrize("factor, certified", [(0.9, True), (1.1, False)])
+    def test_certificate_uses_the_full_inverse_norm(self, monkeypatch, factor, certified):
+        # the block of index 0 holds only 70% of this |M^-1|_F, so a certificate
+        # that missed the other blocks would still pass at factor 1.1
+        model = get_model("truncated_oscillator", {"d": 6})
+        gen = build_superoperator(model)
+        m = gen / np.max(np.abs(gen))
+        frob = np.linalg.norm(m)
+        m[0] = vec(np.identity(6))
+        tol = factor / (frob * np.linalg.norm(np.linalg.inv(m)))
+        svd_calls = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or original(*a, **k))
+        try:
+            steady_state(model, tol)
+        except (DegenerateSteadyStateError, NoSteadyStateError):
+            assert not certified
+        assert (not svd_calls) == certified
+
+    def test_near_degenerate_oscillator_counts_as_the_full_svd(self):
+        model = get_model("truncated_oscillator", {"d": 6, "gamma": 1e-12})
+        svals = np.linalg.svd(build_superoperator(model), compute_uv=False)
+        expected = int(np.count_nonzero(svals <= 1e-10 * svals[0]))
+        with pytest.raises(DegenerateSteadyStateError) as excinfo:
+            steady_state(model)
+        assert excinfo.value.null_dimension == expected == 6
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e-12])
+    def test_oscillator_solves_no_matrix_above_d(self, monkeypatch, gamma):
+        d = 24
+        largest = []
+        for name in ("inv", "svd"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _original=original, **kwargs):
+                largest.append(max(np.shape(a)[-2:]))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        model = get_model("truncated_oscillator", {"d": d, "gamma": gamma})
+        if gamma == 1.0:
+            steady_state(model)
+        else:
+            with pytest.raises(DegenerateSteadyStateError):
+                steady_state(model)
+        assert largest and max(largest) == d
+        assert sum(len(idx) for idx in _sectors(build_superoperator(model), d)) == 2 * d - 1
