@@ -17,7 +17,10 @@ back to back, for the ``run_seconds`` that ``BENCHMARK.json`` fixes, and the
 tree that goes first alternates from seed to seed. The end-to-end metrics of
 every run are summarized per workload: medians and quartiles (inclusive
 method) of each side, the number of pairs the change won (ties count for
-neither side) and the raw runs. The better direction of each metric is read
+neither side), the signed relative change of the median, whether a claimed
+gain holds (``gain_met``: the change won at least 9 in 10 pairs and its median
+is better than the parent's by more than the parent's interquartile range)
+and the raw runs. The better direction of each metric is read
 from ``BENCHMARK.json``.
 
 The output file is updated in place: a workload already in it is replaced,
@@ -92,14 +95,18 @@ def summarize(parent_runs: list[dict], change_runs: list[dict], better: dict[str
         sign = 1 if direction == "lower" else -1
         p_q1, p_q3 = quartiles(parent)
         c_q1, c_q3 = quartiles(change)
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         metrics[name] = {
-            "parent_median": round(statistics.median(parent), 6),
+            "parent_median": round(p_med, 6),
             "parent_q1": round(p_q1, 6),
             "parent_q3": round(p_q3, 6),
-            "change_median": round(statistics.median(change), 6),
+            "change_median": round(c_med, 6),
             "change_q1": round(c_q1, 6),
             "change_q3": round(c_q3, 6),
-            "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "change_better_pairs": won,
+            "median_rel_change": round((c_med - p_med) / p_med, 6) if p_med else None,
+            "gain_met": 10 * won >= 9 * len(parent) and sign * (p_med - c_med) > p_q3 - p_q1,
             "parent_runs": parent,
             "change_runs": change,
         }
@@ -185,9 +192,11 @@ def main(argv: list[str] | None = None) -> int:
     report.setdefault("workloads", {})[args.workload] = {"seeds": args.seeds, **summary}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for name, m in summary["metrics"].items():
+        rel = "n/a" if m["median_rel_change"] is None else f"{m['median_rel_change']:+.1%}"
         print(f"{args.workload} {name}: parent {m['parent_median']} "
-              f"[{m['parent_q1']}, {m['parent_q3']}] -> change {m['change_median']}, "
-              f"change better in {m['change_better_pairs']}/{summary['pairs']}")
+              f"[{m['parent_q1']}, {m['parent_q3']}] -> change {m['change_median']} ({rel}), "
+              f"change better in {m['change_better_pairs']}/{summary['pairs']}, "
+              f"gain met: {m['gain_met']}")
     return 0
 
 

@@ -1,48 +1,16 @@
 """Entropy dynamics, bounds, and steady-state floors for Markovian open quantum systems."""
 
 from . import errors
-from .dynamics import (
-    IntegratorConfig,
-    LindbladModel,
-    TrajectoryRecord,
-    build_superoperator,
-    convergence_order_check,
-    final_state,
-    liouvillian_rhs,
-    propagate,
-    unvec,
-    vec,
-)
-from .entropy_bounds import (
-    EIG_FLOOR,
-    RATE_SATURATED,
-    BoundReport,
-    SteadyStateBound,
-    TraceSquareAudit,
-    bound_report,
-    channel_gain,
-    entropy_rate_exact,
-    log_inequality_check,
-    maximally_mixed_bound,
-    rate_lower_bound,
-    steady_state_bound,
-    trace_square_audit,
-    von_neumann_entropy,
-)
+from .dynamics import (IntegratorConfig, LindbladModel, TrajectoryRecord, build_superoperator,
+                       convergence_order_check, final_state, liouvillian_rhs, propagate, unvec,
+                       vec)
+from .entropy_bounds import (EIG_FLOOR, BoundReport, SteadyStateBound, TraceSquareAudit,
+                             bound_report, channel_gain, entropy_rate_exact, log_inequality_check,
+                             maximally_mixed_bound, rate_lower_bound, steady_state_bound,
+                             trace_square_audit, von_neumann_entropy)
 from .models import ModelSpec, get_model, list_models, named_state
-from .operators import (
-    SpectralDecomposition,
-    adjoint,
-    assert_density,
-    frobenius_norm_sq,
-    ginibre_matrix,
-    ginibre_state,
-    gue_hermitian,
-    hermitian_eig,
-    is_hermitian,
-    maximally_mixed,
-    trace_product,
-)
+from .operators import (adjoint, assert_density, frobenius_norm_sq, ginibre_matrix, ginibre_state,
+                        gue_hermitian, maximally_mixed)
 from .steady_state import long_time_entropy, steady_state
 
 __version__ = "0.1.0"

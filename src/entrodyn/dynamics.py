@@ -5,41 +5,28 @@ The generator is ``d rho/dt = -i[H, rho] + sum_j D[L_j] rho`` with
 rates and times are dimensionless. Propagation uses a classical fixed-step
 fourth-order Runge-Kutta scheme so trajectories are bit-reproducible.
 
-Vectorization uses the column-stacking convention throughout: ``vec(X)``
-stacks the columns of X, so ``vec(A X B) = kron(B.T, A) @ vec(X)``. Mixing
-stacking conventions is the classic silent-corruption bug for this kind of
-code, so the superoperator builder cross-checks the assembled matrix against
-the direct generator on random states.
+Vectorization stacks columns: ``vec(A X B) = kron(B.T, A) @ vec(X)``. The
+generator G on vec(rho) is used as dense blocks over its sectors, read off the
+model's operators (:func:`_sectors`, :func:`_generator_blocks`); the steady
+state and the RK4 propagator both run on them, and no d^2 x d^2 matrix is
+formed unless G is one block. The blocks are cross-checked against the direct
+generator on random states before any use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import entropy_bounds
-from .errors import (
-    BadParamsError,
-    ConfigError,
-    DimMismatchError,
-    NotHermitianError,
-    NumericsError,
-    PositivityLostError,
-)
-from .operators import (
-    SpectralDecomposition,
-    adjoint,
-    as_operator,
-    assert_density,
-    frobenius_norm_sq,
-    ginibre_state,
-    hermitian_eig,
-    hermitian_part,
-    hermiticity_defect,
-    is_hermitian,
-)
+from .errors import (BadParamsError, ConfigError, DimMismatchError, NotHermitianError,
+                     NumericsError, PositivityLostError)
+from .operators import (SpectralDecomposition, adjoint, as_operator, assert_density,
+                        frobenius_norm_sq, ginibre_state, hermitian_eig, hermitian_part,
+                        hermiticity_defect, is_hermitian)
 
 # Recorded states must hold |tr(rho) - 1| within this drift; the trace is never renormalized.
 TRACE_DRIFT_TOL = 1e-9
@@ -47,15 +34,14 @@ TRACE_DRIFT_TOL = 1e-9
 # Recorded states may dip this far below zero in their smallest eigenvalue.
 POSITIVITY_TOL = 1e-8
 
-# Largest dimension advanced by the dense RK4 propagator, one d^2 x d^2 matvec
-# per step; above it each step applies the direct generator four times. Runs
-# shorter than DENSE_MIN_STEPS * (d/16)^6 steps also step directly: the build
-# costs three d^2 x d^2 products. Measured with BLAS on one thread on a 2-core
-# x86-64 VM (direct step vs matvec, build, break-even): d=2 113 vs 1.9 us,
-# 1.0 ms, 9 steps; d=14 105 vs 12 us, 5.1 ms, 55; d=16 105 vs 18 us, 9.6 ms,
-# 110 (130 with Kronecker products); d=20 187 vs 110 us, 40 ms, 510.
-DENSE_MAX_DIM = 16
-DENSE_MIN_STEPS = 110
+# Largest block of G, in entries of rho, that the RK4 propagator advances; runs
+# of fewer than MIN_PROPAGATOR_STEPS * (s/256)^3 steps, s the largest block, step
+# directly too (the build is three s x s products per block). Measured for one
+# dense block, s = d^2, BLAS on one thread, 2-core x86-64 VM (direct step vs
+# matvec, build, break-even): d=2 113 vs 1.9 us, 1.0 ms, 9 steps; d=14 105 vs
+# 12 us, 5.1 ms, 55; d=16 105 vs 18 us, 9.6 ms, 110; d=20 187 vs 110 us, 40 ms, 510.
+MAX_BLOCK = 256
+MIN_PROPAGATOR_STEPS = 110
 
 # Largest |H|_F^2 + sum_j |L_j|_F^2: derived numbers, at most 32x it, stay finite.
 MAX_SCALE = np.finfo(np.float64).max / 64
@@ -112,14 +98,10 @@ class LindbladModel:
         norms.setflags(write=False)
         object.__setattr__(self, "hamiltonian", _frozen_copy(h))
         object.__setattr__(self, "channels", chans)
-        object.__setattr__(
-            self,
-            "channel_adjoints",
-            tuple(_frozen_copy(np.ascontiguousarray(adjoint(c))) for c in chans),
-        )
-        object.__setattr__(
-            self, "channel_squares", tuple(_frozen_copy(adjoint(c) @ c) for c in chans)
-        )
+        object.__setattr__(self, "channel_adjoints",
+                           tuple(_frozen_copy(np.ascontiguousarray(adjoint(c))) for c in chans))
+        object.__setattr__(self, "channel_squares",
+                           tuple(_frozen_copy(adjoint(c) @ c) for c in chans))
         object.__setattr__(self, "channel_norms_sq", norms)
         object.__setattr__(self, "channels_hermitian", all(is_hermitian(c) for c in chans))
 
@@ -193,52 +175,129 @@ def unvec(v, d: int) -> np.ndarray:
     return np.asarray(v, dtype=np.complex128).reshape((d, d), order="F")
 
 
-def build_superoperator(model: LindbladModel) -> np.ndarray:
-    """Assemble the d^2 x d^2 matrix acting on vec(rho).
+def _decay_terms(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
+    """K = -iH - sum_j L_j^dag L_j / 2 (acting from the left) and R = iH - sum_j L_j^dag L_j / 2."""
+    half_decay = sum((0.5 * sq for sq in model.channel_squares), np.zeros_like(model.hamiltonian))
+    return -1j * model.hamiltonian - half_decay, 1j * model.hamiltonian - half_decay
 
-    kron(I, K) + kron(R.T, I) + sum_j kron(conj(L_j), L_j), where
-    K = -iH - sum_j L_j^dag L_j / 2 multiplies rho from the left and
-    R = iH - sum_j L_j^dag L_j / 2 from the right. The jump terms are one
-    einsum over the stacked channels; K and R.T are added into strided block
-    diagonals, O(d^3) each, so no Kronecker product is formed. Nothing is
-    checked here: each caller in the package runs :func:`_check_against_direct_map`,
-    which also returns the magnitudes the steady-state solve reuses.
+
+def build_superoperator(model: LindbladModel) -> np.ndarray:
+    """The d^2 x d^2 matrix on vec(rho): kron(I, K) + kron(R.T, I) + sum_j kron(conj(L_j), L_j).
+
+    The jump terms are one einsum over the stacked channels; K and R.T are
+    added into strided block diagonals, so no Kronecker product is formed. The
+    package runs on :func:`_generator_blocks`; this is the tests' oracle.
     """
-    d, h = model.dim, model.hamiltonian
-    half_decay = sum((0.5 * sq for sq in model.channel_squares), np.zeros((d, d), complex))
+    d = model.dim
+    k, r = _decay_terms(model)
     chans = np.array(model.channels, dtype=np.complex128).reshape(-1, d, d)
     # entry (b*d + a, e*d + c) of kron(conj(L), L) is conj(L)[b, e] L[a, c]
     gen4 = np.einsum("jbe,jac->baec", np.conj(chans), chans)
     idx = np.arange(d)
-    gen4[idx, :, idx, :] += -1j * h - half_decay
-    gen4[:, idx, :, idx] += (1j * h - half_decay).T
+    gen4[idx, :, idx, :] += k
+    gen4[:, idx, :, idx] += r.T
     return gen4.reshape(d * d, d * d)
 
 
-def _magnitudes(gen: np.ndarray) -> tuple[float, float, float]:
-    """Largest |entry| (1 for a zero matrix); |G|_F and largest column norm in its units."""
-    rel = np.abs(gen)
-    peak = float(rel.max(initial=0.0)) or 1.0
+def _sectors(model: LindbladModel) -> list[np.ndarray]:
+    """Blocks of G (and of M, G with the trace row), as one (count, size) index array per size.
+
+    G maps rho[c, e] into rho[a, b] with weight delta_be K[a, c] +
+    delta_ac R[e, b] + sum_j conj(L_j[b, e]) L_j[a, c], so the blocks are the
+    connected components of the edges that K, R and each channel's pairs of
+    nonzeros make, plus the trace row's, which joins rho's diagonal. This covers
+    G's exact pattern: a block is a component of it or, where entries cancel,
+    coarser. Indices ascend within a block and blocks of one size by their
+    first index, so index 0 is entry [0, 0] of its array.
+    """
+    d = model.dim
+    cell = np.arange(d * d).reshape(d, d)  # cell[b, a] is the vec index of rho[a, b]
+    k, r = _decay_terms(model)
+    (a, c), (e, b) = np.nonzero(k), np.nonzero(r)
+    edges = [(cell[:, a], cell[:, c]), (cell[b], cell[e]), (0 * cell[0], cell.diagonal())]
+    for rows, cols in (np.nonzero(chan) for chan in model.channels):
+        edges.append((cell[rows[:, None], rows], cell[cols[:, None], cols]))
+    label = _components(*(np.concatenate([x[i].ravel() for x in edges]) for i in (0, 1)), d * d)
+    order = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    # sorted(set()), not np.unique: a process's first plain np.unique costs ~15 ms
+    return [order[starts[sizes == size][:, None] + np.arange(size)]
+            for size in sorted(set(sizes.tolist()))]
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Smallest index in each of 0..n-1's connected component, edges (rows[i], cols[i]).
+
+    Each sweep lowers every label to the smallest across its edges, then jumps
+    pointers (label[label]) until they settle; the labels stop changing once
+    each component carries its smallest index.
+    """
+    label = np.arange(n)
+    while True:
+        lowered = label.copy()
+        np.minimum.at(lowered, rows, label[cols])
+        np.minimum.at(lowered, cols, label[rows])
+        while not np.array_equal(lowered[lowered], lowered):
+            lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return label
+        label = lowered
+
+
+def _generator_blocks(model: LindbladModel, sectors: list[np.ndarray]) -> list[tuple]:
+    """(index, blocks) per sector size, blocks[i] = G[index[i]][:, index[i]]; G is 0 elsewhere.
+
+    Entries are summed in :func:`build_superoperator`'s order (channels, K, R),
+    so they equal its entries bit for bit; callers run the self-check on them.
+    """
+    d, (k, r), out = model.dim, _decay_terms(model), []
+    for idx in sectors:
+        a, b = idx % d, idx // d  # row i of a block is rho[a[i], b[i]], and so is column i
+        blocks = np.zeros(idx.shape + idx.shape[1:], dtype=np.complex128)
+        for chan in model.channels:  # einsum's complex product, as in build_superoperator
+            blocks += np.einsum("nik,nik->nik", np.conj(chan[b[:, :, None], b[:, None, :]]),
+                                chan[a[:, :, None], a[:, None, :]])
+        n, i, j = np.nonzero(b[:, :, None] == b[:, None, :])
+        blocks[n, i, j] += k[a[n, i], a[n, j]]
+        n, i, j = np.nonzero(a[:, :, None] == a[:, None, :])
+        blocks[n, i, j] += r[b[n, j], b[n, i]]
+        out.append((idx, blocks))
+    return out
+
+
+def _apply(blocks: list[tuple], v: np.ndarray) -> np.ndarray:
+    """G @ v for v of shape (d^2, k), G given by its blocks."""
+    out = np.empty_like(v)
+    for idx, mats in blocks:
+        out[idx] = mats @ v[idx]
+    return out
+
+
+def _magnitudes(blocks: list[tuple]) -> tuple[float, float, float]:
+    """Largest |entry| of G (1 for a zero G); |G|_F and largest column norm in its units."""
+    rel = [np.abs(mats) for _, mats in blocks]
+    peak = max(float(x.max(initial=0.0)) for x in rel) or 1.0
     if peak < 1.0 / MAX_SCALE:  # its reciprocal, which scales the self-check's probes, overflows
         raise BadParamsError(f"generator scale {peak:.3e} is below 1/MAX_SCALE = "
                              f"{1.0 / MAX_SCALE:.3e}; rescale time")
-    rel /= peak
-    col_sq = np.einsum("ij,ij->j", rel, rel)
+    rel = [x / peak for x in rel]
+    col_sq = np.concatenate([np.einsum("nij,nij->nj", x, x).ravel() for x in rel])
     return peak, math.sqrt(float(col_sq.sum())), math.sqrt(float(col_sq.max(initial=0.0)))
 
 
-def _check_against_direct_map(model: LindbladModel, gen: np.ndarray) -> tuple[float, float, float]:
-    """Check gen against :func:`liouvillian_rhs` on random states; return its _magnitudes."""
-    peak, frob, col = _magnitudes(gen)
+def _check_against_direct_map(model: LindbladModel, blocks: list[tuple]) -> tuple:
+    """Check G's blocks against :func:`liouvillian_rhs` on random states; return its _magnitudes.
+
+    The probes are dense, so an entry missing between blocks shows as a residual.
+    """
+    peak, frob, col = _magnitudes(blocks)
     probes = [ginibre_state(model.dim, seed) / peak for seed in range(10)]  # units of peak
-    applied = gen @ np.stack([vec(rho) for rho in probes], axis=1)
+    applied = _apply(blocks, np.stack([vec(rho) for rho in probes], axis=1))
     for rho, column in zip(probes, applied.T):
         residual = unvec(column, model.dim) - liouvillian_rhs(model, rho)
         if not float(np.linalg.norm(residual)) <= 1e-10 * max(1.0 / peak, frob):  # NaN fails
-            raise NumericsError(
-                "superoperator disagrees with the direct generator; "
-                "vectorization convention broken"
-            )
+            raise NumericsError("superoperator disagrees with the direct generator; "
+                                "vectorization convention broken")
     return peak, frob, col
 
 
@@ -251,17 +310,46 @@ def _step(model: LindbladModel, state: np.ndarray, dt: float) -> np.ndarray:
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_propagator(model: LindbladModel, dt: float) -> np.ndarray:
-    """The map of one :func:`_step` as a d^2 x d^2 matrix on vec(rho).
+def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
+    """``advance(v, k)``: k :func:`_step` maps of vec(rho) v, block by block; None if not finite.
 
     For a linear generator L, classical RK4 is exactly the polynomial
-    sum_{k<=4} (dt L)^k / k!; it is evaluated here by Horner's rule.
+    sum_{k<=4} (dt L)^k / k!, evaluated per block by Horner's rule. The blocks
+    are zero-padded to the largest and stacked, one matmul per step, on the
+    state in block order, gathered and scattered through one index per call.
+    When the stack holds d^4 / 2 entries or more (one block, or a few large
+    ones), the blocks' maps fill one d^2 x d^2 matrix that acts on vec(rho)
+    unpermuted.
     """
-    a = build_superoperator(model)
-    _check_against_direct_map(model, a)
-    a *= dt  # in place: no second d^2 x d^2 matrix stays alive
-    eye = np.identity(a.shape[0], dtype=np.complex128)
-    return eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
+    props = []
+    for idx, mats in blocks:
+        a, eye = mats * dt, np.identity(idx.shape[1], dtype=np.complex128)
+        props.append((idx, eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)))
+        if not np.all(np.isfinite(props[-1][1])):
+            return None
+    count, size = sum(len(idx) for idx, _ in blocks), blocks[-1][0].shape[1]
+    if count * size * size >= d**4 / 2:
+        full = np.zeros((d * d, d * d), dtype=np.complex128)
+        for idx, prop in props:
+            full[idx[:, :, None], idx[:, None, :]] = prop
+        return lambda v, steps: functools.reduce(lambda w, _: full @ w, range(steps), v)
+    stack = np.zeros((count, size, size), dtype=np.complex128)
+    pos, row = np.empty(d * d, dtype=np.intp), 0  # pos[i]: where vec entry i sits in the stack
+    for idx, prop in props:
+        n, s = idx.shape
+        stack[row:row + n, :s, :s] = prop
+        pos[idx] = size * np.arange(row, row + n)[:, None] + np.arange(s)
+        row += n
+
+    def advance(v: np.ndarray, steps: int) -> np.ndarray:
+        state = np.zeros(count * size, dtype=np.complex128)
+        state[pos] = v  # the padding stays zero while the state is finite
+        state = state.reshape(count, size, 1)
+        for _ in range(steps):
+            state = stack @ state
+        return state.ravel().take(pos)
+
+    return advance
 
 
 def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
@@ -269,40 +357,39 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
 
     Each yielded state is replaced by its Hermitian part, which is exactly
     Hermitian, and integration continues from it. An unstable ``dt`` may
-    overflow between records; the health gate reports that. Up to
-    ``DENSE_MAX_DIM`` the steps multiply vec(rho) by the RK4 propagator, the
-    same map as :func:`_step` in a different order of arithmetic. Runs too
-    short to repay the propagator's build (``DENSE_MIN_STEPS``), propagators
-    that overflow (huge rates) and generators too small to self-check (below
-    1 / ``MAX_SCALE``) use :func:`_step`; the second keeps an exactly
-    stationary state finite.
+    overflow between records; the health gate reports that. The steps apply
+    the blocked RK4 propagator, :func:`_step`'s map in another order of
+    arithmetic, unless G has a block above ``MAX_BLOCK``, the run is too short
+    to repay the build (``MIN_PROPAGATOR_STEPS``), the propagator overflows
+    (huge rates) or G is too small to self-check (below 1 / ``MAX_SCALE``);
+    the last keeps an exactly stationary state finite.
     """
-    state = assert_density(
-        rho0, hermiticity_tol=1e-9, positivity_tol=POSITIVITY_TOL, trace_tol=1e-9
-    )
-    state = hermitian_part(state)
+    state = hermitian_part(assert_density(rho0, hermiticity_tol=1e-9,
+                                          positivity_tol=POSITIVITY_TOL, trace_tol=1e-9))
     n, stride, d = cfg.n_steps, int(cfg.record_stride), model.dim
-    prop = None
-    if d <= DENSE_MAX_DIM and n >= DENSE_MIN_STEPS * (d / DENSE_MAX_DIM) ** 6:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                prop = _rk4_propagator(model, cfg.dt)
-        except BadParamsError:
-            pass
-        if prop is not None and not np.all(np.isfinite(prop)):
-            prop = None
+    advance = None
+    # Blocks of at most MAX_BLOCK hold at most MAX_BLOCK d^2 entries of G, and a channel
+    # with m nonzeros fills m^2: a dense channel's d^4 edges are not worth seeking.
+    if max((np.count_nonzero(c) ** 2 for c in model.channels), default=0) <= MAX_BLOCK * d * d:
+        sectors = _sectors(model)
+        size = max(idx.shape[1] for idx in sectors)
+        if size <= MAX_BLOCK and n >= MIN_PROPAGATOR_STEPS * (size / MAX_BLOCK) ** 3:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    blocks = _generator_blocks(model, sectors)
+                    _check_against_direct_map(model, blocks)
+                    advance = _rk4_propagator(blocks, cfg.dt, d)
+            except BadParamsError:
+                pass
     yield 0, state
     for start in range(0, n, stride):
         stop = min(start + stride, n)
         with np.errstate(over="ignore", invalid="ignore"):
-            if prop is None:
+            if advance is None:
                 for _ in range(start, stop):
                     state = _step(model, state, cfg.dt)
             else:
-                v = vec(state)
-                for _ in range(start, stop):
-                    v = prop @ v
-                state = unvec(v, d)
+                state = unvec(advance(vec(state), stop - start), d)
             state = hermitian_part(state)
         yield stop, state
 
@@ -349,10 +436,8 @@ def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRe
             rows += zip(times, stack, reports, trace_errs.tolist(), min_eigs.tolist())
             times, states, size = [], [], min(2 * size, entropy_bounds.stack_size(model.dim))
     times, states, reports, trace_errors, min_eigs = zip(*rows)
-    return TrajectoryRecord(
-        np.asarray(times), list(states), list(reports),
-        np.asarray(trace_errors), np.asarray(min_eigs),
-    )
+    return TrajectoryRecord(np.asarray(times), list(states), list(reports),
+                            np.asarray(trace_errors), np.asarray(min_eigs))
 
 
 def final_state(model: LindbladModel, rho0, cfg: IntegratorConfig) -> np.ndarray:

@@ -23,11 +23,11 @@ from .dynamics import LindbladModel, _frozen_copy
 from .errors import BadParamsError, UnknownModelError
 from .operators import maximally_mixed
 
-# Largest Hilbert-space dimension accepted from a preset or a run config. The
-# steady-state generator is d^2 x d^2: at d = 64, 4096 x 4096 complex (268 MB).
-# A dense generator's solve holds two more matrices that size, its one block
-# and that block's inverse; the oscillator's 2d - 1 blocks of at most d x d add
-# next to nothing, and its d = 64 `steady` peaks at 0.42 GB resident.
+# Largest Hilbert-space dimension accepted from a preset or a run config. A
+# dense generator is one d^2 x d^2 block: at d = 64, 4096 x 4096 complex (268 MB),
+# and its solve holds three matrices that size (the block, its scaled copy and
+# the inverse). The oscillator's 2d - 1 blocks of at most d x d add next to
+# nothing: its d = 64 `steady` peaks at 43 MB resident.
 MAX_DIM = 64
 
 PAULI_X = _frozen_copy([[0, 1], [1, 0]])

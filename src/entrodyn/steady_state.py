@@ -1,6 +1,6 @@
 """Steady states: a direct solve block by block, certified against the SVD rule.
 
-The generator matrix and ``vec``/``unvec`` live in :mod:`entrodyn.dynamics`.
+The generator's blocks and ``vec``/``unvec`` live in :mod:`entrodyn.dynamics`.
 """
 
 from __future__ import annotations
@@ -10,15 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import (
-    IntegratorConfig,
-    LindbladModel,
-    _check_against_direct_map,
-    build_superoperator,
-    final_state,
-    unvec,
-    vec,
-)
+from .dynamics import (IntegratorConfig, LindbladModel, _apply, _check_against_direct_map,
+                       _generator_blocks, _sectors, final_state, unvec, vec)
 from .entropy_bounds import von_neumann_entropy
 from .errors import DegenerateSteadyStateError, NoSteadyStateError, NotDensityError
 from .operators import assert_density, hermitian_part
@@ -39,29 +32,28 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
     direction, |G vec(rho)| <= tol c |rho|_F one (norms in units of G's
     largest |entry|, so none overflows). Otherwise an SVD counts them.
 
-    Both solves run block by block. The blocks are the connected components
-    of the exact nonzero pattern of G joined with the trace row (see
-    :func:`_sectors`), so G and M are block diagonal in them. M^-1 is then the
-    blocks' inverses, |M^-1|_F^2 their sum of |B^-1|_F^2 and x column 0 of
-    the inverse of the block of index 0, and the singular values of G are the
-    union of its blocks'. A model with a conserved quantity, such as n - m for the
-    oscillator, splits into its sectors; a dense G is one block.
+    Both solves run on G's blocks, assembled from the model's operators (see
+    :func:`entrodyn.dynamics._sectors`); no d^2 x d^2 matrix is formed. G and
+    M are block diagonal in them, so M^-1 is the blocks' inverses, |M^-1|_F^2
+    their sum of |B^-1|_F^2 and x column 0 of the inverse of the block of index
+    0, and the singular values of G are the union of its blocks'. A model with
+    a conserved quantity, such as n - m for the oscillator, splits into its
+    sectors; a dense G is one block.
     """
     d = model.dim
-    gen = build_superoperator(model)
-    peak, frob, col = _check_against_direct_map(model, gen)
+    blocks = _generator_blocks(model, _sectors(model))
+    peak, frob, col = _check_against_direct_map(model, blocks)
     trace_row = vec(np.identity(d))
     x = np.zeros(d * d, dtype=np.complex128)
     inv_sq = 0.0  # |M^-1|_F^2
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the tests
         try:
-            for idx in _sectors(gen, d):
-                blocks = gen[idx[:, :, None], idx[:, None, :]]
-                blocks /= peak
+            for idx, mats in blocks:
+                scaled = mats / peak
                 holds_zero = idx[0, 0] == 0  # index 0 leads the first block of its size
                 if holds_zero:
-                    blocks[0, 0] = trace_row[idx[0]]
-                inverses = np.linalg.inv(blocks)
+                    scaled[0, 0] = trace_row[idx[0]]
+                inverses = np.linalg.inv(scaled)
                 if holds_zero:
                     x[idx[0]] = inverses[0, :, 0]
                 inv_sq += float(np.vdot(inverses, inverses).real)
@@ -70,19 +62,19 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
         if tol * frob * math.sqrt(inv_sq) < 1.0:
             rho = _normalized(x, d)
             # a density has |rho|_F <= 1, so rho also passes _svd_solve's residual gate
-            if float(np.linalg.norm(gen @ vec(rho / peak))) <= tol * col * np.linalg.norm(rho):
+            residual = np.linalg.norm(_apply(blocks, vec(rho / peak)[:, None]))
+            if residual <= tol * col * np.linalg.norm(rho):
                 return _validated(rho)
-    return _svd_solve(gen, d, tol)
+    return _svd_solve(blocks, d, tol)
 
 
-def _svd_solve(gen: np.ndarray, d: int, tol: float) -> np.ndarray:
+def _svd_solve(blocks: list[tuple], d: int, tol: float) -> np.ndarray:
     decomposed = []
-    for idx in _sectors(gen, d):
-        blocks = gen[idx[:, :, None], idx[:, None, :]]
+    for idx, mats in blocks:
         if idx.shape[1] == 1:  # a 1 x 1 block's singular value is |g|, its right vector 1
-            decomposed.append((idx, np.abs(blocks[:, 0]), np.ones_like(blocks)))
+            decomposed.append((idx, np.abs(mats[:, 0]), np.ones_like(mats)))
         else:
-            decomposed.append((idx, *np.linalg.svd(blocks)[1:]))
+            decomposed.append((idx, *np.linalg.svd(mats)[1:]))
     svals = np.concatenate([s.ravel() for _, s, _ in decomposed])
     smax = float(svals.max())
     if smax == 0.0:
@@ -90,9 +82,8 @@ def _svd_solve(gen: np.ndarray, d: int, tol: float) -> np.ndarray:
     cutoff = tol * smax
     null_dim = int(np.count_nonzero(svals <= cutoff))
     if null_dim == 0:
-        raise NoSteadyStateError(
-            f"no null direction within tol={tol:g} of the largest singular value"
-        )
+        raise NoSteadyStateError(f"no null direction within tol={tol:g} of the largest "
+                                 "singular value")
     if null_dim > 1:
         raise DegenerateSteadyStateError(null_dim)
     idx, svals, vh = next(item for item in decomposed if item[1].min() <= cutoff)
@@ -100,54 +91,11 @@ def _svd_solve(gen: np.ndarray, d: int, tol: float) -> np.ndarray:
     null = np.zeros(d * d, dtype=np.complex128)
     null[idx[block]] = np.conj(vh[block, pos])
     rho = _validated(_normalized(null, d))
-    residual = float(np.linalg.norm(gen @ vec(rho)))
+    residual = float(np.linalg.norm(_apply(blocks, vec(rho)[:, None])))
     if residual > 10.0 * tol * max(1.0, smax):
-        raise NoSteadyStateError(
-            f"extracted state has generator residual {residual:.3e}; tighten tol"
-        )
+        raise NoSteadyStateError(f"extracted state has generator residual {residual:.3e}; "
+                                 "tighten tol")
     return rho
-
-
-def _sectors(gen: np.ndarray, d: int) -> list[np.ndarray]:
-    """Blocks of G and of M, as one (count, size) index array per block size.
-
-    The blocks are the connected components of G's nonzero pattern with the
-    trace row's entries added to row 0, so the diagonal entries of rho share
-    the block of index 0. Indices ascend within a block and blocks of one size
-    ascend by their first index, so index 0 is entry [0, 0] of its array.
-    """
-    pattern = gen != 0
-    pattern[0, :: d + 1] = True  # vec(I) is 1 at the diagonal entries of rho
-    label = _components(pattern)
-    order = np.argsort(label, kind="stable")
-    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
-    # sorted(set()), not np.unique: a process's first plain np.unique costs ~15 ms
-    return [order[starts[sizes == size][:, None] + np.arange(size)]
-            for size in sorted(set(sizes.tolist()))]
-
-
-def _components(pattern: np.ndarray) -> np.ndarray:
-    """Smallest index of each index's connected component in a square pattern.
-
-    Entry (i, j) joins i and j. Each sweep lowers every index's label to the
-    smallest label across its entries, then jumps pointers (label[label])
-    until they settle; the labels stop changing once each component carries
-    its smallest index. A pattern whose row and column 0 join every index to
-    0, as a dense generator's do, is one component without a sweep.
-    """
-    if (pattern[0] | pattern[:, 0])[1:].all():
-        return np.zeros(pattern.shape[0], dtype=np.intp)
-    rows, cols = np.nonzero(pattern)
-    label = np.arange(pattern.shape[0])
-    while True:
-        lowered = label.copy()
-        np.minimum.at(lowered, rows, label[cols])
-        np.minimum.at(lowered, cols, label[rows])
-        while not np.array_equal(lowered[lowered], lowered):
-            lowered = lowered[lowered]
-        if np.array_equal(lowered, label):
-            return label
-        label = lowered
 
 
 def _normalized(v: np.ndarray, d: int) -> np.ndarray:
@@ -167,5 +115,4 @@ def _validated(rho: np.ndarray) -> np.ndarray:
 
 def long_time_entropy(model: LindbladModel, rho0, t_long: float, cfg: IntegratorConfig) -> float:
     """Entropy of the propagated state at t_long (overrides cfg.t_max)."""
-    run_cfg = replace(cfg, t_max=float(t_long))
-    return von_neumann_entropy(final_state(model, rho0, run_cfg))
+    return von_neumann_entropy(final_state(model, rho0, replace(cfg, t_max=float(t_long))))

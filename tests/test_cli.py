@@ -227,25 +227,23 @@ class TestSteady:
         assert capsys.readouterr().err == "error: SVD did not converge\n"
 
     @pytest.mark.parametrize("name", ["driven_qubit", "truncated_oscillator"])
-    def test_generator_built_once_and_residual_from_direct_map(
-        self, tmp_path, monkeypatch, name
-    ):
-        calls = []
-        build = steady_state_module.build_superoperator
+    def test_generator_built_zero_times(self, tmp_path, monkeypatch, name):
+        # and the report's residual is the direct map's
+        build = dynamics.build_superoperator
 
-        def counting_build(model, **kwargs):
-            calls.append(model)
-            return build(model, **kwargs)
+        def refused_build(model, **kwargs):
+            raise AssertionError("the d^2 x d^2 generator was built")
 
-        monkeypatch.setattr(steady_state_module, "build_superoperator", counting_build)
-        # Also count a build made from the CLI's own namespace, if it imports one.
-        monkeypatch.setattr(cli, "build_superoperator", counting_build, raising=False)
+        monkeypatch.setattr(dynamics, "build_superoperator", refused_build)
+        # Also wherever another module may import it by name.
+        monkeypatch.setattr(steady_state_module, "build_superoperator", refused_build,
+                            raising=False)
+        monkeypatch.setattr(cli, "build_superoperator", refused_build, raising=False)
         code, text = run(tmp_path, "steady", {"model": {"name": name}})
         assert code == 0
-        assert len(calls) == 1
         report = json.loads(text)
         rho = np.array([[complex(re, im) for re, im in row] for row in report["steady_state"]])
-        gen = build(calls[0])
+        gen = build(cli.get_model(name, {}))
         expected = float(np.linalg.norm(gen @ steady_state_module.vec(rho)))
         assert abs(report["generator_residual"] - expected) <= 1e-15
 
@@ -559,7 +557,7 @@ class TestConfigErrors:
     def test_generator_below_float_range(self, tmp_path, capsys, monkeypatch, model, bounds_code):
         # The largest generator entry has a reciprocal that overflows, so the
         # superoperator's self-check cannot probe it: steady refuses it, and
-        # simulate steps directly on the dense path too.
+        # simulate steps directly on the propagator's path too.
         config = {
             "model": model,
             "initial_state": "plus",
@@ -573,7 +571,7 @@ class TestConfigErrors:
         assert "generator scale" in err
         assert run(tmp_path, "bounds", config)[0] == bounds_code
         dense = run(tmp_path, "simulate", config, out_name="dense.csv")
-        monkeypatch.setattr(dynamics, "DENSE_MAX_DIM", 0)
+        monkeypatch.setattr(dynamics, "MAX_BLOCK", 0)
         assert run(tmp_path, "simulate", config, out_name="direct.csv") == dense
         assert dense[0] == 0
 

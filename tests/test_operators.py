@@ -200,3 +200,25 @@ def test_is_hermitian_relative_scale():
     big = 1e6 * np.identity(3) + 1e-4 * np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]])
     assert is_hermitian(big)  # defect tiny relative to the norm
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
+
+
+def test_top_level_exports():
+    import types
+
+    import entrodyn
+
+    exported = sorted(
+        name for name, value in vars(entrodyn).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == [
+        "BoundReport", "EIG_FLOOR", "IntegratorConfig", "LindbladModel", "ModelSpec",
+        "SteadyStateBound", "TraceSquareAudit", "TrajectoryRecord", "adjoint",
+        "assert_density", "bound_report", "build_superoperator", "channel_gain",
+        "convergence_order_check", "entropy_rate_exact", "final_state", "frobenius_norm_sq",
+        "get_model", "ginibre_matrix", "ginibre_state", "gue_hermitian", "liouvillian_rhs",
+        "list_models", "log_inequality_check", "long_time_entropy", "maximally_mixed",
+        "maximally_mixed_bound", "named_state", "propagate", "rate_lower_bound",
+        "steady_state", "steady_state_bound", "trace_square_audit", "unvec", "vec",
+        "von_neumann_entropy",
+    ]

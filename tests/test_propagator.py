@@ -1,4 +1,4 @@
-"""The dense RK4 propagator against the direct step loop and the exact propagator."""
+"""The blocked RK4 propagator against the direct step loop and the exact propagator."""
 
 import math
 
@@ -7,12 +7,15 @@ import pytest
 
 from entrodyn import dynamics
 from entrodyn.dynamics import (
-    DENSE_MAX_DIM,
-    DENSE_MIN_STEPS,
+    MAX_BLOCK,
+    MIN_PROPAGATOR_STEPS,
     IntegratorConfig,
     LindbladModel,
+    _check_against_direct_map,
+    _generator_blocks,
     _recorded_steps,
     _rk4_propagator,
+    _sectors,
     _step,
     build_superoperator,
     final_state,
@@ -26,6 +29,21 @@ from entrodyn.operators import adjoint, ginibre_matrix, ginibre_state, gue_hermi
 def random_two_channel_model():
     channels = (ginibre_matrix(3, 201), ginibre_matrix(3, 202))
     return LindbladModel(gue_hermitian(3, 200), channels, label="rand_two_channel")
+
+
+def dense_model(d, seed):
+    """One channel and a Hamiltonian with no zero entry: G is one block of d^2."""
+    return LindbladModel(gue_hermitian(d, seed), (ginibre_matrix(d, seed + 1),))
+
+
+def largest_block(model):
+    return max(idx.shape[1] for idx in _sectors(model))
+
+
+def propagator(model, dt):
+    blocks = _generator_blocks(model, _sectors(model))
+    _check_against_direct_map(model, blocks)
+    return _rk4_propagator(blocks, dt, model.dim)
 
 
 def direct_recorded_steps(model, rho0, cfg):
@@ -60,34 +78,63 @@ def observed_orders(model, rho0, t_max, dts):
 
 
 AGREEMENT_MODELS = {
+    "dephasing": lambda: get_model("dephasing"),
     "depolarizing": lambda: get_model("depolarizing"),
     "driven_qubit": lambda: get_model("driven_qubit"),
     "amplitude_damping": lambda: get_model("amplitude_damping"),
-    "oscillator_d16": lambda: get_model("truncated_oscillator", {"d": DENSE_MAX_DIM}),
+    "oscillator": lambda: get_model("truncated_oscillator"),
+    "oscillator_d16": lambda: get_model("truncated_oscillator", {"d": 16}),
+    "oscillator_d32": lambda: get_model("truncated_oscillator", {"d": 32, "gamma": 0.2}),
     "random_d3_two_channels": random_two_channel_model,
+    "dense_d4": lambda: dense_model(4, 210),
 }
 
 
 @pytest.mark.parametrize("name", sorted(AGREEMENT_MODELS))
 @pytest.mark.parametrize("stride", [1, 7, 250])
-def test_dense_path_agrees_with_direct_steps(name, stride):
+def test_dense_path_agrees_with_direct_steps(monkeypatch, name, stride):
+    # "dense": the propagator path, blocked or one d^2 x d^2 matrix
     model = AGREEMENT_MODELS[name]()
-    assert model.dim <= DENSE_MAX_DIM
+    assert largest_block(model) <= MAX_BLOCK
+    builds = []
+    monkeypatch.setattr(
+        dynamics, "_rk4_propagator", lambda *args: builds.append(args) or _rk4_propagator(*args)
+    )
     rho0 = ginibre_state(model.dim, seed=300)
-    cfg = IntegratorConfig(dt=1e-3, t_max=2.0, record_stride=stride)
-    dense = list(_recorded_steps(model, rho0, cfg))
+    cfg = IntegratorConfig(dt=1e-3, t_max=1.0 if model.dim > 16 else 2.0, record_stride=stride)
+    taken = list(_recorded_steps(model, rho0, cfg))
     direct = direct_recorded_steps(model, rho0, cfg)
-    assert [k for k, _ in dense] == [k for k, _ in direct]
-    for (_, got), (_, want) in zip(dense, direct):
+    assert len(builds) == 1
+    assert [k for k, _ in taken] == [k for k, _ in direct]
+    for (_, got), (_, want) in zip(taken, direct):
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, permuted",
+    [("depolarizing", False), ("driven_qubit", False), ("dense_d4", False),
+     ("amplitude_damping", False), ("oscillator_d16", True), ("oscillator_d32", True)],
+)
+def test_state_is_permuted_only_where_blocking_saves_work(name, permuted):
+    # depolarizing's two blocks of 2 pad to d^4 / 2 entries, driven_qubit is one block;
+    # amplitude_damping's blocks of 1, 1 and 2 stack padded to 2
+    model = AGREEMENT_MODELS[name]()
+    advance = propagator(model, 1e-3)
+    assert ("pos" in advance.__code__.co_freevars) == permuted  # the block-order take index
+    v, want = vec(ginibre_state(model.dim, seed=304)), ginibre_state(model.dim, seed=304)
+    for _ in range(3):
+        want = _step(model, want, 1e-3)
+    assert np.max(np.abs(advance(v, 3) - vec(want))) <= 1e-14
 
 
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_above_dense_max_dim_takes_the_direct_path(stride):
-    d = DENSE_MAX_DIM + 1
-    model = get_model("truncated_oscillator", {"d": d})
+    # a dense G at d=17 is one block of 289 > MAX_BLOCK entries
+    d = 17
+    model = dense_model(d, 220)
+    assert largest_block(model) == d * d > MAX_BLOCK
     rho0 = ginibre_state(d, seed=301)
-    cfg = IntegratorConfig(dt=1e-3, t_max=0.5, record_stride=stride)
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.3, record_stride=stride)
     taken = list(_recorded_steps(model, rho0, cfg))
     reference = direct_recorded_steps(model, rho0, cfg)
     assert len(taken) == len(reference)
@@ -98,41 +145,46 @@ def test_above_dense_max_dim_takes_the_direct_path(stride):
 
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_short_run_at_dense_max_dim_takes_the_direct_path(stride):
-    d = DENSE_MAX_DIM
-    model = get_model("truncated_oscillator", {"d": d})
+    d = 16
+    model = dense_model(d, 230)
+    assert largest_block(model) == MAX_BLOCK
     rho0 = ginibre_state(d, seed=302)
     cfg = IntegratorConfig(dt=1e-3, t_max=0.06, record_stride=stride)
-    assert cfg.n_steps < DENSE_MIN_STEPS
+    assert cfg.n_steps < MIN_PROPAGATOR_STEPS
     taken = list(_recorded_steps(model, rho0, cfg))
     reference = direct_recorded_steps(model, rho0, cfg)
     assert [k for k, _ in taken] == [k for k, _ in reference]
-    prop = _rk4_propagator(model, cfg.dt)
+    advance = propagator(model, cfg.dt)
     v, done = vec(reference[0][1]), 0
     for (k, got), (_, want) in zip(taken, reference):
         assert np.array_equal(got, want)
-        for _ in range(done, k):
-            v = prop @ v
-        dense = unvec(v, d)
+        dense = unvec(advance(v, k - done), d)
         v, done = vec(0.5 * (dense + adjoint(dense))), k
         assert np.max(np.abs(got - unvec(v, d))) <= 1e-13
 
 
-@pytest.mark.parametrize("d", [12, 14, DENSE_MAX_DIM])
-def test_propagator_is_built_from_the_break_even_step_count(monkeypatch, d):
+@pytest.mark.parametrize(
+    "model",
+    [dense_model(12, 240), dense_model(14, 250), dense_model(16, 260),
+     get_model("truncated_oscillator", {"d": 64})],
+    ids=["12", "14", "16", "oscillator_d64"],  # dense models of dimension d, or the oscillator
+)
+def test_propagator_is_built_from_the_break_even_step_count(monkeypatch, model):
     builds = []
     monkeypatch.setattr(
         dynamics, "_rk4_propagator", lambda *args: builds.append(args) or _rk4_propagator(*args)
     )
-    model = get_model("truncated_oscillator", {"d": d})
-    first_dense = math.ceil(DENSE_MIN_STEPS * (d / DENSE_MAX_DIM) ** 6)
-    for n_steps, built in ((first_dense - 1, 0), (first_dense, 1)):
-        cfg = IntegratorConfig(dt=1e-3, t_max=n_steps * 1e-3, record_stride=n_steps)
+    d = model.dim
+    first = math.ceil(MIN_PROPAGATOR_STEPS * (largest_block(model) / MAX_BLOCK) ** 3)
+    for n_steps, built in ((first - 1, 0), (first, 1)):
+        # t_max = dt is refused, so 1.4 dt rounds to one step
+        cfg = IntegratorConfig(dt=1e-3, t_max=(n_steps + 0.4) * 1e-3, record_stride=n_steps)
         assert cfg.n_steps == n_steps
         final_state(model, ginibre_state(d, seed=303), cfg)
         assert len(builds) == built
 
 
-@pytest.mark.parametrize("d", [4, DENSE_MAX_DIM + 1])
+@pytest.mark.parametrize("d", [4, 17])
 def test_fourth_order_against_exact_propagator(d):
     # A full-rank start: from "plus" the d=17 oscillator loses positivity at dt=0.02.
     model = get_model("truncated_oscillator", {"d": d})

@@ -57,8 +57,28 @@ def test_bench_pairs_summarizes_synthetic_pairs():
     assert cpu["parent_median"] == 0.395 and cpu["change_median"] == 0.155
     assert (cpu["parent_q1"], cpu["parent_q3"]) == (0.3875, 0.405)  # inclusive method
     assert cpu["change_better_pairs"] == 3  # the second pair went to the parent
+    assert cpu["median_rel_change"] == round((0.155 - 0.395) / 0.395, 6)
+    assert not cpu["gain_met"]  # 3/4 pairs is below 9 in 10
     # ties count for neither side; higher is better for ok_frac
-    assert summary["metrics"]["ok_frac"]["change_better_pairs"] == 0
+    ok = summary["metrics"]["ok_frac"]
+    assert ok["change_better_pairs"] == 0 and ok["median_rel_change"] == 0.0
+    assert not ok["gain_met"]
+    # 9/10 pairs won, medians 0.40 -> 0.20: met unless the parent's IQR spans the gap
+    wins = [run(0.20, 1.0)] * 9 + [run(0.50, 1.0)]
+    for spread, met in ((0.05, True), (0.15, False)):
+        parents = [run(0.40 + spread * (-1) ** i, 1.0) for i in range(10)]
+        cpu = bench.summarize(parents, wins, {"cpu_s": "lower"})["metrics"]["cpu_s"]
+        assert cpu["change_better_pairs"] == 9
+        assert abs(cpu["parent_q3"] - cpu["parent_q1"] - 2 * spread) <= 1e-9
+        assert cpu["gain_met"] is met
+    # 8/10 pairs won with a clear gap still misses
+    eight = bench.summarize([run(0.40, 1.0)] * 10, [run(0.30, 1.0)] * 8 + [run(0.5, 1.0)] * 2,
+                            {"cpu_s": "lower"})["metrics"]["cpu_s"]
+    assert eight["change_better_pairs"] == 8 and not eight["gain_met"]
+    # higher is better: a rise is a gain, and its relative change is positive
+    up = bench.summarize([run(0.1, 0.90)] * 10, [run(0.1, 0.99)] * 10,
+                         {"ok_frac": "higher"})["metrics"]["ok_frac"]
+    assert up["gain_met"] and up["median_rel_change"] == 0.1
     assert not bench.summarize(parent, [run(0.1, 1.0, correct=False)] * 4,
                                {"cpu_s": "lower"})["all_outputs_correct"]
     assert bench.parse_seeds("101-103,7") == [101, 102, 103, 7]

@@ -102,16 +102,16 @@ def test_steady_state_takes_the_generator_magnitudes_once(monkeypatch):
     calls = []
     original = dynamics._magnitudes
 
-    def counted(gen):
-        calls.append(gen.shape)
-        return original(gen)
+    def counted(blocks):
+        calls.append([idx.shape for idx, _ in blocks])
+        return original(blocks)
 
     monkeypatch.setattr(dynamics, "_magnitudes", counted)
     # also wherever the solver module may import it by name
     solver = importlib.import_module("entrodyn.steady_state")
     monkeypatch.setattr(solver, "_magnitudes", counted, raising=False)
     steady_state(get_model("truncated_oscillator", {"d": 5}))
-    assert calls == [(25, 25)]
+    assert calls == [[(2, 1), (2, 2), (2, 3), (2, 4), (1, 5)]]
 
 
 @pytest.mark.parametrize(

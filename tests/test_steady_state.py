@@ -8,6 +8,10 @@ from entrodyn.dynamics import (
     IntegratorConfig,
     LindbladModel,
     _check_against_direct_map,
+    _components,
+    _generator_blocks,
+    _sectors,
+    build_superoperator,
     final_state,
     liouvillian_rhs,
 )
@@ -15,18 +19,13 @@ from entrodyn.entropy_bounds import steady_state_bound, von_neumann_entropy
 from entrodyn.errors import DegenerateSteadyStateError, NoSteadyStateError, NumericsError
 from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, named_state
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, maximally_mixed
-from entrodyn.steady_state import (
-    _components,
-    _sectors,
-    _svd_solve,
-    build_superoperator,
-    long_time_entropy,
-    steady_state,
-    unvec,
-    vec,
-)
+from entrodyn.steady_state import _svd_solve, long_time_entropy, steady_state, unvec, vec
 
 UNIQUE_PRESETS = ("amplitude_damping", "depolarizing", "driven_qubit", "truncated_oscillator")
+
+
+def blocks_of(model):
+    return _generator_blocks(model, _sectors(model))
 
 
 def slowest_rate(model):
@@ -65,8 +64,8 @@ def test_superoperator_self_check_random_model():
         gue_hermitian(3, seed=14),
         (ginibre_matrix(3, seed=15), ginibre_matrix(3, seed=16)),
     )
+    _check_against_direct_map(model, blocks_of(model))  # raises on self-check failure
     gen = build_superoperator(model)
-    _check_against_direct_map(model, gen)  # raises on self-check failure
     for seed in range(10):
         rho = ginibre_state(3, seed)
         residual = unvec(gen @ vec(rho), 3) - liouvillian_rhs(model, rho)
@@ -192,29 +191,42 @@ def test_superoperator_matches_kron_formula(name):
 
 
 class TestSelfCheck:
-    """The build's check against the direct map, at rates whose norms overflow."""
+    """The blocks' check against the direct map, at rates whose norms overflow."""
 
     def huge_model(self):
         return get_model("truncated_oscillator", {"d": 4, "gamma": 1e300})
 
     def test_huge_generator_passes(self):
         model = self.huge_model()
-        _check_against_direct_map(model, build_superoperator(model))
+        _check_against_direct_map(model, blocks_of(model))
 
     def test_disagreement_at_huge_scale_fails(self):
         model = self.huge_model()
-        gen = build_superoperator(model).copy()
-        gen[5, 2] += 1e-6 * np.max(np.abs(gen))
+        blocks = blocks_of(model)
+        mats = blocks[-1][1]
+        mats[0, 1, 0] += 1e-6 * max(np.max(np.abs(m)) for _, m in blocks)
         with pytest.raises(NumericsError):
-            _check_against_direct_map(model, gen)
+            _check_against_direct_map(model, blocks)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_residual_fails(self, bad):
         model = get_model("driven_qubit")
-        gen = build_superoperator(model).copy()
-        gen[1, 2] = bad
+        blocks = blocks_of(model)
+        blocks[0][1][0, 1, 2] = bad
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
-            _check_against_direct_map(model, gen)
+            _check_against_direct_map(model, blocks)
+
+    def test_entry_missing_across_blocks_fails(self):
+        # Splitting a sector in two drops the entries that join its halves;
+        # the dense probes see them missing.
+        model = get_model("truncated_oscillator", {"d": 5})
+        sectors = _sectors(model)
+        idx = sectors[-1]  # the diagonal entries of rho, one block of d
+        assert idx.shape == (1, 5)
+        split = sectors[:-1] + [idx[:, :2], idx[:, 2:]]
+        _check_against_direct_map(model, _generator_blocks(model, sectors))
+        with pytest.raises(NumericsError):
+            _check_against_direct_map(model, _generator_blocks(model, split))
 
 
 class TestCertifiedSolve:
@@ -237,7 +249,7 @@ class TestCertifiedSolve:
         for seed in range(8):
             model = random_model(d, seed, 1 + seed % 3)
             direct = steady_state(model)
-            by_svd = _svd_solve(build_superoperator(model), d, 1e-10)
+            by_svd = _svd_solve(blocks_of(model), d, 1e-10)
             assert np.max(np.abs(direct - by_svd)) <= 1e-12
 
     @pytest.mark.parametrize("d", [3, 5])
@@ -293,17 +305,17 @@ class TestComponents:
         rng = np.random.default_rng(100 + seed)
         sizes = [int(s) for s in rng.choice([1, 1, 2, 3, 5, 9], size=12)]
         pattern, _ = permuted_blocks(sizes, seed)
-        label = _components(pattern)
+        label = _components(*np.nonzero(pattern), len(pattern))
         assert np.array_equal(label, bfs_labels(pattern))
         assert sorted(np.unique(label, return_counts=True)[1]) == sorted(sizes)
 
     def test_dense_pattern_is_one_block(self):
-        assert np.array_equal(_components(np.ones((7, 7), dtype=bool)), np.zeros(7))
+        assert np.array_equal(_components(*np.nonzero(np.ones((7, 7))), 7), np.zeros(7))
         # dense but for row and column 0, which meet the rest in one entry
         pattern = np.ones((7, 7), dtype=bool)
         pattern[0] = pattern[:, 0] = False
         pattern[0, 5] = True
-        assert np.array_equal(_components(pattern), np.zeros(7))
+        assert np.array_equal(_components(*np.nonzero(pattern), 7), np.zeros(7))
 
     def test_patterns_that_need_several_sweeps(self):
         # in the path 0 - 2 - 1, index 1 is below its only neighbour, so the
@@ -311,16 +323,16 @@ class TestComponents:
         # indices has many such local minima
         path = np.zeros((3, 3), dtype=bool)
         path[0, 2] = path[1, 2] = True
-        assert np.array_equal(_components(path), np.zeros(3))
+        assert np.array_equal(_components(*np.nonzero(path), 3), np.zeros(3))
         order = np.random.default_rng(7).permutation(60)
         chain = np.zeros((90, 90), dtype=bool)
         chain[order[1:], order[:-1]] = True
         expected = bfs_labels(chain)
-        assert np.array_equal(_components(chain), expected)
+        assert np.array_equal(_components(*np.nonzero(chain), 90), expected)
         assert np.count_nonzero(expected == 0) == 60 and len(set(expected)) == 31
 
     def test_no_entries_leaves_singletons(self):
-        assert np.array_equal(_components(np.zeros((4, 4), dtype=bool)), np.arange(4))
+        assert np.array_equal(_components(*np.nonzero(np.zeros((4, 4))), 4), np.arange(4))
 
 
 def full_direct_solve(model):
@@ -357,7 +369,7 @@ class TestBlockSolve:
     def test_shuffled_sector_models_match_the_full_inverse(self, d):
         for seed in range(3):
             model = sector_model(d, 10 * d + seed)
-            sectors = _sectors(build_superoperator(model), d)
+            sectors = _sectors(model)
             assert len(sectors) > 1
             assert any(np.any(np.diff(block) != 1) for idx in sectors for block in idx)
             rho = steady_state(model)
@@ -366,7 +378,8 @@ class TestBlockSolve:
             gen = build_superoperator(model)
             null = unvec(np.conj(np.linalg.svd(gen)[2][-1]), d)
             null = 0.5 * (null + null.conj().T)
-            assert np.max(np.abs(_svd_solve(gen, d, 1e-10) - null / np.trace(null).real)) <= 1e-12
+            by_blocks = _svd_solve(blocks_of(model), d, 1e-10)
+            assert np.max(np.abs(by_blocks - null / np.trace(null).real)) <= 1e-12
 
     @pytest.mark.parametrize("factor, certified", [(0.9, True), (1.1, False)])
     def test_certificate_uses_the_full_inverse_norm(self, monkeypatch, factor, certified):
@@ -414,4 +427,4 @@ class TestBlockSolve:
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state(model)
         assert largest and max(largest) == d
-        assert sum(len(idx) for idx in _sectors(build_superoperator(model), d)) == 2 * d - 1
+        assert sum(len(idx) for idx in _sectors(model)) == 2 * d - 1
