@@ -5,9 +5,8 @@ from .dynamics import (IntegratorConfig, LindbladModel, TrajectoryRecord, build_
                        convergence_order_check, final_state, liouvillian_rhs, propagate, unvec,
                        vec)
 from .entropy_bounds import (EIG_FLOOR, BoundReport, SteadyStateBound, TraceSquareAudit,
-                             bound_report, channel_gain, entropy_rate_exact, log_inequality_check,
-                             maximally_mixed_bound, rate_lower_bound, steady_state_bound,
-                             trace_square_audit, von_neumann_entropy)
+                             bound_report, log_inequality_check, maximally_mixed_bound,
+                             steady_state_bound, trace_square_audit, von_neumann_entropy)
 from .models import ModelSpec, get_model, list_models, named_state
 from .operators import (adjoint, assert_density, frobenius_norm_sq, ginibre_matrix, ginibre_state,
                         gue_hermitian, maximally_mixed)

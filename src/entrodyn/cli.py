@@ -103,21 +103,9 @@ SIMULATE_HEADER = (
 AUDIT_HEADER = "case_id,trace_sq_lhs,trace_sq_rhs,trace_sq_holds,logineq_min_eig"
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits, scientific notation; infinities as bare tokens."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return format(float(x), ".16e")
-
-
-def _fmt_opt(x: float | None) -> str:
-    return "" if x is None else _fmt(x)
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
+def _fmt(x: float | None) -> str:
+    """17 significant digits, scientific notation; ``inf``, ``-inf``, ``nan`` bare; None empty."""
+    return "" if x is None else format(x, ".16e")
 
 
 def _json_float(x: float) -> Any:
@@ -235,22 +223,12 @@ def run_simulate(config: dict, out: TextIO) -> int:
     except NotDensityError as exc:
         raise ConfigError(f"initial_state fails the integrator's input gate: {exc}") from exc
     lines = [SIMULATE_HEADER]
-    for i, rep in enumerate(traj.reports):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(traj.times[i]),
-                    _fmt(rep.entropy),
-                    _fmt(rep.rate_exact),
-                    _fmt(rep.rate_lower_bound),
-                    _fmt_opt(rep.threshold_general),
-                    _fmt_opt(rep.threshold_variance),
-                    _fmt_bool(rep.monotone_guaranteed),
-                    _fmt(traj.trace_errors[i]),
-                    _fmt(traj.min_eigs[i]),
-                )
-            )
-        )
+    for t, rep, trace_error, min_eig in zip(traj.times, traj.reports, traj.trace_errors,
+                                            traj.min_eigs):
+        numbers = (t, rep.entropy, rep.rate_exact, rep.rate_lower_bound, rep.threshold_general,
+                   rep.threshold_variance)
+        flag = str(rep.monotone_guaranteed).lower()
+        lines.append(",".join([*map(_fmt, numbers), flag, _fmt(trace_error), _fmt(min_eig)]))
     out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -356,7 +334,7 @@ def run_audit(config: dict, out: TextIO) -> int:
         trace_sq_violations += int(np.count_nonzero(~holds))
         log_violations += int(np.count_nonzero(gaps < -1e-10))
         for c, a, b, h, g in zip(ids, lhs.tolist(), rhs.tolist(), holds.tolist(), gaps.tolist()):
-            out.write(f"{c},{_fmt(a)},{_fmt(b)},{_fmt_bool(h)},{_fmt(g)}\n")
+            out.write(f"{c},{_fmt(a)},{_fmt(b)},{str(h).lower()},{_fmt(g)}\n")
     out.write(
         f"# summary: rows={count} trace_sq_violations={trace_sq_violations} "
         f"log_ineq_violations={log_violations}\n"

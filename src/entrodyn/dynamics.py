@@ -25,7 +25,7 @@ from . import entropy_bounds
 from .errors import (BadParamsError, ConfigError, DimMismatchError, NotHermitianError,
                      NumericsError, PositivityLostError)
 from .operators import (SpectralDecomposition, adjoint, as_operator, assert_density,
-                        frobenius_norm_sq, ginibre_state, hermitian_eig, hermitian_part,
+                        frobenius_norm_sq, gram_state, hermitian_eig, hermitian_part,
                         hermiticity_defect, is_hermitian)
 
 # Recorded states must hold |tr(rho) - 1| within this drift; the trace is never renormalized.
@@ -154,9 +154,9 @@ class TrajectoryRecord:
 
 
 def liouvillian_rhs(model: LindbladModel, rho) -> np.ndarray:
-    """Full generator -i[H, rho] + sum_j (L_j rho L_j^dag - {L_j^dag L_j, rho}/2)."""
+    """Full generator -i[H, rho] + sum_j D[L_j] rho, of one state or of each of a stack."""
     state = np.asarray(rho, dtype=np.complex128)
-    if state.shape != model.hamiltonian.shape:
+    if state.shape[-2:] != model.hamiltonian.shape:
         raise DimMismatchError(f"state {state.shape} vs model dim {model.dim}")
     h = model.hamiltonian
     out = -1j * (h @ state - state @ h)
@@ -211,6 +211,8 @@ def _sectors(model: LindbladModel) -> list[np.ndarray]:
     first index, so index 0 is entry [0, 0] of its array.
     """
     d = model.dim
+    if any(np.count_nonzero(chan) == d * d for chan in model.channels):
+        return [np.arange(d * d)[None]]  # a dense channel joins every pair: one block, no sweep
     cell = np.arange(d * d).reshape(d, d)  # cell[b, a] is the vec index of rho[a, b]
     k, r = _decay_terms(model)
     (a, c), (e, b) = np.nonzero(k), np.nonzero(r)
@@ -289,15 +291,19 @@ def _check_against_direct_map(model: LindbladModel, blocks: list[tuple]) -> tupl
     """Check G's blocks against :func:`liouvillian_rhs` on random states; return its _magnitudes.
 
     The probes are dense, so an entry missing between blocks shows as a residual.
+    All 10 go through one stacked pass: one draw, one block product, one direct map.
     """
     peak, frob, col = _magnitudes(blocks)
-    probes = [ginibre_state(model.dim, seed) / peak for seed in range(10)]  # units of peak
-    applied = _apply(blocks, np.stack([vec(rho) for rho in probes], axis=1))
-    for rho, column in zip(probes, applied.T):
-        residual = unvec(column, model.dim) - liouvillian_rhs(model, rho)
-        if not float(np.linalg.norm(residual)) <= 1e-10 * max(1.0 / peak, frob):  # NaN fails
-            raise NumericsError("superoperator disagrees with the direct generator; "
-                                "vectorization convention broken")
+    d = model.dim
+    real, imag = np.random.default_rng(0).standard_normal((2, 10, d, d))
+    probes = gram_state(real + 1j * imag) / peak  # units of peak
+    # vec of each probe is a row of its transpose; unvec undoes it the same way
+    applied = _apply(blocks, probes.swapaxes(1, 2).reshape(10, d * d).T)
+    residual = applied.T.reshape(10, d, d).swapaxes(1, 2) - liouvillian_rhs(model, probes)
+    # NaN fails the comparison
+    if not np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-10 * max(1.0 / peak, frob)):
+        raise NumericsError("superoperator disagrees with the direct generator; "
+                            "vectorization convention broken")
     return peak, frob, col
 
 

@@ -108,13 +108,11 @@ def _gains(channels, squares, states) -> tuple[np.ndarray, np.ndarray]:
     return first - np.stack(second, axis=1), first
 
 
-def channel_gain(channel, rho) -> float:
-    """tr(L^dag L rho) - tr(L rho L^dag rho), the shared bound numerator."""
-    op = as_operator(channel)
-    return float(_gains((op,), (adjoint(op) @ op,), as_operator(rho)[None])[0][0, 0])
-
-
 def _exact_rates(model: "LindbladModel", dec: SpectralDecomposition) -> np.ndarray:
+    """Exact dS/dt per state: sum_j [tr(L_j^dag L_j rho ln rho) - tr(L_j rho L_j^dag ln rho)].
+
+    A channel that feeds rho's null space above ``NULL_LEAK_TOL`` gives ``RATE_SATURATED``.
+    """
     lam, vecs = dec.eigenvalues, dec.eigenvectors
     if model.channels and model.dim != lam.shape[-1]:
         raise DimMismatchError(f"state dim {lam.shape[-1]} vs model dim {model.dim}")
@@ -128,24 +126,6 @@ def _exact_rates(model: "LindbladModel", dec: SpectralDecomposition) -> np.ndarr
         saturated |= np.sum(weights * leak_weight, axis=(1, 2)) > NULL_LEAK_TOL
         total += np.sum(weights * lam[:, None, :] * log_ratio, axis=(1, 2))
     return np.where(saturated, RATE_SATURATED, total)
-
-
-def entropy_rate_exact(model: "LindbladModel", rho) -> float:
-    """Exact dS/dt under the model at the given state.
-
-    The Hamiltonian contributes nothing, so only channels enter:
-    sum_j [ tr(L_j^dag L_j rho ln rho) - tr(L_j rho L_j^dag ln rho) ],
-    evaluated spectrally with eigenvalues floored at ``EIG_FLOOR``. When a
-    channel feeds weight above ``NULL_LEAK_TOL`` onto the numerical null space of
-    rho the true rate diverges, and ``math.inf`` is returned instead of a
-    clamped finite number.
-    """
-    return float(_exact_rates(model, _one(rho)[1])[0])
-
-
-def rate_lower_bound(model: "LindbladModel", rho) -> float:
-    """Lower bound on dS/dt: sum_j [ -|L_j|_F^2 S(rho) + gain(L_j, rho) ]."""
-    return bound_report(model, rho).rate_lower_bound
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Operators are plain complex128 numpy arrays; a density matrix is any operator
 that passes :func:`density_spectra`, the one density gate. Throughout the
 package the squared Frobenius norm means ``tr(A^dag A) = sum_ij |a_ij|^2``.
 The Hermiticity, eigen and gate functions and :func:`gram_state` also act on
-each matrix of a stack.
+each matrix of a stack. :func:`hermitian_eig` does not gate its input; callers
+pass exactly Hermitian matrices, and :func:`require_hermitian` is the check.
 
 Random ensembles are drawn from numpy's default PCG64 bit generator, seeded
 per call, so repeated calls with the same seed are bit-identical.
@@ -77,25 +78,13 @@ class SpectralDecomposition:
 def hermitian_eig(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of each of a stack by one ``eigh``.
 
-    Raises NotHermitianError when an input fails the Hermiticity gate; a
-    backend that does not converge raises ``numpy.linalg.LinAlgError``.
-    Eigenvectors of degenerate eigenvalues are an arbitrary orthonormal choice.
+    The input is not checked: ``eigh`` reads one triangle, so pass an exactly
+    Hermitian matrix (:func:`hermitian_part`). A backend that does not converge
+    raises ``numpy.linalg.LinAlgError``. Eigenvectors of degenerate eigenvalues
+    are an arbitrary orthonormal choice.
     """
-    return _eigh(require_hermitian(a))
-
-
-def _eigh(arr: np.ndarray) -> SpectralDecomposition:
-    w, v = np.linalg.eigh(arr)
+    w, v = np.linalg.eigh(a)
     return SpectralDecomposition(w[..., ::-1].copy(), v[..., ::-1].copy())
-
-
-def trace_product(a, b) -> complex:
-    """tr(A @ B) without forming the product."""
-    lhs = np.asarray(a)
-    rhs = np.asarray(b)
-    if lhs.shape[1] != rhs.shape[0] or lhs.shape[0] != rhs.shape[1]:
-        raise DimMismatchError(f"cannot trace product of {lhs.shape} and {rhs.shape}")
-    return complex(np.einsum("ij,ji->", lhs, rhs))
 
 
 def maximally_mixed(d: int) -> np.ndarray:
@@ -126,7 +115,7 @@ def density_spectra(
         bad = np.flatnonzero(~(trace_err <= trace_tol))
         if bad.size:
             raise NotDensityError(f"trace error {trace_err[bad[0]]:.3e} > {trace_tol:.1e}")
-        dec = _eigh(hermitian_part(arr))  # entries near the float limit overflow to NaN
+        dec = hermitian_eig(hermitian_part(arr))  # entries near the float limit overflow to NaN
     low = dec.eigenvalues[:, -1]
     bad = np.flatnonzero(~(low >= -positivity_tol))
     if bad.size:

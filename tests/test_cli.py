@@ -114,6 +114,52 @@ class TestSimulate:
         _, rows = parse_csv(text)
         assert rows[0]["rate_exact"] == "inf"
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+            (-0.0, "-0.0000000000000000e+00"),
+            (5e-324, "4.9406564584124654e-324"),
+            (0.1, "1.0000000000000001e-01"),
+            (np.float64(0.1), "1.0000000000000001e-01"),
+            (None, ""),
+        ],
+    )
+    def test_field_format(self, value, text):
+        assert cli._fmt(value) == text
+
+    @pytest.mark.parametrize(
+        "state, row",
+        [
+            (
+                "maximally_mixed",
+                "0.0000000000000000e+00,6.9314718055994529e-01,0.0000000000000000e+00,"
+                "-4.4314718055994529e-01,2.5000000000000000e-01,,false,"
+                "0.0000000000000000e+00,5.0000000000000000e-01",
+            ),
+            (
+                [[1, 0], [0, 0]],
+                "0.0000000000000000e+00,0.0000000000000000e+00,inf,1.0000000000000000e+00,"
+                "1.0000000000000000e+00,,true,0.0000000000000000e+00,0.0000000000000000e+00",
+            ),
+        ],
+    )
+    def test_row_bytes(self, tmp_path, state, row):
+        # amplitude damping at t = 0: every field is exact, so the bytes are pinned
+        code, text = run(
+            tmp_path,
+            "simulate",
+            {
+                "model": {"name": "amplitude_damping"},
+                "initial_state": state,
+                "integrator": {"dt": 0.01, "t_max": 0.02, "record_stride": 2},
+            },
+        )
+        assert code == 0
+        assert text.splitlines()[:2] == [SIMULATE_HEADER, row]
+
     def test_positivity_lost_exits_three(self, tmp_path):
         code, _ = run(
             tmp_path,

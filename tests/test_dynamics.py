@@ -163,6 +163,14 @@ class TestLiouvillianRhs:
             assert abs(np.trace(out)) <= 1e-9
             assert np.linalg.norm(out - adjoint(out)) <= 1e-9
 
+    def test_stack_matches_each_state(self):
+        model = random_model(3, seed=41, n_channels=2)
+        stack = np.stack([ginibre_state(3, seed=950 + i) for i in range(4)])
+        each = np.stack([liouvillian_rhs(model, rho) for rho in stack])
+        assert_allclose(liouvillian_rhs(model, stack), each, rtol=0, atol=1e-14)
+        with pytest.raises(DimMismatchError):
+            liouvillian_rhs(model, np.zeros((4, 2, 2)))
+
 
 class TestPropagate:
     def test_zero_generator_is_identity_map(self):

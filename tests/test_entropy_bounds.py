@@ -9,11 +9,8 @@ from numpy.testing import assert_allclose
 from entrodyn.dynamics import IntegratorConfig, LindbladModel, propagate
 from entrodyn.entropy_bounds import (
     bound_report,
-    channel_gain,
-    entropy_rate_exact,
     log_inequality_check,
     maximally_mixed_bound,
-    rate_lower_bound,
     steady_state_bound,
     trace_square_audit,
     von_neumann_entropy,
@@ -86,15 +83,15 @@ class TestEntropy:
 class TestExactRate:
     def test_no_channels_is_exactly_zero(self):
         model = LindbladModel(gue_hermitian(3, seed=2))
-        assert entropy_rate_exact(model, ginibre_state(3, seed=3)) == 0.0
+        assert bound_report(model, ginibre_state(3, seed=3)).rate_exact == 0.0
 
     def test_dephasing_fixed_point(self):
         model = get_model("dephasing")
-        assert abs(entropy_rate_exact(model, maximally_mixed(2))) <= 1e-12
+        assert abs(bound_report(model, maximally_mixed(2)).rate_exact) <= 1e-12
 
     def test_pure_state_saturates(self):
         model = get_model("amplitude_damping")
-        assert entropy_rate_exact(model, EXCITED) == math.inf
+        assert bound_report(model, EXCITED).rate_exact == math.inf
 
     def test_matches_finite_differences_along_trajectory(self):
         model = get_model("dephasing")
@@ -123,13 +120,13 @@ class TestExactRate:
                     - np.trace(channel @ rho @ op_dag @ log_rho)
                 ).real
             )
-            assert abs(entropy_rate_exact(model, rho) - expected) <= 1e-9
+            assert abs(bound_report(model, rho).rate_exact - expected) <= 1e-9
 
 
 class TestRateLowerBound:
     def test_no_channels(self):
         model = LindbladModel(np.zeros((2, 2)))
-        assert rate_lower_bound(model, PLUS) == 0.0
+        assert bound_report(model, PLUS).rate_lower_bound == 0.0
 
     def test_identity_channel_formula(self):
         # -d S + 1 - tr(rho^2), derived from |I|_F^2 = d and tr(rho) = 1
@@ -139,15 +136,15 @@ class TestRateLowerBound:
                 -d * von_neumann_entropy(rho) + 1.0 - float(np.trace(rho @ rho).real)
             )
             model = single_channel_model(np.identity(d, dtype=complex))
-            assert abs(rate_lower_bound(model, rho) - expected) <= 1e-10
+            assert abs(bound_report(model, rho).rate_lower_bound - expected) <= 1e-10
 
     def test_dephasing_value_at_maximally_mixed(self):
         model = get_model("dephasing")
         expected = -2.0 * math.log(2) + 0.5
-        value = rate_lower_bound(model, maximally_mixed(2))
-        assert abs(value - expected) <= 1e-12
+        rep = bound_report(model, maximally_mixed(2))
+        assert abs(rep.rate_lower_bound - expected) <= 1e-12
         # the exact rate (zero here) respects the bound
-        assert entropy_rate_exact(model, maximally_mixed(2)) >= value
+        assert rep.rate_exact >= rep.rate_lower_bound
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_bound_holds_on_random_states(self, d):
@@ -155,9 +152,9 @@ class TestRateLowerBound:
             channel = gue_hermitian(d, 100 + i) if i % 2 else ginibre_matrix(d, 100 + i)
             model = single_channel_model(channel, hamiltonian=gue_hermitian(d, 200 + i))
             rho = ginibre_state(d, 300 + i)
-            rate = entropy_rate_exact(model, rho)
-            if math.isfinite(rate):
-                assert rate >= rate_lower_bound(model, rho) - 1e-8
+            rep = bound_report(model, rho)
+            if math.isfinite(rep.rate_exact):
+                assert rep.rate_exact >= rep.rate_lower_bound - 1e-8
 
 
 class TestMonotonicityThreshold:
@@ -275,7 +272,7 @@ class TestRateBoundAtEntropy:
             model = single_channel_model(channel)
             weight = frobenius_norm_sq(channel)
             expected = weight * (1.0 / d - 1.0 / d**2 - math.log(d))
-            value = rate_lower_bound(model, maximally_mixed(d))
+            value = bound_report(model, maximally_mixed(d)).rate_lower_bound
             assert abs(value - expected) <= 1e-10
             assert value < 0.0
 
@@ -386,11 +383,10 @@ class TestBoundReport:
         model = get_model("depolarizing")
         rho = ginibre_state(2, seed=31)
         rep = bound_report(model, rho)
-        assert rep.rate_lower_bound == pytest.approx(rate_lower_bound(model, rho), abs=1e-12)
         assert rep.threshold_general == pytest.approx(
             steady_state_bound(model, rho).entropy_floor_raw, abs=1e-12
         )
-        gains = [channel_gain(c, rho) for c in model.channels]
+        gains = steady_state_bound(model, rho).channel_gains
         expected = -6.0 * von_neumann_entropy(rho) + sum(gains)
         assert rep.rate_lower_bound == pytest.approx(expected, abs=1e-12)
 
@@ -398,4 +394,5 @@ class TestBoundReport:
         for i in range(30):
             channel = ginibre_matrix(3, seed=21 + i)
             rho = ginibre_state(3, seed=51 + i)
-            assert channel_gain(channel, rho) >= -1e-10
+            gains = steady_state_bound(single_channel_model(channel), rho).channel_gains
+            assert gains[0] >= -1e-10

@@ -66,6 +66,18 @@ def test_oscillator_sectors_are_the_components_of_the_exact_pattern(d):
     assert sectors == exact and len(sectors) == 2 * d - 1
 
 
+def test_dense_channel_is_one_block_without_a_sweep(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a dense channel's edges were swept")
+
+    monkeypatch.setattr(dynamics, "_components", refused)
+    sparse = np.diag(np.arange(1.0, 41.0))
+    for model in (random_dense_model(4, 1),
+                  LindbladModel(np.zeros((40, 40)), (sparse, ginibre_matrix(40, seed=3)))):
+        (idx,) = _sectors(model)
+        assert np.array_equal(idx, np.arange(model.dim**2)[None])
+
+
 def test_d64_oscillator_never_builds_the_dense_generator(monkeypatch):
     def refused(model):
         raise AssertionError("the d^2 x d^2 generator was built")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entrodyn import dynamics
 from entrodyn.dynamics import (
     IntegratorConfig,
     LindbladModel,
@@ -215,6 +216,20 @@ class TestSelfCheck:
         blocks[0][1][0, 1, 2] = bad
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
             _check_against_direct_map(model, blocks)
+
+    @pytest.mark.parametrize("name, params", [("depolarizing", {}),
+                                              ("truncated_oscillator", {"d": 5})])
+    def test_one_draw_and_one_direct_map_per_check(self, monkeypatch, name, params):
+        model = get_model(name, params)
+        blocks = blocks_of(model)
+        calls = {"default_rng": [], "liouvillian_rhs": []}
+        for owner, attr in ((np.random, "default_rng"), (dynamics, "liouvillian_rhs")):
+            original = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *args, original=original, attr=attr:
+                                calls[attr].append(args) or original(*args))
+        _check_against_direct_map(model, blocks)
+        assert len(calls["default_rng"]) == len(calls["liouvillian_rhs"]) == 1
+        assert calls["liouvillian_rhs"][0][1].shape == (10, model.dim, model.dim)
 
     def test_entry_missing_across_blocks_fails(self):
         # Splitting a sector in two drops the entries that join its halves;
