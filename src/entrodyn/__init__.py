@@ -1,9 +1,8 @@
 """Entropy dynamics, bounds, and steady-state floors for Markovian open quantum systems."""
 
 from . import errors
-from .dynamics import (IntegratorConfig, LindbladModel, TrajectoryRecord, build_superoperator,
-                       convergence_order_check, final_state, liouvillian_rhs, propagate, unvec,
-                       vec)
+from .dynamics import (IntegratorConfig, LindbladModel, TrajectoryRecord, convergence_order_check,
+                       final_state, liouvillian_rhs, propagate)
 from .entropy_bounds import (EIG_FLOOR, BoundReport, SteadyStateBound, TraceSquareAudit,
                              bound_report, log_inequality_check, maximally_mixed_bound,
                              steady_state_bound, trace_square_audit, von_neumann_entropy)

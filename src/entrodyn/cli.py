@@ -120,6 +120,11 @@ def _matrix_json(a) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
 
 
+def _write_json(out: TextIO, payload) -> None:
+    json.dump(payload, out, indent=2)
+    out.write("\n")
+
+
 def _parse_entry(value) -> complex:
     if isinstance(value, bool):
         raise ConfigError("matrix entries must be numbers or [re, im] pairs")
@@ -214,7 +219,7 @@ def _integrator_from_config(config: dict) -> IntegratorConfig:
     return IntegratorConfig(**{"dt": 1e-3, "t_max": 1.0, **raw})
 
 
-def run_simulate(config: dict, out: TextIO) -> int:
+def run_simulate(config: dict, out: TextIO) -> None:
     model = _model_from_config(config)
     rho0 = _state_from_config(config, model.dim)
     cfg = _integrator_from_config(config)
@@ -230,10 +235,9 @@ def run_simulate(config: dict, out: TextIO) -> int:
         flag = str(rep.monotone_guaranteed).lower()
         lines.append(",".join([*map(_fmt, numbers), flag, _fmt(trace_error), _fmt(min_eig)]))
     out.write("\n".join(lines) + "\n")
-    return EXIT_OK
 
 
-def run_steady(config: dict, out: TextIO) -> int:
+def run_steady(config: dict, out: TextIO) -> None:
     model = _model_from_config(config)
     tol = config.get("tol", 1e-10)
     if not isinstance(tol, (int, float)) or not 0 < tol < 1:
@@ -241,16 +245,14 @@ def run_steady(config: dict, out: TextIO) -> int:
     try:
         rho_inf = steady_state(model, float(tol))
     except DegenerateSteadyStateError as exc:
-        json.dump(
+        _write_json(
+            out,
             {
                 "error": "degenerate_steady_state",
                 "null_dimension": exc.null_dimension,
                 "label": model.label,
             },
-            out,
-            indent=2,
         )
-        out.write("\n")
         raise
     residual = float(np.linalg.norm(liouvillian_rhs(model, rho_inf)))
     bound = steady_state_bound(model, rho_inf)
@@ -265,12 +267,10 @@ def run_steady(config: dict, out: TextIO) -> int:
         "entropy_floor": bound.entropy_floor,
         "entropy_floor_raw": bound.entropy_floor_raw,
     }
-    json.dump(report, out, indent=2)
-    out.write("\n")
-    return EXIT_OK
+    _write_json(out, report)
 
 
-def run_bounds(config: dict, out: TextIO) -> int:
+def run_bounds(config: dict, out: TextIO) -> None:
     model = _model_from_config(config)
     if model.dim < 2:
         raise ConfigError("bound evaluation needs dimension >= 2")
@@ -301,12 +301,10 @@ def run_bounds(config: dict, out: TextIO) -> int:
         "max_entropy": math.log(model.dim),
         "maximally_mixed_floor": maximally_mixed_bound(model.dim),
     }
-    json.dump(payload, out, indent=2)
-    out.write("\n")
-    return EXIT_OK
+    _write_json(out, payload)
 
 
-def run_audit(config: dict, out: TextIO) -> int:
+def run_audit(config: dict, out: TextIO) -> None:
     d = config.get("d")
     count = config.get("count")
     seed = config.get("seed", 0)
@@ -339,10 +337,9 @@ def run_audit(config: dict, out: TextIO) -> int:
         f"# summary: rows={count} trace_sq_violations={trace_sq_violations} "
         f"log_ineq_violations={log_violations}\n"
     )
-    return EXIT_OK
 
 
-def run_models(out: TextIO, as_json: bool) -> int:
+def run_models(out: TextIO, as_json: bool) -> None:
     specs = list_models()
     if as_json:
         payload = [
@@ -355,13 +352,11 @@ def run_models(out: TextIO, as_json: bool) -> int:
             }
             for s in specs
         ]
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json(out, payload)
     else:
         for s in specs:
             defaults = ", ".join(f"{k}={v:g}" for k, v in s.defaults.items())
             out.write(f"{s.name} ({defaults})\n    {s.summary}\n    {s.facts}\n")
-    return EXIT_OK
 
 
 def _reject_constant(name: str):
@@ -404,16 +399,9 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _resolve_out(arg_out: str | None, config: dict | None):
-    path = arg_out
-    if path is None and config is not None:
-        outputs = config.get("outputs")
-        if isinstance(outputs, dict):
-            path = outputs.get("path")
+def _open_out(path: str | None):
     if path is None:
         return nullcontext(sys.stdout)
-    if not isinstance(path, str):
-        raise ConfigError("outputs.path must be a string")
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
@@ -444,22 +432,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    runners = {"simulate": run_simulate, "steady": run_steady, "bounds": run_bounds,
+               "audit": run_audit, "models": lambda _, out: run_models(out, args.json)}
     try:
-        if args.command == "models":
-            with _resolve_out(args.out, None) as out:
-                return run_models(out, args.json)
-        config = _load_config(args.config)
-        with _resolve_out(args.out, config) as out:
-            if args.command == "simulate":
-                return run_simulate(config, out)
-            if args.command == "steady":
-                return run_steady(config, out)
-            if args.command == "bounds":
-                return run_bounds(config, out)
-            return run_audit(config, out)
+        config = None if args.command == "models" else _load_config(args.config)
+        with _open_out(args.out) as out:
+            runners[args.command](config, out)
     except (EntrodynError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

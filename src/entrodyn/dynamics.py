@@ -282,7 +282,8 @@ def _magnitudes(blocks: list[tuple]) -> tuple[float, float, float]:
     if peak < 1.0 / MAX_SCALE:  # its reciprocal, which scales the self-check's probes, overflows
         raise BadParamsError(f"generator scale {peak:.3e} is below 1/MAX_SCALE = "
                              f"{1.0 / MAX_SCALE:.3e}; rescale time")
-    rel = [x / peak for x in rel]
+    for x in rel:
+        x /= peak
     col_sq = np.concatenate([np.einsum("nij,nij->nj", x, x).ravel() for x in rel])
     return peak, math.sqrt(float(col_sq.sum())), math.sqrt(float(col_sq.max(initial=0.0)))
 
@@ -317,15 +318,14 @@ def _step(model: LindbladModel, state: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
-    """``advance(v, k)``: k :func:`_step` maps of vec(rho) v, block by block; None if not finite.
+    """``advance(rho, k)``: k :func:`_step` maps of a d x d rho, block by block; None if not finite.
 
     For a linear generator L, classical RK4 is exactly the polynomial
     sum_{k<=4} (dt L)^k / k!, evaluated per block by Horner's rule. The blocks
     are zero-padded to the largest and stacked, one matmul per step, on the
-    state in block order, gathered and scattered through one index per call.
-    When the stack holds d^4 / 2 entries or more (one block, or a few large
-    ones), the blocks' maps fill one d^2 x d^2 matrix that acts on vec(rho)
-    unpermuted.
+    state in block order, gathered from rho and scattered back through one
+    index per call. When the stack holds d^4 / 2 entries or more (one block, or
+    a few large ones), the blocks' maps fill one d^2 x d^2 matrix on vec(rho).
     """
     props = []
     for idx, mats in blocks:
@@ -338,22 +338,23 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
         full = np.zeros((d * d, d * d), dtype=np.complex128)
         for idx, prop in props:
             full[idx[:, :, None], idx[:, None, :]] = prop
-        return lambda v, steps: functools.reduce(lambda w, _: full @ w, range(steps), v)
+        return lambda rho, steps: unvec(
+            functools.reduce(lambda w, _: full @ w, range(steps), vec(rho)), d)
     stack = np.zeros((count, size, size), dtype=np.complex128)
-    pos, row = np.empty(d * d, dtype=np.intp), 0  # pos[i]: where vec entry i sits in the stack
+    pos, row = np.empty(d * d, dtype=np.intp), 0  # pos[a*d + b]: where rho[a, b] sits in the stack
     for idx, prop in props:
         n, s = idx.shape
         stack[row:row + n, :s, :s] = prop
-        pos[idx] = size * np.arange(row, row + n)[:, None] + np.arange(s)
+        pos[idx % d * d + idx // d] = size * np.arange(row, row + n)[:, None] + np.arange(s)
         row += n
 
-    def advance(v: np.ndarray, steps: int) -> np.ndarray:
+    def advance(rho: np.ndarray, steps: int) -> np.ndarray:
         state = np.zeros(count * size, dtype=np.complex128)
-        state[pos] = v  # the padding stays zero while the state is finite
+        state[pos] = rho.ravel()  # the padding stays zero while the state is finite
         state = state.reshape(count, size, 1)
         for _ in range(steps):
             state = stack @ state
-        return state.ravel().take(pos)
+        return state.ravel().take(pos).reshape(d, d)
 
     return advance
 
@@ -373,7 +374,10 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     state = hermitian_part(assert_density(rho0, hermiticity_tol=1e-9,
                                           positivity_tol=POSITIVITY_TOL, trace_tol=1e-9))
     n, stride, d = cfg.n_steps, int(cfg.record_stride), model.dim
-    advance = None
+
+    def advance(rho: np.ndarray, steps: int) -> np.ndarray:  # the direct map
+        return functools.reduce(lambda x, _: _step(model, x, cfg.dt), range(steps), rho)
+
     # Blocks of at most MAX_BLOCK hold at most MAX_BLOCK d^2 entries of G, and a channel
     # with m nonzeros fills m^2: a dense channel's d^4 edges are not worth seeking.
     if max((np.count_nonzero(c) ** 2 for c in model.channels), default=0) <= MAX_BLOCK * d * d:
@@ -384,19 +388,14 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
                 with np.errstate(over="ignore", invalid="ignore"):
                     blocks = _generator_blocks(model, sectors)
                     _check_against_direct_map(model, blocks)
-                    advance = _rk4_propagator(blocks, cfg.dt, d)
+                    advance = _rk4_propagator(blocks, cfg.dt, d) or advance
             except BadParamsError:
                 pass
     yield 0, state
     for start in range(0, n, stride):
         stop = min(start + stride, n)
         with np.errstate(over="ignore", invalid="ignore"):
-            if advance is None:
-                for _ in range(start, stop):
-                    state = _step(model, state, cfg.dt)
-            else:
-                state = unvec(advance(vec(state), stop - start), d)
-            state = hermitian_part(state)
+            state = hermitian_part(advance(state, stop - start))
         yield stop, state
 
 

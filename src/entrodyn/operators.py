@@ -59,11 +59,9 @@ def is_hermitian(a):
 
 
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
-    arr = as_operator(a) if np.ndim(a) < 3 else np.asarray(a, dtype=np.complex128)
-    ok = np.atleast_1d(is_hermitian(arr))
-    if not ok.all():
-        bad = arr.reshape(-1, *arr.shape[-2:])[np.argmin(ok)]
-        raise NotHermitianError(f"{what} is not Hermitian (defect {hermiticity_defect(bad):.3e})")
+    arr = as_operator(a)
+    if not is_hermitian(arr):
+        raise NotHermitianError(f"{what} is not Hermitian (defect {hermiticity_defect(arr):.3e})")
     return arr
 
 

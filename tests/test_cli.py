@@ -460,7 +460,8 @@ class TestConfigErrors:
         )
         assert code == 2
 
-    def test_output_path_from_config(self, tmp_path):
+    def test_output_goes_only_to_out_or_stdout(self, tmp_path, capsys):
+        # a config key naming a path is not an output path: --out is the only one
         target = tmp_path / "from_config.csv"
         cfg_path = write_config(
             tmp_path,
@@ -471,26 +472,23 @@ class TestConfigErrors:
                 "outputs": {"path": str(target)},
             },
         )
+        out_path = tmp_path / "out.csv"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out_path)]) == 0
         assert main(["simulate", "--config", cfg_path]) == 0
-        assert target.read_text().startswith(SIMULATE_HEADER)
+        assert capsys.readouterr().out == out_path.read_text()
+        assert out_path.read_text().startswith(SIMULATE_HEADER)
+        assert not target.exists()
 
     @pytest.mark.parametrize(
-        ("command", "out_arg", "outputs"),
-        [
-            ("simulate", "missing_dir/out.csv", None),
-            ("models", "missing_dir/out.txt", None),
-            ("simulate", None, {"path": []}),
-            ("bounds", None, {"path": {"a": 1}}),
-        ],
-        ids=["out_in_missing_dir", "models_out_in_missing_dir", "path_list", "path_object"],
+        ("command", "out_arg"),
+        [("simulate", "missing_dir/out.csv"), ("models", "missing_dir/out.txt")],
+        ids=["out_in_missing_dir", "models_out_in_missing_dir"],
     )
-    def test_unusable_output_path_exits_two(self, tmp_path, capsys, command, out_arg, outputs):
-        config = {"model": {"name": "dephasing"}, "initial_state": "plus", "outputs": outputs}
-        argv = [command]
+    def test_unusable_output_path_exits_two(self, tmp_path, capsys, command, out_arg):
+        config = {"model": {"name": "dephasing"}, "initial_state": "plus"}
+        argv = [command, "--out", str(tmp_path / out_arg)]
         if command != "models":
             argv += ["--config", write_config(tmp_path, config)]
-        if out_arg is not None:
-            argv += ["--out", str(tmp_path / out_arg)]
         assert main(argv) == 2
         assert_one_line_error(capsys.readouterr().err)
 

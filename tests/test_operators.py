@@ -186,11 +186,10 @@ def test_top_level_exports():
     assert exported == [
         "BoundReport", "EIG_FLOOR", "IntegratorConfig", "LindbladModel", "ModelSpec",
         "SteadyStateBound", "TraceSquareAudit", "TrajectoryRecord", "adjoint",
-        "assert_density", "bound_report", "build_superoperator", "convergence_order_check",
-        "final_state", "frobenius_norm_sq", "get_model", "ginibre_matrix", "ginibre_state",
-        "gue_hermitian", "liouvillian_rhs", "list_models", "log_inequality_check",
-        "long_time_entropy", "maximally_mixed", "maximally_mixed_bound", "named_state",
-        "propagate", "steady_state", "steady_state_bound", "trace_square_audit", "unvec", "vec",
-        "von_neumann_entropy",
+        "assert_density", "bound_report", "convergence_order_check", "final_state",
+        "frobenius_norm_sq", "get_model", "ginibre_matrix", "ginibre_state", "gue_hermitian",
+        "liouvillian_rhs", "list_models", "log_inequality_check", "long_time_entropy",
+        "maximally_mixed", "maximally_mixed_bound", "named_state", "propagate", "steady_state",
+        "steady_state_bound", "trace_square_audit", "von_neumann_entropy",
     ]
-    assert len(exported) == 33
+    assert len(exported) == 30

@@ -121,10 +121,12 @@ def test_state_is_permuted_only_where_blocking_saves_work(name, permuted):
     model = AGREEMENT_MODELS[name]()
     advance = propagator(model, 1e-3)
     assert ("pos" in advance.__code__.co_freevars) == permuted  # the block-order take index
-    v, want = vec(ginibre_state(model.dim, seed=304)), ginibre_state(model.dim, seed=304)
+    rho = want = ginibre_state(model.dim, seed=304)
     for _ in range(3):
         want = _step(model, want, 1e-3)
-    assert np.max(np.abs(advance(v, 3) - vec(want))) <= 1e-14
+    got = advance(rho, 3)
+    assert got.shape == (model.dim, model.dim)
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("stride", [1, 7, 250])
@@ -155,12 +157,12 @@ def test_short_run_at_dense_max_dim_takes_the_direct_path(stride):
     reference = direct_recorded_steps(model, rho0, cfg)
     assert [k for k, _ in taken] == [k for k, _ in reference]
     advance = propagator(model, cfg.dt)
-    v, done = vec(reference[0][1]), 0
+    rho, done = reference[0][1], 0
     for (k, got), (_, want) in zip(taken, reference):
         assert np.array_equal(got, want)
-        dense = unvec(advance(v, k - done), d)
-        v, done = vec(0.5 * (dense + adjoint(dense))), k
-        assert np.max(np.abs(got - unvec(v, d))) <= 1e-13
+        dense = advance(rho, k - done)
+        rho, done = 0.5 * (dense + adjoint(dense)), k
+        assert np.max(np.abs(got - rho)) <= 1e-13
 
 
 @pytest.mark.parametrize(
