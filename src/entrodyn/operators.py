@@ -7,12 +7,13 @@ The Hermiticity, eigen and gate functions and :func:`gram_state` also act on
 each matrix of a stack. :func:`hermitian_eig` does not gate its input; callers
 pass exactly Hermitian matrices, and :func:`require_hermitian` is the check.
 
-Random ensembles are drawn from numpy's default PCG64 bit generator, seeded
-per call, so repeated calls with the same seed are bit-identical.
+Random ensembles are drawn from numpy's default PCG64 bit generator, one seed per
+matrix, so a seed always gives the same matrix, alone or in a stack.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,16 +136,63 @@ def assert_density(
     return arr
 
 
-def _complex_gaussian(d: int, rng: np.random.Generator) -> np.ndarray:
-    real, imag = rng.standard_normal((2, d, d))  # one call: the same stream as two
-    return real + 1j * imag
-
-
 def ginibre_matrix(d: int, seed: int) -> np.ndarray:
     """Square matrix of iid complex normal entries, deterministic in seed."""
     if d < 1:
         raise BadDimensionError("dimension must be at least 1")
-    return _complex_gaussian(d, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    real, imag = rng.standard_normal((2, d, d))  # one call: the same stream as two
+    return real + 1j * imag
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """SeedSequence's running hash constants ``init * mult**k mod 2**32``, k < n, as a column."""
+    return np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(n)], np.uint32)[:, None]
+
+
+def _seed_states(seeds: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` per seed, hashed in wrapping uint32."""
+    words = np.array([(s.bit_length() + 31) // 32 or 1 for s in seeds])
+    size = max(4, int(words.max(initial=0)))
+    entropy = np.frombuffer(b"".join(s.to_bytes(4 * size, "little") for s in seeds), "<u4")
+    entropy = entropy.reshape(-1, size).T
+    hash_a = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * size + 1)
+
+    def hashmix(value, h):  # one hash per row of h[:-1]: xor it, multiply by the next
+        value = (value ^ h[:-1]) * h[1:]
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        z = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return z ^ (z >> 16)
+
+    with np.errstate(over="ignore"):
+        pool = hashmix(entropy[:4], hash_a[:5])  # words past a seed's own are zero, as numpy pads
+        for src in range(4):  # cross-mix: the three hashes of one source word are one op
+            dst = [i for i in range(4) if i != src]
+            pool[dst] = mix(pool[dst], hashmix(pool[src], hash_a[4 + 3 * src:8 + 3 * src]))
+        for src in range(4, size):  # seeds >= 2**128 mix in their remaining words
+            more = words > src
+            pool[:, more] = mix(pool[:, more], hashmix(entropy[src, more], hash_a[4 * src:][:5]))
+        state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(0x8B51F9DD, 0x58F38DED, 9))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def ginibre_matrices(d: int, seeds: Sequence[int]) -> np.ndarray:
+    """:func:`ginibre_matrix` over a sequence of seeds >= 0, stacked bit for bit, in one pass."""
+    from numpy.random.bit_generator import ISeedSequence  # not at import: it costs ~10 ms
+
+    class SeedState(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for (4, np.uint64)
+            return self.state
+
+    buf = np.empty((len(seeds), 2, d, d))
+    for state, out in zip(_seed_states(seeds), buf):
+        np.random.Generator(np.random.PCG64(SeedState(state))).standard_normal(out=out)
+    return buf[:, 0] + 1j * buf[:, 1]
 
 
 def hermitian_part(a) -> np.ndarray:

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import entrodyn
 from entrodyn.errors import (
     BadDimensionError,
     NotDensityError,
@@ -12,6 +18,7 @@ from entrodyn.operators import (
     adjoint,
     assert_density,
     frobenius_norm_sq,
+    ginibre_matrices,
     ginibre_matrix,
     ginibre_state,
     gue_hermitian,
@@ -143,6 +150,33 @@ def test_ginibre_validity_sweep():
                 trace_tol=1e-10,
             )
             seed += 1
+
+
+# Seeds of 1 to 32 uint32 words: SeedSequence mixes in words past the fourth one by one.
+WORD_BOUNDARY_SEEDS = [2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 10**300]
+
+
+@pytest.mark.parametrize("seeds", [
+    [*range(3000), *WORD_BOUNDARY_SEEDS],
+    [2**128, 5, 10**300, 2**32, 0, 2**128 - 1, 2**160 + 7, 2**64 - 1, 1],  # word counts mixed
+], ids=["sweep", "interleaved"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_ginibre_matrices_is_the_per_seed_stack_bit_for_bit(d, seeds):
+    expected = np.stack([ginibre_matrix(d, s) for s in seeds])
+    assert np.array_equal(ginibre_matrices(d, seeds), expected)
+
+
+def test_import_and_presets_leave_numpy_random_unloaded():
+    # numpy.random takes 10-15 ms to import; only a random draw should pay for it.
+    code = ("import sys, entrodyn\n"
+            "for spec in entrodyn.list_models():\n"
+            "    entrodyn.get_model(spec.name)\n"
+            "print('numpy.random' in sys.modules)")
+    src = str(Path(entrodyn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_gue_hermitian_exact_and_deterministic():

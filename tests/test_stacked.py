@@ -51,10 +51,15 @@ def per_case_audit(d, count, seed):
     )
 
 
-@pytest.mark.parametrize("d, count", [(2, 40), (3, 30), (8, 30), (64, 20)])
-def test_audit_matches_the_per_case_loop(tmp_path, d, count):
+@pytest.mark.parametrize("d, count, seed", [
+    *(pytest.param(d, count, 1000 + d, id=f"{d}-{count}")
+      for d, count in [(2, 40), (3, 30), (8, 30), (64, 20)]),
+    # one stack draws seeds on both sides of a uint32 word-count boundary
+    pytest.param(2, 40, 2**32 - 20, id="2-40-across-2**32"),
+    pytest.param(3, 30, 2**128 - 10, id="3-30-across-2**128"),
+])
+def test_audit_matches_the_per_case_loop(tmp_path, d, count, seed):
     assert count > stack_size(64)  # d=64 spans several stacks
-    seed = 1000 + d
     config, out = tmp_path / "audit.json", tmp_path / "audit.csv"
     config.write_text(json.dumps({"d": d, "count": count, "seed": seed}))
     assert main(["audit", "--config", str(config), "--out", str(out)]) == 0
