@@ -42,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")  # directory names of equal length
+TAIL_LINES = 20  # of a failed run's stderr and stdout, kept in its error
 FACT_KEYS = ("python", "numpy", "blas", "blas_version", "blas_threads", "nproc", "machine")
 COMMAND = "python3 benchmark/run.py --workload <w> --seed <s> --seconds {seconds} --trace 0"
 METHOD = (
@@ -60,13 +61,24 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def tail(text: str) -> str:
+    """The last ``TAIL_LINES`` lines of ``text``."""
+    return "\n".join(text.splitlines()[-TAIL_LINES:])
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run: its final JSON line plus the machine facts."""
-    proc = subprocess.run(
-        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True,
-    )
+    """One untraced benchmark run: its final JSON line plus the machine facts.
+
+    A failed run raises RuntimeError with its command, exit code and the tails
+    of its stderr and stdout: the tree is deleted afterwards, and with it the cause.
+    """
+    command = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(command)} in {tree} exited {proc.returncode}\n"
+                           f"stderr (last {TAIL_LINES} lines):\n{tail(proc.stderr)}\n"
+                           f"stdout (last {TAIL_LINES} lines):\n{tail(proc.stdout)}")
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     facts = next(json.loads(ln[len("facts "):]) for ln in lines if ln.startswith("facts "))

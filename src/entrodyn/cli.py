@@ -287,7 +287,7 @@ def run_bounds(config: dict, out: TextIO) -> None:
         raise ZeroChannelError("nothing to bound; model has no non-zero channel")
     if demand and not model.channels_hermitian:
         raise NoChannelsError("variance threshold requires every channel to be Hermitian")
-    rep = bound_reports(model, states, [0.0], spectra)[0]
+    rep = bound_reports(model, [0.0], spectra)[0]
     payload = {
         "label": model.label,
         "dim": model.dim,
@@ -329,7 +329,7 @@ def run_audit(config: dict, out: TextIO) -> None:
             # Canned sign-indefinite case: the z Pauli matrix against I/2.
             ids[0], channels[0], states[0] = "canned", PAULI_Z, maximally_mixed(2)
         spectra = gated_spectra(states)
-        lhs, rhs, holds = trace_square_audits(channels, states, spectra)
+        lhs, rhs, holds = trace_square_audits(channels, spectra)
         gaps = log_inequality_checks(spectra)
         trace_sq_violations += int(np.count_nonzero(~holds))
         log_violations += int(np.count_nonzero(gaps < -1e-10))

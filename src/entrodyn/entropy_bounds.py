@@ -1,22 +1,23 @@
 """Von Neumann entropy, its exact rate, and the bound/threshold family.
 
-Everything is in nats (natural logarithm), so the entropy of a d-dimensional
-state lives in [0, ln d]. The recurring per-channel quantity
+Everything is in nats, so the entropy of a d-dimensional state lives in
+[0, ln d]. A state enters through the spectrum of its Hermitian part,
+U diag(lam) U^dag, and each channel through one rotation W_j = U^dag L_j U.
+With w = |W_j[i,k]|^2 and sums over i and k:
 
-    gain(L, rho) = tr(L^dag L rho) - tr(L rho L^dag rho)
-
-is nonnegative for valid densities and feeds three results evaluated here:
-
-* a lower bound on dS/dt:  sum_j [ -|L_j|_F^2 S + gain_j ],
+* the exact rate is Spohn's (1978)  dS/dt = sum_j w lam_k (ln lam_k - ln lam_i);
+* gain_j = tr(L^dag L rho) - tr(L rho L^dag rho) = sum w lam_k (1 - lam_i),
+  nonnegative for valid densities, with tr(L^dag L rho) = sum w lam_k;
+* the rate's lower bound is  sum_j [ -|L_j|_F^2 S + gain_j ];
 * the monotonicity threshold  sum_j gain_j / sum_j |L_j|_F^2, below which the
-  entropy is guaranteed non-decreasing (at most 1 for a single channel),
-* the long-time entropy floor, i.e. the same ratio evaluated at a steady
-  state, which lower-bounds the entropy that survives the decoherence.
+  entropy is guaranteed non-decreasing (at most 1 for a single channel);
+* the long-time entropy floor, the same ratio at a steady state, lower-bounds
+  the entropy that survives the decoherence.
 
-For Hermitian channels the threshold numerator can be related to the
-observable variance by replacing tr((sqrt(rho) L sqrt(rho))^2) with
-tr(L rho)^2; that replacement is only valid for positive semidefinite L, so
-it is exposed here as an audit rather than an assertion.
+For Hermitian L the threshold numerator becomes the variance tr(L^2 rho) -
+tr(L rho)^2, tr(L rho) = sum_k W[k,k] lam_k, on replacing tr((sqrt(rho) L
+sqrt(rho))^2) = sum w lam+_i lam+_k (lam+ = max(lam, 0)) with tr(L rho)^2. That
+is valid only for positive semidefinite L, so it is an audit, not an assertion.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .operators import (
     adjoint,
     as_operator,
     density_spectra,
+    hermitian_eig,
+    hermitian_part,
     require_hermitian,
 )
 
@@ -49,8 +52,8 @@ NULL_LEAK_TOL = 1e-10
 RATE_SATURATED = math.inf
 
 # Matrix entries per stack passed to bound_reports and the audits: 256 KB per
-# temporary. Per recorded state (one BLAS thread, 2-core x86-64 VM), d=2/8/32:
-# 8/20/236 us at 2^14 entries, no faster at 2^16; d=32 324 us at 2^12.
+# temporary. Per recorded state (eigh plus bound_reports, one BLAS thread, 2-core
+# x86-64 VM), d=2/8/32: 5/16/174 us at 2^14 entries, 6/18/248 at 2^16; d=32 250 at 2^12.
 STACK_ENTRIES = 2**14
 
 # Gate tolerances for states handed to entropy evaluations. Looser than the
@@ -71,10 +74,9 @@ def gated_spectra(states) -> SpectralDecomposition:
                            positivity_tol=_POSITIVITY_GATE)
 
 
-def _one(rho) -> tuple[np.ndarray, SpectralDecomposition]:
-    """A state as a stack of one, and its gated spectrum."""
-    states = as_operator(rho)[None]
-    return states, gated_spectra(states)
+def _one(rho) -> SpectralDecomposition:
+    """The gated spectrum of one state, as a stack of one."""
+    return gated_spectra(as_operator(rho)[None])
 
 
 def _entropies(lam: np.ndarray) -> np.ndarray:
@@ -92,40 +94,26 @@ def von_neumann_entropy(rho) -> float:
 
     Eigenvalues at or below ``EIG_FLOOR`` are treated as exactly zero.
     """
-    return float(_entropies(_one(rho)[1].eigenvalues)[0])
+    return float(_entropies(_one(rho).eigenvalues)[0])
 
 
-def _gains(channels, squares, states) -> tuple[np.ndarray, np.ndarray]:
-    """Per state and channel j, as (n, channels) arrays: gain(L_j, rho), tr(L_j^dag L_j rho).
+def _channel_forms(channels, spectra, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Forms of each channel in the states' eigenbases, from one rotation W_j = U^dag L_j U.
 
-    ``squares`` holds each L_j^dag L_j. Every bound, threshold and floor is a
-    ratio or affine function of these.
+    Returns sum_ik |W_j[i,k]|^2 weights[m, n, i, k] as an (m, n, channels)
+    array and Re tr(L_j rho) = Re sum_k W_j[k,k] lam_k as an (n, channels)
+    one. A channel is one d x d matrix or a stack of one per state.
     """
-    if channels[0].shape != states.shape[1:]:
-        raise DimMismatchError(f"channel {channels[0].shape} vs state {states.shape[1:]}")
-    first = np.stack([np.einsum("ij,nji->n", sq, states).real for sq in squares], axis=1)
-    second = [np.einsum("nij,nji->n", c @ states @ adjoint(c), states).real for c in channels]
-    return first - np.stack(second, axis=1), first
-
-
-def _exact_rates(model: "LindbladModel", dec: SpectralDecomposition) -> np.ndarray:
-    """Exact dS/dt per state: sum_j [tr(L_j^dag L_j rho ln rho) - tr(L_j rho L_j^dag ln rho)].
-
-    A channel that feeds rho's null space above ``NULL_LEAK_TOL`` gives ``RATE_SATURATED``.
-    """
-    lam, vecs = dec.eigenvalues, dec.eigenvectors
-    if model.channels and model.dim != lam.shape[-1]:
-        raise DimMismatchError(f"state dim {lam.shape[-1]} vs model dim {model.dim}")
-    log_lam = np.log(np.maximum(lam, EIG_FLOOR))
-    log_ratio = log_lam[:, None, :] - log_lam[:, :, None]
-    # leak_weight[n, j, k] = lam_k on the null rows j of state n
-    leak_weight = (lam <= EIG_FLOOR)[:, :, None] * np.maximum(lam, 0.0)[:, None, :]
-    total, saturated = np.zeros(len(lam)), np.zeros(len(lam), dtype=bool)
-    for channel in model.channels:
-        weights = np.abs(adjoint(vecs) @ channel @ vecs) ** 2  # |<u_j| L |u_k>|^2
-        saturated |= np.sum(weights * leak_weight, axis=(1, 2)) > NULL_LEAK_TOL
-        total += np.sum(weights * lam[:, None, :] * log_ratio, axis=(1, 2))
-    return np.where(saturated, RATE_SATURATED, total)
+    lam, vecs = spectra.eigenvalues, spectra.eigenvectors
+    if channels[0].shape[-1] != lam.shape[-1]:
+        raise DimMismatchError(f"channel dim {channels[0].shape[-1]} vs state dim {lam.shape[-1]}")
+    vecs_dag = adjoint(vecs)
+    forms, means = [], []
+    for channel in channels:
+        rotated = vecs_dag @ channel @ vecs
+        forms.append(np.einsum("nik,mnik->mn", np.abs(rotated) ** 2, weights))
+        means.append(np.einsum("nkk,nk->n", rotated, lam).real)
+    return np.stack(forms, axis=-1), np.stack(means, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -137,13 +125,11 @@ class TraceSquareAudit:
     holds: bool
 
 
-def trace_square_audits(channels, states, spectra) -> tuple[np.ndarray, ...]:
+def trace_square_audits(channels, spectra) -> tuple[np.ndarray, ...]:
     """lhs, rhs, holds of :func:`trace_square_audit`, given Hermitian channels and gated spectra."""
     lam = np.clip(spectra.eigenvalues, 0.0, None)
-    sqrt_rho = (spectra.eigenvectors * np.sqrt(lam)[:, None, :]) @ adjoint(spectra.eigenvectors)
-    sandwiched = sqrt_rho @ channels @ sqrt_rho
-    lhs = np.einsum("nij,nji->n", sandwiched, sandwiched).real
-    rhs = np.einsum("nij,nji->n", channels, states).real ** 2
+    (lhs,), means = _channel_forms((channels,), spectra, (lam[:, :, None] * lam[:, None, :])[None])
+    lhs, rhs = lhs[:, 0], means[:, 0] ** 2
     return lhs, rhs, lhs <= rhs + 1e-10
 
 
@@ -153,9 +139,10 @@ def trace_square_audit(channel, rho) -> TraceSquareAudit:
     The replacement is guaranteed only for positive semidefinite L. For
     sign-indefinite Hermitian L it can fail (e.g. the z Pauli matrix against
     I/2 gives lhs 1/2 vs rhs 0), so outcomes are recorded, never raised; the
-    check allows 1e-10 of rounding.
+    check allows 1e-10 of rounding. The channel's Hermitian part is audited.
     """
-    lhs, rhs, holds = trace_square_audits(require_hermitian(channel, "channel")[None], *_one(rho))
+    channel = hermitian_part(require_hermitian(channel, "channel"))
+    lhs, rhs, holds = trace_square_audits(channel[None], _one(rho))
     return TraceSquareAudit(float(lhs[0]), float(rhs[0]), bool(holds[0]))
 
 
@@ -175,15 +162,17 @@ class SteadyStateBound:
 
 
 def steady_state_bound(model: "LindbladModel", rho_inf) -> SteadyStateBound:
-    """Evaluate the long-time entropy floor sum_j gain_j / sum_j |L_j|_F^2."""
+    """Evaluate the long-time entropy floor sum_j gain_j / sum_j |L_j|_F^2 (ungated)."""
     if not model.channels:
         raise NoChannelsError("model has no decoherence channels")
     weight = float(model.channel_norms_sq.sum())
     if weight <= 0.0:
         raise ZeroChannelError("every channel has zero Frobenius norm")
-    gains = _gains(model.channels, model.channel_squares, as_operator(rho_inf)[None])[0][0]
+    spectra = hermitian_eig(hermitian_part(as_operator(rho_inf))[None])
+    lam = spectra.eigenvalues
+    (gains,), _ = _channel_forms(model.channels, spectra, [lam[:, None, :] * (1 - lam[:, :, None])])
     raw = float(gains.sum()) / weight
-    return SteadyStateBound(max(0.0, raw), raw, tuple(gains.tolist()), weight)
+    return SteadyStateBound(max(0.0, raw), raw, tuple(gains[0].tolist()), weight)
 
 
 def maximally_mixed_bound(d: int) -> float:
@@ -210,7 +199,7 @@ def log_inequality_check(rho) -> float:
     the log. A return value below -1e-10 on a full-rank state indicates a
     broken eigendecomposition.
     """
-    return float(log_inequality_checks(_one(rho)[1])[0])
+    return float(log_inequality_checks(_one(rho))[0])
 
 
 @dataclass(frozen=True)
@@ -234,23 +223,33 @@ class BoundReport:
     log_floor_hit: bool
 
 
-def bound_reports(model: "LindbladModel", states, times, spectra) -> list[BoundReport]:
-    """:func:`bound_report` of each state of a stack, from its :func:`gated_spectra` and gains."""
-    entropy = _entropies(spectra.eigenvalues)
+def bound_reports(model: "LindbladModel", times, spectra) -> list[BoundReport]:
+    """:func:`bound_report` of each state of a stack, from its :func:`gated_spectra`."""
+    lam = spectra.eigenvalues
+    if model.dim != lam.shape[-1]:
+        raise DimMismatchError(f"state dim {lam.shape[-1]} vs model dim {model.dim}")
+    entropy = _entropies(lam)
     if not model.channels:
         return [BoundReport(t, s, 0.0, 0.0, None, None, False, False)
                 for t, s in zip(times, entropy.tolist())]
-    rate = _exact_rates(model, spectra)
-    gains, first = _gains(model.channels, model.channel_squares, states)
+    log_lam = np.log(np.maximum(lam, EIG_FLOOR))
+    fed = lam[:, None, :]
+    weights = np.stack(np.broadcast_arrays(
+        fed * (1 - lam[:, :, None]),  # gain
+        fed,  # tr(L^dag L rho)
+        fed * (log_lam[:, None, :] - log_lam[:, :, None]),  # exact rate
+        (lam <= EIG_FLOOR)[:, :, None] * np.maximum(fed, 0.0),  # lam_k on the null rows i
+    ))
+    (gains, first, rates, leaks), means = _channel_forms(model.channels, spectra, weights)
     weight = float(model.channel_norms_sq.sum())
     gain = gains.sum(axis=1)
+    rate = np.where((leaks > NULL_LEAK_TOL).any(axis=1), RATE_SATURATED, rates.sum(axis=1))
     lower = -weight * entropy + gain
-    threshold = threshold_var = [None] * len(states)
+    threshold = threshold_var = [None] * len(lam)
     if weight > 0.0:
         threshold = (gain / weight).tolist()
     if weight > 0.0 and model.channels_hermitian:
         # Var[L_j] = tr(L_j^2 rho) - tr(L_j rho)^2, with L_j^2 = L_j^dag L_j.
-        means = np.stack([np.einsum("ij,nji->n", c, states).real for c in model.channels], 1)
         threshold_var = ((first - means * means).sum(axis=1) / weight).tolist()
     rows = zip(times, entropy.tolist(), rate.tolist(), lower.tolist(), threshold, threshold_var)
     return [BoundReport(t, s, r, low, th, var, th is not None and s <= th, math.isinf(r))
@@ -259,5 +258,4 @@ def bound_reports(model: "LindbladModel", states, times, spectra) -> list[BoundR
 
 def bound_report(model: "LindbladModel", rho, time: float = 0.0) -> BoundReport:
     """Aggregate entropy, exact rate, rate bound and thresholds at one state."""
-    states, spectra = _one(rho)
-    return bound_reports(model, states, [time], spectra)[0]
+    return bound_reports(model, [time], _one(rho))[0]

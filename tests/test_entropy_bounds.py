@@ -17,12 +17,13 @@ from entrodyn.entropy_bounds import (
 )
 from entrodyn.errors import (
     BadDimensionError,
+    DimMismatchError,
     NoChannelsError,
     NotDensityError,
     NotHermitianError,
     ZeroChannelError,
 )
-from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model
+from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, list_models
 from entrodyn.operators import (
     adjoint,
     frobenius_norm_sq,
@@ -396,3 +397,89 @@ class TestBoundReport:
             rho = ginibre_state(3, seed=51 + i)
             gains = steady_state_bound(single_channel_model(channel), rho).channel_gains
             assert gains[0] >= -1e-10
+
+    @pytest.mark.parametrize("channels", [(), (SIGMA_MINUS,)], ids=["no_channel", "one_channel"])
+    def test_rejects_a_state_of_another_dimension(self, channels):
+        with pytest.raises(DimMismatchError):
+            bound_report(LindbladModel(np.zeros((2, 2)), channels), maximally_mixed(3))
+
+
+def state_basis_reference(model, rho):
+    """Per channel gain, tr(L^dag L rho) and Re tr(L rho) by the state-basis formulas."""
+    first = np.array([np.trace(adjoint(c) @ c @ rho).real for c in model.channels])
+    second = np.array([np.trace(c @ rho @ adjoint(c) @ rho).real for c in model.channels])
+    means = np.array([np.trace(c @ rho).real for c in model.channels])
+    return first - second, first, means
+
+
+def sandwich_reference(channel, rho):
+    """tr((sqrt(rho) L sqrt(rho))^2) and tr(L rho)^2 with sqrt(rho) built explicitly."""
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v)
+    sandwiched = sqrt_rho @ channel @ sqrt_rho
+    return np.trace(sandwiched @ sandwiched).real, np.trace(channel @ rho).real ** 2
+
+
+def kernel_states(d, seed):
+    """Full-rank, rank d - 1 and pure states of dimension d.
+
+    ``negative`` is a rank d - 1 state whose last eigenvalue is -1e-9, inside
+    the gate, so that lam and max(lam, 0) differ.
+    """
+    u = random_unitary(d, seed)
+    states = {"full": ginibre_state(d, seed + 2)}
+    for kind, last in (("deficient", 0.0), ("negative", -1e-9)):
+        lam = np.linspace(1.0, 0.2, d)
+        lam[-1] = 0.0
+        lam = lam / lam.sum()
+        lam[-1] = last
+        rho = (u * lam) @ adjoint(u)
+        states[kind] = 0.5 * (rho + adjoint(rho))
+    ket = ginibre_matrix(d, seed + 1)[:, 0]
+    states["pure"] = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+    return states
+
+
+def kernel_models():
+    """Presets, random non-Hermitian models with 1-3 channels and Hermitian ones, d = 2..5."""
+    models = {spec.name: get_model(spec.name) for spec in list_models()}
+    for d in (2, 3, 4, 5):
+        for count in (1, 2, 3):
+            channels = tuple(ginibre_matrix(d, 40 * d + 10 * count + j) for j in range(count))
+            models[f"ginibre_d{d}_x{count}"] = LindbladModel(gue_hermitian(d, d), channels)
+        hermitian = tuple(gue_hermitian(d, 500 + 10 * d + j) for j in range(2))
+        models[f"hermitian_d{d}"] = LindbladModel(np.zeros((d, d)), hermitian)
+    return [pytest.param(name, model, 3000 + 10 * i, id=name)
+            for i, (name, model) in enumerate(models.items())]
+
+
+class TestEigenbasisKernel:
+    """The eigenbasis sums against the direct state-basis formulas they replace."""
+
+    @staticmethod
+    def close(value, expected):
+        assert abs(value - expected) <= 1e-13 * max(1.0, abs(expected)), (value, expected)
+
+    @pytest.mark.parametrize("name, model, seed", kernel_models())
+    def test_matches_state_basis_formulas(self, name, model, seed):
+        saturated, weight = 0, float(model.channel_norms_sq.sum())
+        for kind, rho in kernel_states(model.dim, seed).items():
+            gains, first, means = state_basis_reference(model, rho)
+            rep = bound_report(model, rho)
+            saturated += rep.rate_exact == math.inf
+            self.close(rep.rate_lower_bound, -weight * von_neumann_entropy(rho) + gains.sum())
+            self.close(rep.threshold_general, gains.sum() / weight)
+            if model.channels_hermitian:
+                self.close(rep.threshold_variance, (first - means**2).sum() / weight)
+            else:
+                assert rep.threshold_variance is None
+            for got, expected in zip(steady_state_bound(model, rho).channel_gains, gains):
+                self.close(got, expected)
+            audited = list(model.channels) if model.channels_hermitian else []
+            for channel in audited + [gue_hermitian(model.dim, seed + len(kind))]:
+                audit = trace_square_audit(channel, rho)
+                lhs, rhs = sandwich_reference(channel, rho)
+                self.close(audit.lhs, lhs)
+                self.close(audit.rhs, rhs)
+        if name == "amplitude_damping" or name.startswith("ginibre"):
+            assert saturated  # the pure state's null space is fed

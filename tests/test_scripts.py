@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from entrodyn.cli import SIMULATE_HEADER
 from entrodyn.models import list_models
 
@@ -117,3 +119,23 @@ def test_bench_pairs_runs_both_sides_from_equal_sibling_trees(tmp_path):
     assert files[change] == [".gitignore", "edited.py", "pkg/new.py"]
     assert (parent / "edited.py").read_text() == "parent\n"
     assert (change / "edited.py").read_text() == "change\n"
+
+
+def test_bench_pairs_failed_run_keeps_its_output(tmp_path):
+    bench = load_script("bench_pairs")
+    (tmp_path / "benchmark").mkdir()
+    (tmp_path / "benchmark" / "run.py").write_text(
+        "import sys\n"
+        "print('pass 1 done')\n"
+        "for i in range(50):\n"
+        "    print(f'err line {i}', file=sys.stderr)\n"
+        "sys.exit('ValueError: boom')\n"
+    )
+    with pytest.raises(RuntimeError) as info:
+        bench.run_once(tmp_path, "traj-steps", 7, 1)
+    message = str(info.value)
+    assert "benchmark/run.py --workload traj-steps --seed 7 --seconds 1 --trace 0" in message
+    assert str(tmp_path) in message and "exited 1" in message
+    assert "ValueError: boom" in message and "pass 1 done" in message
+    assert "err line 49" in message and "err line 31" in message
+    assert "err line 30" not in message  # only the last 20 lines of stderr
