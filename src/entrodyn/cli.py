@@ -47,14 +47,14 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, LindbladModel, liouvillian_rhs, propagate
 from .entropy_bounds import (
+    _entropies,
+    _steady_floor,
     bound_reports,
     gated_spectra,
     log_inequality_checks,
     maximally_mixed_bound,
     stack_size,
-    steady_state_bound,
     trace_square_audits,
-    von_neumann_entropy,
 )
 from .errors import (
     BadDimensionError,
@@ -78,7 +78,7 @@ from .operators import (
     hermitian_part,
     maximally_mixed,
 )
-from .steady_state import steady_state
+from .steady_state import _steady_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,14 +115,28 @@ def _json_float(x: float) -> Any:
     return float(x)
 
 
-def _matrix_json(a) -> list[list[list[float]]]:
-    arr = np.asarray(a, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
-
-
 def _write_json(out: TextIO, payload) -> None:
     json.dump(payload, out, indent=2)
     out.write("\n")
+
+
+_PAIR = "      [\n        %r,\n        %r\n      ]"  # one [re, im] at depth 3
+_STEADY_KEY = '\n  "steady_state": '  # a raw newline never occurs inside a JSON string
+
+
+def _write_steady_report(out: TextIO, report: dict) -> None:
+    """:func:`_write_json` of ``report`` with its complex ``steady_state`` as [re, im] rows.
+
+    The same bytes as ``json.dump(indent=2)``: the encoder writes the rest and
+    the matrix, spliced in at its key, is one format string filled with
+    ``repr(float)`` as the encoder fills it, without its pure-Python pass over
+    every entry.
+    """
+    head, tail = json.dumps({**report, "steady_state": None}, indent=2).split(_STEADY_KEY + "null")
+    arr = np.ascontiguousarray(report["steady_state"], dtype=np.complex128)
+    rows = "\n    ],\n    [\n".join([",\n".join([_PAIR] * len(arr))] * len(arr))
+    matrix = ("[\n    [\n" + rows + "\n    ]\n  ]") % tuple(arr.view(np.float64).ravel().tolist())
+    out.write(head + _STEADY_KEY + matrix + tail + "\n")
 
 
 def _parse_entry(value) -> complex:
@@ -243,7 +257,7 @@ def run_steady(config: dict, out: TextIO) -> None:
     if not isinstance(tol, (int, float)) or not 0 < tol < 1:
         raise ConfigError("'tol' must be a number in (0, 1)")
     try:
-        rho_inf = steady_state(model, float(tol))
+        rho_inf, spectra = _steady_solve(model, float(tol))
     except DegenerateSteadyStateError as exc:
         _write_json(
             out,
@@ -255,19 +269,19 @@ def run_steady(config: dict, out: TextIO) -> None:
         )
         raise
     residual = float(np.linalg.norm(liouvillian_rhs(model, rho_inf)))
-    bound = steady_state_bound(model, rho_inf)
+    bound = _steady_floor(model, spectra)
     report = {
         "label": model.label,
         "dim": model.dim,
-        "steady_state": _matrix_json(rho_inf),
-        "entropy": von_neumann_entropy(rho_inf),
+        "steady_state": rho_inf,
+        "entropy": float(_entropies(spectra.eigenvalues)[0]),
         "generator_residual": residual,
         "channel_gains": list(bound.channel_gains),
         "total_channel_weight": bound.total_channel_weight,
         "entropy_floor": bound.entropy_floor,
         "entropy_floor_raw": bound.entropy_floor_raw,
     }
-    _write_json(out, report)
+    _write_steady_report(out, report)
 
 
 def run_bounds(config: dict, out: TextIO) -> None:

@@ -84,7 +84,7 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
     support = np.count_nonzero(lam > EIG_FLOOR, axis=-1)
     terms = lam * np.log(np.maximum(lam, EIG_FLOOR))
     out = np.zeros(len(lam))
-    for m in np.unique(support):
+    for m in sorted(set(support.tolist())):  # np.unique would import numpy.ma
         out[support == m] = -terms[support == m, :m].sum(axis=-1)
     return np.where(out > 0.0, out, 0.0)
 
@@ -163,12 +163,16 @@ class SteadyStateBound:
 
 def steady_state_bound(model: "LindbladModel", rho_inf) -> SteadyStateBound:
     """Evaluate the long-time entropy floor sum_j gain_j / sum_j |L_j|_F^2 (ungated)."""
+    return _steady_floor(model, hermitian_eig(hermitian_part(as_operator(rho_inf))[None]))
+
+
+def _steady_floor(model: "LindbladModel", spectra) -> SteadyStateBound:
+    """:func:`steady_state_bound` from the spectrum of the steady state, a stack of one."""
     if not model.channels:
         raise NoChannelsError("model has no decoherence channels")
     weight = float(model.channel_norms_sq.sum())
     if weight <= 0.0:
         raise ZeroChannelError("every channel has zero Frobenius norm")
-    spectra = hermitian_eig(hermitian_part(as_operator(rho_inf))[None])
     lam = spectra.eigenvalues
     (gains,), _ = _channel_forms(model.channels, spectra, [lam[:, None, :] * (1 - lam[:, :, None])])
     raw = float(gains.sum()) / weight

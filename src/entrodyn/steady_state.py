@@ -14,7 +14,7 @@ from .dynamics import (IntegratorConfig, LindbladModel, _apply, _check_against_d
                        _generator_blocks, _sectors, final_state, unvec, vec)
 from .entropy_bounds import von_neumann_entropy
 from .errors import DegenerateSteadyStateError, NoSteadyStateError, NotDensityError
-from .operators import assert_density, hermitian_part
+from .operators import SpectralDecomposition, density_spectra, hermitian_part
 
 
 def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
@@ -40,6 +40,11 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
     a conserved quantity, such as n - m for the oscillator, splits into its
     sectors; a dense G is one block.
     """
+    return _steady_solve(model, tol)[0]
+
+
+def _steady_solve(model: LindbladModel, tol: float) -> tuple[np.ndarray, SpectralDecomposition]:
+    """:func:`steady_state` with the spectrum its validation gate computed, as a stack of one."""
     d = model.dim
     blocks = _generator_blocks(model, _sectors(model))
     peak, frob, col = _check_against_direct_map(model, blocks)
@@ -64,11 +69,12 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
             # a density has |rho|_F <= 1, so rho also passes _svd_solve's residual gate
             residual = np.linalg.norm(_apply(blocks, vec(rho / peak)[:, None]))
             if residual <= tol * col * np.linalg.norm(rho):
-                return _validated(rho)
+                return rho, _validated(rho)
     return _svd_solve(blocks, d, tol)
 
 
-def _svd_solve(blocks: list[tuple], d: int, tol: float) -> np.ndarray:
+def _svd_solve(blocks: list[tuple], d: int,
+               tol: float) -> tuple[np.ndarray, SpectralDecomposition]:
     decomposed = []
     for idx, mats in blocks:
         if idx.shape[1] == 1:  # a 1 x 1 block's singular value is |g|, its right vector 1
@@ -90,12 +96,13 @@ def _svd_solve(blocks: list[tuple], d: int, tol: float) -> np.ndarray:
     block, pos = np.unravel_index(np.argmin(svals), svals.shape)
     null = np.zeros(d * d, dtype=np.complex128)
     null[idx[block]] = np.conj(vh[block, pos])
-    rho = _validated(_normalized(null, d))
+    rho = _normalized(null, d)
+    spectra = _validated(rho)
     residual = float(np.linalg.norm(_apply(blocks, vec(rho)[:, None])))
     if residual > 10.0 * tol * max(1.0, smax):
         raise NoSteadyStateError(f"extracted state has generator residual {residual:.3e}; "
                                  "tighten tol")
-    return rho
+    return rho, spectra
 
 
 def _normalized(v: np.ndarray, d: int) -> np.ndarray:
@@ -106,9 +113,10 @@ def _normalized(v: np.ndarray, d: int) -> np.ndarray:
     return rho / trace
 
 
-def _validated(rho: np.ndarray) -> np.ndarray:
+def _validated(rho: np.ndarray) -> SpectralDecomposition:
     try:
-        return assert_density(rho, hermiticity_tol=1e-10, positivity_tol=1e-8, trace_tol=1e-10)
+        return density_spectra(rho[None], hermiticity_tol=1e-10, trace_tol=1e-10,
+                               positivity_tol=1e-8)
     except NotDensityError as exc:
         raise NotDensityError(f"extracted steady state fails validation: {exc}") from exc
 

@@ -1,6 +1,11 @@
 import importlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +40,18 @@ DT_VALUE = (
     '{"model": {"name": "depolarizing"}, "initial_state": "maximally_mixed", '
     '"integrator": {"dt": %s, "t_max": 1.0}}'
 )
+
+
+# Labels that could break a report spliced together from text: a control
+# character, the report's own key and quoting, non-ASCII, a raw newline.
+AWKWARD_LABELS = ("\u0000", 'x", "steady_state": "', "\u00e9t\u00e9 \u4e2d \U0001f600",
+                  '\n  "steady_state": null')
+INLINE_QUBIT = {"dim": 2, "hamiltonian": [[1, 0.3], [0.3, -1]], "channels": [[[0, 1], [0, 0]]]}
+
+
+def pair_rows(matrix):
+    """A complex matrix as the JSON rows of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in map(complex, row)] for row in matrix]
 
 
 def oscillator(d):
@@ -267,7 +284,7 @@ class TestSteady:
         def no_convergence(model, tol):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(cli, "steady_state", no_convergence)
+        monkeypatch.setattr(cli, "_steady_solve", no_convergence)
         code, _ = run(tmp_path, "steady", {"model": {"name": "driven_qubit"}})
         assert code == 4
         assert capsys.readouterr().err == "error: SVD did not converge\n"
@@ -292,6 +309,35 @@ class TestSteady:
         gen = build(cli.get_model(name, {}))
         expected = float(np.linalg.norm(gen @ steady_state_module.vec(rho)))
         assert abs(report["generator_residual"] - expected) <= 1e-15
+
+    @pytest.mark.parametrize("config", [
+        *({"model": {"name": name}} for name in PRESET_NAMES),
+        *(oscillator(d) for d in (3, 16, 24, 32)),
+        *({"model": {**INLINE_QUBIT, "label": label}} for label in AWKWARD_LABELS),
+    ])
+    def test_report_is_the_bytes_of_json_dump(self, tmp_path, config):
+        code, text = run(tmp_path, "steady", config)
+        assert code == (5 if config["model"].get("name") == "dephasing" else 0)
+        payload = json.loads(text)
+        if code == 0:
+            # the written matrix is the library's steady state, entry for entry
+            rho = steady_state_module.steady_state(cli._model_from_config(config))
+            payload["steady_state"] = pair_rows(rho)
+        assert text == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("label", ["edge", *AWKWARD_LABELS])
+    @pytest.mark.parametrize("matrix", [
+        [[-0.0, 1e-300, 5e-324], [1e-17j, 1.0, 0.0], [complex(-0.0, -0.0), 1 - 1e-17j, -5e-324]],
+        [[1.0]],
+    ])
+    def test_report_writer_matches_json_dump(self, label, matrix):
+        report = {"label": label, "dim": len(matrix), "steady_state": np.array(matrix),
+                  "entropy": 0.0, "channel_gains": [0.1, -0.0]}
+        written = io.StringIO()
+        cli._write_steady_report(written, report)
+        expected = io.StringIO()
+        json.dump({**report, "steady_state": pair_rows(matrix)}, expected, indent=2)
+        assert written.getvalue() == expected.getvalue() + "\n"
 
 
 class TestBounds:
@@ -676,3 +722,23 @@ class TestConfigErrors:
         assert code == 2
         assert text == ""
         assert_one_line_error(capsys.readouterr().err)
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma on first use, 10-15 ms of every process that calls it.
+    configs = {
+        "steady": oscillator(4),
+        "simulate": {**oscillator(4), "initial_state": "maximally_mixed",
+                     "integrator": {"dt": 0.01, "t_max": 0.1}},
+        "bounds": {"model": {"name": "depolarizing"}, "initial_state": "plus"},
+    }
+    calls = [[command, "--config", write_config(tmp_path, config, f"{command}.json"),
+              "--out", str(tmp_path / f"{command}.out")] for command, config in configs.items()]
+    code = ("import sys\n"
+            "from entrodyn.cli import main\n"
+            f"print([main(argv) for argv in {calls!r}], 'numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0, 0] False"

@@ -98,6 +98,20 @@ def test_cli_bounds_decomposes_its_state_once(tmp_path, linalg_calls):
     assert linalg_calls == Counter(eigh=1)
 
 
+@pytest.mark.parametrize("name, params, code, expected", [
+    ("driven_qubit", {}, 0, Counter(eigh=1)),
+    ("truncated_oscillator", {"d": 5}, 0, Counter(eigh=1)),
+    ("dephasing", {}, 5, Counter(svd=1)),  # degenerate: the SVD counts, nothing is validated
+])
+def test_cli_steady_decomposes_its_state_once(tmp_path, linalg_calls, name, params, code,
+                                              expected):
+    # the validation gate's spectrum also gives the entropy and the floor
+    config = tmp_path / "steady.json"
+    config.write_text(json.dumps({"model": {"name": name, "params": params}}))
+    assert main(["steady", "--config", str(config), "--out", str(tmp_path / "out.json")]) == code
+    assert linalg_calls == expected
+
+
 def test_steady_state_takes_the_generator_magnitudes_once(monkeypatch):
     calls = []
     original = dynamics._magnitudes

@@ -20,7 +20,8 @@ from entrodyn.entropy_bounds import steady_state_bound, von_neumann_entropy
 from entrodyn.errors import DegenerateSteadyStateError, NoSteadyStateError, NumericsError
 from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, named_state
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, maximally_mixed
-from entrodyn.steady_state import _svd_solve, long_time_entropy, steady_state, unvec, vec
+from entrodyn.steady_state import (_steady_solve, _svd_solve, long_time_entropy, steady_state,
+                                   unvec, vec)
 
 UNIQUE_PRESETS = ("amplitude_damping", "depolarizing", "driven_qubit", "truncated_oscillator")
 
@@ -264,8 +265,17 @@ class TestCertifiedSolve:
         for seed in range(8):
             model = random_model(d, seed, 1 + seed % 3)
             direct = steady_state(model)
-            by_svd = _svd_solve(blocks_of(model), d, 1e-10)
+            by_svd, _ = _svd_solve(blocks_of(model), d, 1e-10)
             assert np.max(np.abs(direct - by_svd)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_both_solves_return_the_spectrum_of_their_state(self, d):
+        for seed in range(4):
+            model = random_model(d, seed, 2)
+            for rho, spectra in (_steady_solve(model, 1e-10),
+                                 _svd_solve(blocks_of(model), d, 1e-10)):
+                (lam,), (vecs,) = spectra.eigenvalues, spectra.eigenvectors
+                assert np.max(np.abs((vecs * lam) @ vecs.conj().T - rho)) <= 1e-12
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_absurd_tolerance_still_finds_no_null_space(self, d):
@@ -393,7 +403,7 @@ class TestBlockSolve:
             gen = build_superoperator(model)
             null = unvec(np.conj(np.linalg.svd(gen)[2][-1]), d)
             null = 0.5 * (null + null.conj().T)
-            by_blocks = _svd_solve(blocks_of(model), d, 1e-10)
+            by_blocks, _ = _svd_solve(blocks_of(model), d, 1e-10)
             assert np.max(np.abs(by_blocks - null / np.trace(null).real)) <= 1e-12
 
     @pytest.mark.parametrize("factor, certified", [(0.9, True), (1.1, False)])
