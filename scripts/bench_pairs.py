@@ -21,7 +21,11 @@ neither side), the signed relative change of the median, whether a claimed
 gain holds (``gain_met``: the change won at least 9 in 10 pairs and its median
 is better than the parent's by more than the parent's interquartile range)
 and the raw runs. The better direction of each metric is read
-from ``BENCHMARK.json``.
+from ``BENCHMARK.json``. Each workload also gets the per-side medians over the
+seeds of ``run.py``'s ``invocation <name>: median CPU`` lines
+(``invocations``) and of its ``reference deviation`` line (``reference_deviation``,
+the largest deviation from the oracle per output field), so a claim shows which
+invocation moved and how far the outputs sit from the reference.
 
 The output file is updated in place: a workload already in it is replaced,
 the others are kept, so one file can collect several workloads.
@@ -43,6 +47,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")  # directory names of equal length
 TAIL_LINES = 20  # of a failed run's stderr and stdout, kept in its error
+INVOCATION_PREFIX = "invocation "  # then "<name>: median CPU <seconds> s"
+DEVIATION_PREFIX = "reference deviation (max abs per field): "  # then a JSON object
 FACT_KEYS = ("python", "numpy", "blas", "blas_version", "blas_threads", "nproc", "machine")
 COMMAND = "python3 benchmark/run.py --workload <w> --seed <s> --seconds {seconds} --trace 0"
 METHOD = (
@@ -79,10 +85,22 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         raise RuntimeError(f"{' '.join(command)} in {tree} exited {proc.returncode}\n"
                            f"stderr (last {TAIL_LINES} lines):\n{tail(proc.stderr)}\n"
                            f"stdout (last {TAIL_LINES} lines):\n{tail(proc.stdout)}")
-    lines = proc.stdout.splitlines()
+    return parse_output(proc.stdout)
+
+
+def parse_output(stdout: str) -> dict:
+    """A run's final JSON line, with its machine facts, invocation times and deviations."""
+    lines = stdout.splitlines()
     result = json.loads(lines[-1])
     facts = next(json.loads(ln[len("facts "):]) for ln in lines if ln.startswith("facts "))
     result["facts"] = {k: facts.get(k) for k in FACT_KEYS}
+    result["invocations"] = {}
+    for ln in lines:
+        if ln.startswith(INVOCATION_PREFIX) and ln.endswith(" s"):
+            name, _, seconds = ln[len(INVOCATION_PREFIX):-2].rpartition(": median CPU ")
+            result["invocations"][name] = float(seconds)
+        elif ln.startswith(DEVIATION_PREFIX):
+            result["reference_deviation"] = json.loads(ln[len(DEVIATION_PREFIX):])
     return result
 
 
@@ -126,7 +144,22 @@ def summarize(parent_runs: list[dict], change_runs: list[dict], better: dict[str
         "pairs": len(parent_runs),
         "all_outputs_correct": all(r["correct"] for r in parent_runs + change_runs),
         "metrics": metrics,
+        "invocations": side_medians(parent_runs, change_runs, "invocations"),
+        "reference_deviation": side_medians(parent_runs, change_runs, "reference_deviation"),
     }
+
+
+def side_medians(parent_runs: list[dict], change_runs: list[dict], key: str) -> dict:
+    """Per name in the runs' ``key`` mapping, the median over the seeds of each side."""
+    names = dict.fromkeys(n for r in parent_runs + change_runs for n in r.get(key, {}))
+    out = {}
+    for name in names:
+        medians = {}
+        for side, runs in (("parent", parent_runs), ("change", change_runs)):
+            values = [r[key][name] for r in runs if name in r.get(key, {})]
+            medians[f"{side}_median"] = statistics.median(values) if values else None
+        out[name] = medians
+    return out
 
 
 def export_tree(rev: str, dest: Path, root: Path = ROOT) -> str:

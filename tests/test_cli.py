@@ -228,6 +228,53 @@ class TestSimulate:
         assert_one_line_error(err)
         assert "diverged to non-finite entries" in err
 
+    @pytest.mark.parametrize(
+        "dt, code, message",
+        [(0.69, 0, None), (0.72, 3, "t=360"), (1.0, 4, "by t=500")],
+    )
+    def test_unstable_dt_exit_codes(self, tmp_path, capsys, dt, code, message):
+        # Across the RK4 stability limit of depolarizing, each chunk of 500 steps
+        # is one cached power: the first record past the limit still decides the code.
+        config = {
+            "model": {"name": "depolarizing", "params": {"gamma": 1.0}},
+            "initial_state": "plus",
+            "integrator": {"dt": dt, "t_max": 2000, "record_stride": 500},
+        }
+        got, text = run(tmp_path, "simulate", config)
+        err = capsys.readouterr().err
+        assert got == code
+        if message is None:
+            assert err == "" and text.startswith(SIMULATE_HEADER)
+        else:
+            assert text == ""
+            assert_one_line_error(err)
+            assert message in err
+
+    def test_non_finite_power_falls_back_to_steps(self, tmp_path, monkeypatch):
+        # At dt = 1000 dephasing's coherences grow by ~7e11 a step, so P^1000
+        # overflows. The ground state leaves them zero, and only stepping keeps
+        # them zero: the overflowing power would make inf * 0 = NaN (exit 4).
+        config = {
+            "model": {"name": "dephasing"},
+            "initial_state": "ground",
+            "integrator": {"dt": 1000, "t_max": 1e6, "record_stride": 1000},
+        }
+        finite, real = [], np.linalg.matrix_power
+
+        def watched(a, n):
+            power = real(a, n)
+            finite.append(bool(np.isfinite(power).all()))
+            return power
+
+        monkeypatch.setattr(dynamics.np.linalg, "matrix_power", watched)
+        code, text = run(tmp_path, "simulate", config)
+        assert code == 0
+        assert finite == [False]  # one power, for the one chunk, and it was not finite
+        monkeypatch.setattr(dynamics, "_rk4_propagator", lambda *args: None)
+        code, direct = run(tmp_path, "simulate", config, out_name="direct.csv")
+        assert code == 0
+        assert text == direct
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_output_is_run_to_run_identical(self, tmp_path, name):
         config = {

@@ -110,6 +110,66 @@ def test_dense_path_agrees_with_direct_steps(monkeypatch, name, stride):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def counted_powers(monkeypatch):
+    """Patch matrix_power as dynamics reaches it; list each call's exponent."""
+    calls, real = [], np.linalg.matrix_power
+    monkeypatch.setattr(dynamics.np.linalg, "matrix_power",
+                        lambda a, n: calls.append(n) or real(a, n))
+    return calls
+
+
+def remainder_config(stride):
+    """Two full chunks of ``stride`` steps and a remainder chunk of 37."""
+    n = 2 * stride + 37
+    cfg = IntegratorConfig(dt=1e-3, t_max=n * 1e-3, record_stride=stride)
+    assert cfg.n_steps == n
+    return cfg
+
+
+POWER_MODELS = ("dephasing", "amplitude_damping", "depolarizing", "driven_qubit", "dense_d4",
+                "oscillator_d16")
+
+
+@pytest.mark.parametrize("name", POWER_MODELS)
+@pytest.mark.parametrize("stride", [250, 1000])
+def test_cached_power_agrees_with_direct_steps(monkeypatch, name, stride):
+    model = AGREEMENT_MODELS[name]()
+    calls = counted_powers(monkeypatch)
+    rho0 = ginibre_state(model.dim, seed=305)
+    cfg = remainder_config(stride)
+    taken = list(_recorded_steps(model, rho0, cfg))
+    direct = direct_recorded_steps(model, rho0, cfg)
+    assert stride in calls  # the records at the stride came from its power
+    assert [k for k, _ in taken] == [k for k, _ in direct]
+    for (_, got), (_, want) in zip(taken, direct):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# Powers taken for chunks of the stride and of the remainder 37. A chunk of k uses
+# one when k > size * (k.bit_length() + k.bit_count() - 2): the qubits' one 4 x 4
+# matrix takes both (37 > 4 * 7), dense_d4's 16 x 16 one and the d=16 oscillator's
+# stack of 16 x 16 blocks only the stride (37 < 16 * 7, 250 > 16 * 12).
+@pytest.mark.parametrize(
+    "name, stride, powers",
+    [("depolarizing", 250, [250, 37]), ("driven_qubit", 1000, [1000, 37]),
+     ("dense_d4", 250, [250]), ("oscillator_d16", 250, [250]), ("oscillator_d16", 1000, [1000]),
+     ("depolarizing", 1, []), ("oscillator_d16", 1, []),
+     # near break-even: 250 < 32 * 12 and 250 < 256 * 12
+     ("oscillator_d32", 250, []), ("dense_d16", 250, [])],
+)
+def test_one_power_per_accepted_chunk_length(monkeypatch, name, stride, powers):
+    model = dense_model(16, 260) if name == "dense_d16" else AGREEMENT_MODELS[name]()
+    builds = []
+    monkeypatch.setattr(
+        dynamics, "_rk4_propagator", lambda *args: builds.append(args) or _rk4_propagator(*args)
+    )
+    calls = counted_powers(monkeypatch)
+    cfg = remainder_config(stride) if stride > 1 else IntegratorConfig(1e-3, 0.2, 1)
+    list(_recorded_steps(model, ginibre_state(model.dim, seed=306), cfg))
+    assert len(builds) == 1  # the propagator ran, with or without powers
+    assert calls == powers
+
+
 @pytest.mark.parametrize(
     "name, permuted",
     [("depolarizing", False), ("driven_qubit", False), ("dense_d4", False),

@@ -139,3 +139,42 @@ def test_bench_pairs_failed_run_keeps_its_output(tmp_path):
     assert "ValueError: boom" in message and "pass 1 done" in message
     assert "err line 49" in message and "err line 31" in message
     assert "err line 30" not in message  # only the last 20 lines of stderr
+
+
+def test_bench_pairs_reads_invocations_and_deviations_from_stdout():
+    bench = load_script("bench_pairs")
+
+    def stdout(depolarizing, oscillator, deviation, cpu_s):
+        return "\n".join([
+            'facts {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "extra": 1}',
+            f"invocation depolarizing: median CPU {depolarizing:.6f} s",
+            f"invocation oscillator_d16: median CPU {oscillator:.6f} s",
+            f'reference deviation (max abs per field): {{"S": {deviation}, "min_eig": 0.0}}',
+            "fail_frac = 0.0 (0 of 90)",
+            f"cpu_s = {cpu_s} s",
+            '{"correct": true, "attempted": 90, "failed": 0, '
+            f'"metrics": {{"cpu_s": {{"value": {cpu_s}, "unit": "s"}}}}}}',
+        ])
+
+    run = bench.parse_output(stdout(0.0052, 0.0121, 2e-15, 0.034))
+    assert run["correct"] and run["metrics"]["cpu_s"]["value"] == 0.034
+    assert run["facts"]["python"] == "3.11.7" and "extra" not in run["facts"]
+    assert run["invocations"] == {"depolarizing": 0.0052, "oscillator_d16": 0.0121}
+    assert run["reference_deviation"] == {"S": 2e-15, "min_eig": 0.0}
+
+    parents = [bench.parse_output(stdout(0.005 + i * 1e-4, 0.012, 1e-15, 0.034)) for i in range(3)]
+    changes = [bench.parse_output(stdout(0.003, 0.007 + i * 1e-3, 3e-15 * i, 0.022))
+               for i in range(3)]
+    summary = bench.summarize(parents, changes, {"cpu_s": "lower"})
+    assert summary["invocations"] == {
+        "depolarizing": {"parent_median": 0.0051, "change_median": 0.003},
+        "oscillator_d16": {"parent_median": 0.012, "change_median": 0.008},
+    }
+    assert summary["reference_deviation"] == {
+        "S": {"parent_median": 1e-15, "change_median": 3e-15},
+        "min_eig": {"parent_median": 0.0, "change_median": 0.0},
+    }
+    # a side whose runs lack these lines (an older run.py) has no median
+    assert bench.summarize(parents[:1], [{"correct": True, "metrics": parents[0]["metrics"]}],
+                           {"cpu_s": "lower"})["invocations"]["depolarizing"] == {
+        "parent_median": 0.005, "change_median": None}
