@@ -1,4 +1,4 @@
-"""Lindblad generator, its superoperator and fixed-step time propagation.
+"""Lindblad generator, its blocks on vec(rho) and fixed-step time propagation.
 
 The generator is ``d rho/dt = -i[H, rho] + sum_j D[L_j] rho`` with
 ``D[L] rho = L rho L^dag - (L^dag L rho + rho L^dag L)/2`` and hbar = 1; all
@@ -8,9 +8,11 @@ fourth-order Runge-Kutta scheme so trajectories are bit-reproducible.
 Vectorization stacks columns: ``vec(A X B) = kron(B.T, A) @ vec(X)``. The
 generator G on vec(rho) is used as dense blocks over its sectors, read off the
 model's operators (:func:`_sectors`, :func:`_generator_blocks`); the steady
-state and the RK4 propagator both run on them, and no d^2 x d^2 matrix is
-formed unless G is one block. The blocks are cross-checked against the direct
-generator on random states before any use.
+state and the RK4 propagator both run on them. The propagator stacks its block
+maps, or merges them into one block of all d^2 entries where the stack's
+padding would cost as much; that block obeys ``MAX_BLOCK`` like any other. The
+blocks are cross-checked against the direct generator on random states before
+any use.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ TRACE_DRIFT_TOL = 1e-9
 # Recorded states may dip this far below zero in their smallest eigenvalue.
 POSITIVITY_TOL = 1e-8
 
-# Largest block of G, in entries of rho, that the RK4 propagator advances; runs
+# Largest block of G, in entries of rho, that the RK4 propagator advances; a dense G,
+# or the merged block of a heavily padded stack, is one block of d^2 (so d <= 16). Runs
 # of fewer than MIN_PROPAGATOR_STEPS * (s/256)^3 steps, s the largest block, step
 # directly too (the build is three s x s products per block). Measured for one
 # dense block, s = d^2, BLAS on one thread, 2-core x86-64 VM (direct step vs
@@ -181,24 +184,6 @@ def _decay_terms(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     return -1j * model.hamiltonian - half_decay, 1j * model.hamiltonian - half_decay
 
 
-def build_superoperator(model: LindbladModel) -> np.ndarray:
-    """The d^2 x d^2 matrix on vec(rho): kron(I, K) + kron(R.T, I) + sum_j kron(conj(L_j), L_j).
-
-    The jump terms are one einsum over the stacked channels; K and R.T are
-    added into strided block diagonals, so no Kronecker product is formed. The
-    package runs on :func:`_generator_blocks`; this is the tests' oracle.
-    """
-    d = model.dim
-    k, r = _decay_terms(model)
-    chans = np.array(model.channels, dtype=np.complex128).reshape(-1, d, d)
-    # entry (b*d + a, e*d + c) of kron(conj(L), L) is conj(L)[b, e] L[a, c]
-    gen4 = np.einsum("jbe,jac->baec", np.conj(chans), chans)
-    idx = np.arange(d)
-    gen4[idx, :, idx, :] += k
-    gen4[:, idx, :, idx] += r.T
-    return gen4.reshape(d * d, d * d)
-
-
 def _sectors(model: LindbladModel) -> list[np.ndarray]:
     """Blocks of G (and of M, G with the trace row), as one (count, size) index array per size.
 
@@ -249,14 +234,14 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 def _generator_blocks(model: LindbladModel, sectors: list[np.ndarray]) -> list[tuple]:
     """(index, blocks) per sector size, blocks[i] = G[index[i]][:, index[i]]; G is 0 elsewhere.
 
-    Entries are summed in :func:`build_superoperator`'s order (channels, K, R),
+    Entries are summed in the order of the tests' dense oracle (channels, K, R),
     so they equal its entries bit for bit; callers run the self-check on them.
     """
     d, (k, r), out = model.dim, _decay_terms(model), []
     for idx in sectors:
         a, b = idx % d, idx // d  # row i of a block is rho[a[i], b[i]], and so is column i
         blocks = np.zeros(idx.shape + idx.shape[1:], dtype=np.complex128)
-        for chan in model.channels:  # einsum's complex product, as in build_superoperator
+        for chan in model.channels:  # einsum's complex product, as in the tests' oracle
             blocks += np.einsum("nik,nik->nik", np.conj(chan[b[:, :, None], b[:, None, :]]),
                                 chan[a[:, :, None], a[:, None, :]])
         n, i, j = np.nonzero(b[:, :, None] == b[:, None, :])
@@ -318,7 +303,7 @@ def _step(model: LindbladModel, state: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _powered(mat: np.ndarray, size: int):
-    """``apply(v, k)``: mat^k @ v, mat a matrix or a stack of size x size matrices.
+    """``apply(v, k)``: mat^k @ v, mat a stack of size x size matrices.
 
     A chunk of k >= 2 steps applies one cached ``matrix_power(mat, k)`` when
     that is cheaper: its k.bit_length() + k.bit_count() - 2 products of two
@@ -350,34 +335,37 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
     """``advance(rho, k)``: k :func:`_step` maps of a d x d rho, block by block; None if not finite.
 
     For a linear generator L, classical RK4 is exactly the polynomial
-    sum_{k<=4} (dt L)^k / k!, evaluated per block by Horner's rule. The blocks
-    are zero-padded to the largest and stacked, one matmul per step, on the
-    state in block order, gathered from rho and scattered back through one
-    index per call. When the stack holds d^4 / 2 entries or more (one block, or
-    a few large ones), the blocks' maps fill one d^2 x d^2 matrix on vec(rho).
-    Either way a chunk of k steps may apply a cached power P^k in one product
-    (:func:`_powered`, with the stacked block size, or d^2 for the one matrix);
-    the result agrees with stepping to about 1e-14 relative.
+    sum_{k<=4} (dt L)^k / k!, evaluated per block by Horner's rule. The block
+    maps are zero-padded to the largest and stacked, one matmul per step, on
+    the state in block order, gathered from rho and scattered back through one
+    index per call. When the stack would hold d^4 / 2 entries or more (one
+    block, or a few large ones), they fill instead one block of all d^2
+    entries, a stack of one, in vec(rho) order. That block obeys ``MAX_BLOCK``
+    like any other: above it this returns None. A chunk of k steps may apply a
+    cached power P^k in one product (:func:`_powered`); the result agrees with
+    stepping to about 1e-14 relative.
     """
-    props = []
-    for idx, mats in blocks:
-        a, eye = mats * dt, np.identity(idx.shape[1], dtype=np.complex128)
-        props.append((idx, eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)))
-        if not np.all(np.isfinite(props[-1][1])):
-            return None
     count, size = sum(len(idx) for idx, _ in blocks), blocks[-1][0].shape[1]
-    if count * size * size >= d**4 / 2:
-        full = np.zeros((d * d, d * d), dtype=np.complex128)
-        for idx, prop in props:
-            full[idx[:, :, None], idx[:, None, :]] = prop
-        apply = _powered(full, d * d)
-        return lambda rho, steps: unvec(apply(vec(rho), steps), d)
+    merged = count * size * size >= d**4 / 2
+    if merged:
+        count, size = 1, d * d
+    if size > MAX_BLOCK:
+        return None
     stack = np.zeros((count, size, size), dtype=np.complex128)
     pos, row = np.empty(d * d, dtype=np.intp), 0  # pos[a*d + b]: where rho[a, b] sits in the stack
-    for idx, prop in props:
+    for idx, mats in blocks:
+        a, eye = mats * dt, np.identity(idx.shape[1], dtype=np.complex128)
+        prop = eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
+        if not np.all(np.isfinite(prop)):
+            return None
         n, s = idx.shape
-        stack[row:row + n, :s, :s] = prop
-        pos[idx % d * d + idx // d] = size * np.arange(row, row + n)[:, None] + np.arange(s)
+        if merged:  # the block's entries sit at their vec(rho) indices
+            stack[0, idx[:, :, None], idx[:, None, :]] = prop
+            at = idx
+        else:
+            stack[row:row + n, :s, :s] = prop
+            at = size * np.arange(row, row + n)[:, None] + np.arange(s)
+        pos[idx % d * d + idx // d] = at
         row += n
     apply = _powered(stack, size)
 
@@ -397,7 +385,8 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     Hermitian, and integration continues from it. An unstable ``dt`` may
     overflow between records; the health gate reports that. The steps apply
     the blocked RK4 propagator, :func:`_step`'s map in another order of
-    arithmetic, unless G has a block above ``MAX_BLOCK``, the run is too short
+    arithmetic, unless G has a block above ``MAX_BLOCK`` (or its blocks pad so
+    heavily that they merge into one of d^2 above it), the run is too short
     to repay the build (``MIN_PROPAGATOR_STEPS``), the propagator overflows
     (huge rates) or G is too small to self-check (below 1 / ``MAX_SCALE``);
     the last keeps an exactly stationary state finite. The propagator advances

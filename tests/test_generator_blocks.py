@@ -10,12 +10,12 @@ from entrodyn.dynamics import (
     _components,
     _generator_blocks,
     _sectors,
-    build_superoperator,
     final_state,
 )
 from entrodyn.models import get_model, list_models
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian
 from entrodyn.steady_state import steady_state
+from oracles import PEAK_MB, build_superoperator, diagonal_channel_model, traced_peak_mb
 
 
 def random_dense_model(seed, channels):
@@ -79,17 +79,25 @@ def test_dense_channel_is_one_block_without_a_sweep(monkeypatch):
 
 
 def test_d64_oscillator_never_builds_the_dense_generator(monkeypatch):
-    def refused(model):
-        raise AssertionError("the d^2 x d^2 generator was built")
-
-    monkeypatch.setattr(dynamics, "build_superoperator", refused)
     builds = []
     original = dynamics._rk4_propagator
     monkeypatch.setattr(
         dynamics, "_rk4_propagator", lambda *args: builds.append(args) or original(*args)
     )
     model = get_model("truncated_oscillator", {"d": 64})
-    rho = steady_state(model)
+    rho, peak = traced_peak_mb(steady_state, model)
+    assert peak < PEAK_MB
     assert abs(np.trace(rho).real - 1.0) <= 1e-12
-    state = final_state(model, ginibre_state(64, seed=5), IntegratorConfig(dt=1e-3, t_max=4e-3))
+    cfg = IntegratorConfig(dt=1e-3, t_max=4e-3)
+    state, peak = traced_peak_mb(final_state, model, ginibre_state(64, seed=5), cfg)
+    assert peak < PEAK_MB
     assert len(builds) == 1 and np.all(np.isfinite(state))
+
+
+def test_d64_diagonal_channel_never_builds_the_dense_generator():
+    # its blocks of 64 and 1 would merge into one block of 4096 entries, above MAX_BLOCK
+    model = diagonal_channel_model(64)
+    cfg = IntegratorConfig(dt=1e-3, t_max=4e-3)
+    state, peak = traced_peak_mb(final_state, model, ginibre_state(64, seed=5), cfg)
+    assert peak < PEAK_MB
+    assert np.all(np.isfinite(state))

@@ -17,13 +17,13 @@ from entrodyn.dynamics import (
     _rk4_propagator,
     _sectors,
     _step,
-    build_superoperator,
     final_state,
     unvec,
     vec,
 )
 from entrodyn.models import get_model, named_state
 from entrodyn.operators import adjoint, ginibre_matrix, ginibre_state, gue_hermitian
+from oracles import build_superoperator, diagonal_channel_model
 
 
 def random_two_channel_model():
@@ -87,13 +87,15 @@ AGREEMENT_MODELS = {
     "oscillator_d32": lambda: get_model("truncated_oscillator", {"d": 32, "gamma": 0.2}),
     "random_d3_two_channels": random_two_channel_model,
     "dense_d4": lambda: dense_model(4, 210),
+    # blocks of 16 and 1 pad to 241 x 16 x 16 > d^4 / 2 entries: merged into one of 256
+    "diagonal_d16": lambda: diagonal_channel_model(16),
 }
 
 
 @pytest.mark.parametrize("name", sorted(AGREEMENT_MODELS))
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_dense_path_agrees_with_direct_steps(monkeypatch, name, stride):
-    # "dense": the propagator path, blocked or one d^2 x d^2 matrix
+    # "dense": the propagator path, a stack of blocks or one merged block of d^2
     model = AGREEMENT_MODELS[name]()
     assert largest_block(model) <= MAX_BLOCK
     builds = []
@@ -155,7 +157,7 @@ def test_cached_power_agrees_with_direct_steps(monkeypatch, name, stride):
      ("dense_d4", 250, [250]), ("oscillator_d16", 250, [250]), ("oscillator_d16", 1000, [1000]),
      ("depolarizing", 1, []), ("oscillator_d16", 1, []),
      # near break-even: 250 < 32 * 12 and 250 < 256 * 12
-     ("oscillator_d32", 250, []), ("dense_d16", 250, [])],
+     ("oscillator_d32", 250, []), ("dense_d16", 250, []), ("diagonal_d16", 250, [])],
 )
 def test_one_power_per_accepted_chunk_length(monkeypatch, name, stride, powers):
     model = dense_model(16, 260) if name == "dense_d16" else AGREEMENT_MODELS[name]()
@@ -173,14 +175,20 @@ def test_one_power_per_accepted_chunk_length(monkeypatch, name, stride, powers):
 @pytest.mark.parametrize(
     "name, permuted",
     [("depolarizing", False), ("driven_qubit", False), ("dense_d4", False),
-     ("amplitude_damping", False), ("oscillator_d16", True), ("oscillator_d32", True)],
+     ("amplitude_damping", False), ("oscillator_d16", True), ("oscillator_d32", True),
+     ("diagonal_d16", False)],
 )
-def test_state_is_permuted_only_where_blocking_saves_work(name, permuted):
+def test_state_is_permuted_only_where_blocking_saves_work(monkeypatch, name, permuted):
     # depolarizing's two blocks of 2 pad to d^4 / 2 entries, driven_qubit is one block;
-    # amplitude_damping's blocks of 1, 1 and 2 stack padded to 2
+    # amplitude_damping's blocks of 1, 1 and 2 stack padded to 2. Those merge into one
+    # block of d^2 entries in vec(rho) order; the oscillators' blocks stay stacked.
     model = AGREEMENT_MODELS[name]()
+    stacks, real = [], dynamics._powered
+    monkeypatch.setattr(dynamics, "_powered",
+                        lambda stack, size: stacks.append(stack.shape) or real(stack, size))
     advance = propagator(model, 1e-3)
-    assert ("pos" in advance.__code__.co_freevars) == permuted  # the block-order take index
+    (shape,) = stacks
+    assert (shape[1] < model.dim**2) == permuted
     rho = want = ginibre_state(model.dim, seed=304)
     for _ in range(3):
         want = _step(model, want, 1e-3)
@@ -191,18 +199,20 @@ def test_state_is_permuted_only_where_blocking_saves_work(name, permuted):
 
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_above_dense_max_dim_takes_the_direct_path(stride):
-    # a dense G at d=17 is one block of 289 > MAX_BLOCK entries
-    d = 17
-    model = dense_model(d, 220)
-    assert largest_block(model) == d * d > MAX_BLOCK
-    rho0 = ginibre_state(d, seed=301)
-    cfg = IntegratorConfig(dt=1e-3, t_max=0.3, record_stride=stride)
-    taken = list(_recorded_steps(model, rho0, cfg))
-    reference = direct_recorded_steps(model, rho0, cfg)
-    assert len(taken) == len(reference)
-    for (k, got), (k_ref, want) in zip(taken, reference):
-        assert k == k_ref
-        assert np.array_equal(got, want)
+    # a dense G at d=17 is one block of 289 > MAX_BLOCK entries; the d=24 diagonal
+    # model's blocks of 24 and 1 are small, but merge into one block of 576
+    dense, diagonal = dense_model(17, 220), diagonal_channel_model(24)
+    assert largest_block(dense) == 17 * 17 > MAX_BLOCK
+    assert largest_block(diagonal) == 24
+    for model in (dense, diagonal):
+        rho0 = ginibre_state(model.dim, seed=301)
+        cfg = IntegratorConfig(dt=1e-3, t_max=0.3, record_stride=stride)
+        taken = list(_recorded_steps(model, rho0, cfg))
+        reference = direct_recorded_steps(model, rho0, cfg)
+        assert len(taken) == len(reference)
+        for (k, got), (k_ref, want) in zip(taken, reference):
+            assert k == k_ref
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("stride", [1, 7, 250])

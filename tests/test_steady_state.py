@@ -12,7 +12,6 @@ from entrodyn.dynamics import (
     _components,
     _generator_blocks,
     _sectors,
-    build_superoperator,
     final_state,
     liouvillian_rhs,
 )
@@ -22,6 +21,7 @@ from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, named_state
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, maximally_mixed
 from entrodyn.steady_state import (_steady_solve, _svd_solve, long_time_entropy, steady_state,
                                    unvec, vec)
+from oracles import build_superoperator
 
 UNIQUE_PRESETS = ("amplitude_damping", "depolarizing", "driven_qubit", "truncated_oscillator")
 
