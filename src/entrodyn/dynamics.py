@@ -8,11 +8,10 @@ fourth-order Runge-Kutta scheme so trajectories are bit-reproducible.
 Vectorization stacks columns: ``vec(A X B) = kron(B.T, A) @ vec(X)``. The
 generator G on vec(rho) is used as dense blocks over its sectors, read off the
 model's operators (:func:`_sectors`, :func:`_generator_blocks`); the steady
-state and the RK4 propagator both run on them. The propagator stacks its block
-maps, or merges them into one block of all d^2 entries where the stack's
-padding would cost as much; that block obeys ``MAX_BLOCK`` like any other. The
-blocks are cross-checked against the direct generator on random states before
-any use.
+state and the RK4 propagator both run on them. The propagator advances G's own
+blocks as one stack padded to the largest, where that stack holds at most
+``MAX_BLOCK`` d^2 entries. The blocks are cross-checked against the direct
+generator on random states before any use.
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ TRACE_DRIFT_TOL = 1e-9
 # Recorded states may dip this far below zero in their smallest eigenvalue.
 POSITIVITY_TOL = 1e-8
 
-# Largest block of G, in entries of rho, that the RK4 propagator advances; a dense G,
-# or the merged block of a heavily padded stack, is one block of d^2 (so d <= 16). Runs
-# of fewer than MIN_PROPAGATOR_STEPS * (s/256)^3 steps, s the largest block, step
-# directly too (the build is three s x s products per block). Measured for one
+# The RK4 propagator's stack of count blocks padded to size s holds count s^2 entries of
+# G; it is built only where that is at most MAX_BLOCK d^2, so s <= MAX_BLOCK (a dense G
+# is one block of d^2, so d <= 16). Runs of fewer than MIN_PROPAGATOR_STEPS * (s/256)^3
+# steps step directly too (the build is three s x s products per block). Measured for one
 # dense block, s = d^2, BLAS on one thread, 2-core x86-64 VM (direct step vs
 # matvec, build, break-even): d=2 113 vs 1.9 us, 1.0 ms, 9 steps; d=14 105 vs
 # 12 us, 5.1 ms, 55; d=16 105 vs 18 us, 9.6 ms, 110; d=20 187 vs 110 us, 40 ms, 510.
@@ -184,16 +183,16 @@ def _decay_terms(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     return -1j * model.hamiltonian - half_decay, 1j * model.hamiltonian - half_decay
 
 
-def _sectors(model: LindbladModel) -> list[np.ndarray]:
-    """Blocks of G (and of M, G with the trace row), as one (count, size) index array per size.
+def _sectors(model: LindbladModel, trace_row: bool = False) -> list[np.ndarray]:
+    """Blocks of G (of M, G with the trace row, if ``trace_row``), one (count, size) array per size.
 
     G maps rho[c, e] into rho[a, b] with weight delta_be K[a, c] +
     delta_ac R[e, b] + sum_j conj(L_j[b, e]) L_j[a, c], so the blocks are the
     connected components of the edges that K, R and each channel's pairs of
-    nonzeros make, plus the trace row's, which joins rho's diagonal. This covers
-    G's exact pattern: a block is a component of it or, where entries cancel,
-    coarser. Indices ascend within a block and blocks of one size by their
-    first index, so index 0 is entry [0, 0] of its array.
+    nonzeros make; M's trace row adds edges that join rho's diagonal. This
+    covers the exact pattern: a block is a component of it or, where entries
+    cancel, coarser. Indices ascend within a block and blocks of one size by
+    their first index, so index 0 is entry [0, 0] of its array.
     """
     d = model.dim
     if any(np.count_nonzero(chan) == d * d for chan in model.channels):
@@ -201,7 +200,9 @@ def _sectors(model: LindbladModel) -> list[np.ndarray]:
     cell = np.arange(d * d).reshape(d, d)  # cell[b, a] is the vec index of rho[a, b]
     k, r = _decay_terms(model)
     (a, c), (e, b) = np.nonzero(k), np.nonzero(r)
-    edges = [(cell[:, a], cell[:, c]), (cell[b], cell[e]), (0 * cell[0], cell.diagonal())]
+    edges = [(cell[:, a], cell[:, c]), (cell[b], cell[e])]
+    if trace_row:
+        edges.append((0 * cell[0], cell.diagonal()))
     for rows, cols in (np.nonzero(chan) for chan in model.channels):
         edges.append((cell[rows[:, None], rows], cell[cols[:, None], cols]))
     label = _components(*(np.concatenate([x[i].ravel() for x in edges]) for i in (0, 1)), d * d)
@@ -338,19 +339,11 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
     sum_{k<=4} (dt L)^k / k!, evaluated per block by Horner's rule. The block
     maps are zero-padded to the largest and stacked, one matmul per step, on
     the state in block order, gathered from rho and scattered back through one
-    index per call. When the stack would hold d^4 / 2 entries or more (one
-    block, or a few large ones), they fill instead one block of all d^2
-    entries, a stack of one, in vec(rho) order. That block obeys ``MAX_BLOCK``
-    like any other: above it this returns None. A chunk of k steps may apply a
-    cached power P^k in one product (:func:`_powered`); the result agrees with
-    stepping to about 1e-14 relative.
+    index per call. A chunk of k steps may apply a cached power P^k in one
+    product (:func:`_powered`); the result agrees with stepping to about 1e-14
+    relative.
     """
     count, size = sum(len(idx) for idx, _ in blocks), blocks[-1][0].shape[1]
-    merged = count * size * size >= d**4 / 2
-    if merged:
-        count, size = 1, d * d
-    if size > MAX_BLOCK:
-        return None
     stack = np.zeros((count, size, size), dtype=np.complex128)
     pos, row = np.empty(d * d, dtype=np.intp), 0  # pos[a*d + b]: where rho[a, b] sits in the stack
     for idx, mats in blocks:
@@ -359,13 +352,8 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
         if not np.all(np.isfinite(prop)):
             return None
         n, s = idx.shape
-        if merged:  # the block's entries sit at their vec(rho) indices
-            stack[0, idx[:, :, None], idx[:, None, :]] = prop
-            at = idx
-        else:
-            stack[row:row + n, :s, :s] = prop
-            at = size * np.arange(row, row + n)[:, None] + np.arange(s)
-        pos[idx % d * d + idx // d] = at
+        stack[row:row + n, :s, :s] = prop
+        pos[idx % d * d + idx // d] = size * np.arange(row, row + n)[:, None] + np.arange(s)
         row += n
     apply = _powered(stack, size)
 
@@ -385,14 +373,15 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     Hermitian, and integration continues from it. An unstable ``dt`` may
     overflow between records; the health gate reports that. The steps apply
     the blocked RK4 propagator, :func:`_step`'s map in another order of
-    arithmetic, unless G has a block above ``MAX_BLOCK`` (or its blocks pad so
-    heavily that they merge into one of d^2 above it), the run is too short
-    to repay the build (``MIN_PROPAGATOR_STEPS``), the propagator overflows
-    (huge rates) or G is too small to self-check (below 1 / ``MAX_SCALE``);
-    the last keeps an exactly stationary state finite. The propagator advances
-    a chunk of ``record_stride`` steps, or the remainder, by one cached power
-    of its map where that takes fewer products than stepping, and steps where
-    the power is not finite; the records stay within 1e-12 of stepping.
+    arithmetic, unless its padded stack of G's blocks would hold more than
+    ``MAX_BLOCK`` d^2 entries (checked on the blocks' shapes, before any is
+    built), the run is too short to repay the build (``MIN_PROPAGATOR_STEPS``),
+    the propagator overflows (huge rates) or G is too small to self-check
+    (below 1 / ``MAX_SCALE``); the last keeps an exactly stationary state
+    finite. The propagator advances a chunk of ``record_stride`` steps, or the
+    remainder, by one cached power of its map where that takes fewer products
+    than stepping, and steps where the power is not finite; the records stay
+    within 1e-12 of stepping.
     """
     state = hermitian_part(assert_density(rho0, hermiticity_tol=1e-9,
                                           positivity_tol=POSITIVITY_TOL, trace_tol=1e-9))
@@ -401,12 +390,13 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     def advance(rho: np.ndarray, steps: int) -> np.ndarray:  # the direct map
         return functools.reduce(lambda x, _: _step(model, x, cfg.dt), range(steps), rho)
 
-    # Blocks of at most MAX_BLOCK hold at most MAX_BLOCK d^2 entries of G, and a channel
-    # with m nonzeros fills m^2: a dense channel's d^4 edges are not worth seeking.
-    if max((np.count_nonzero(c) ** 2 for c in model.channels), default=0) <= MAX_BLOCK * d * d:
+    # The padded stack may hold cap entries of G (so no block exceeds MAX_BLOCK); a channel
+    # with m nonzeros fills m^2 of them, so past the cap its edges are not worth seeking.
+    cap = MAX_BLOCK * d * d
+    if max((np.count_nonzero(c) ** 2 for c in model.channels), default=0) <= cap:
         sectors = _sectors(model)
-        size = max(idx.shape[1] for idx in sectors)
-        if size <= MAX_BLOCK and n >= MIN_PROPAGATOR_STEPS * (size / MAX_BLOCK) ** 3:
+        count, size = sum(len(idx) for idx in sectors), sectors[-1].shape[1]
+        if count * size * size <= cap and n >= MIN_PROPAGATOR_STEPS * (size / MAX_BLOCK) ** 3:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     blocks = _generator_blocks(model, sectors)

@@ -151,21 +151,21 @@ def get_model(name: str, params: Mapping[str, float] | None = None) -> LindbladM
     if spec is None:
         known = ", ".join(s.name for s in _PRESETS)
         raise UnknownModelError(f"unknown preset '{name}' (known: {known})")
-    merged = dict(spec.defaults)
+    values = dict(spec.defaults)
     for key, value in (params or {}).items():
-        if key not in merged:
+        if key not in values:
             raise BadParamsError(f"unknown parameter '{key}' for preset '{name}'")
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (number and math.isfinite(value)):
             raise BadParamsError(f"parameter '{key}' must be a finite number")
-        merged[key] = value
-    if "gamma" in merged and merged["gamma"] <= 0:
+        values[key] = value
+    if "gamma" in values and values["gamma"] <= 0:
         raise BadParamsError("rate gamma must be positive")
-    if "d" in merged:
-        if float(merged["d"]) != int(merged["d"]) or not 2 <= int(merged["d"]) <= MAX_DIM:
+    if "d" in values:
+        if float(values["d"]) != int(values["d"]) or not 2 <= int(values["d"]) <= MAX_DIM:
             raise BadParamsError(f"dimension d must be an integer in [2, {MAX_DIM}]")
-        merged["d"] = int(merged["d"])
-    return spec.builder(**merged)
+        values["d"] = int(values["d"])
+    return spec.builder(**values)
 
 
 def named_state(name: str, dim: int) -> np.ndarray:

@@ -46,7 +46,7 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
 def _steady_solve(model: LindbladModel, tol: float) -> tuple[np.ndarray, SpectralDecomposition]:
     """:func:`steady_state` with the spectrum its validation gate computed, as a stack of one."""
     d = model.dim
-    blocks = _generator_blocks(model, _sectors(model))
+    blocks = _generator_blocks(model, _sectors(model, trace_row=True))
     peak, frob, col = _check_against_direct_map(model, blocks)
     trace_row = vec(np.identity(d))
     x = np.zeros(d * d, dtype=np.complex128)

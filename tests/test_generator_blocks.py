@@ -95,7 +95,7 @@ def test_d64_oscillator_never_builds_the_dense_generator(monkeypatch):
 
 
 def test_d64_diagonal_channel_never_builds_the_dense_generator():
-    # its blocks of 64 and 1 would merge into one block of 4096 entries, above MAX_BLOCK
+    # G is diagonal: the propagator advances a stack of 4096 blocks of one
     model = diagonal_channel_model(64)
     cfg = IntegratorConfig(dt=1e-3, t_max=4e-3)
     state, peak = traced_peak_mb(final_state, model, ginibre_state(64, seed=5), cfg)

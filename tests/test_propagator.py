@@ -18,6 +18,7 @@ from entrodyn.dynamics import (
     _sectors,
     _step,
     final_state,
+    propagate,
     unvec,
     vec,
 )
@@ -38,6 +39,17 @@ def dense_model(d, seed):
 
 def largest_block(model):
     return max(idx.shape[1] for idx in _sectors(model))
+
+
+def over_cap_model():
+    """H diagonal at d=24 and one channel, a dense 8 x 8 Ginibre block on levels 0-7.
+
+    G's blocks are one of 64 (rho[a, b] with a, b < 8), 32 of 8 and 256 of one:
+    padded to 64 they would hold 289 * 64^2 entries, more than MAX_BLOCK d^2.
+    """
+    chan = np.zeros((24, 24), dtype=np.complex128)
+    chan[:8, :8] = ginibre_matrix(8, 270)
+    return LindbladModel(np.diag(np.linspace(0.0, 1.0, 24)), (chan,), label="over_cap_d24")
 
 
 def propagator(model, dt):
@@ -87,15 +99,17 @@ AGREEMENT_MODELS = {
     "oscillator_d32": lambda: get_model("truncated_oscillator", {"d": 32, "gamma": 0.2}),
     "random_d3_two_channels": random_two_channel_model,
     "dense_d4": lambda: dense_model(4, 210),
-    # blocks of 16 and 1 pad to 241 x 16 x 16 > d^4 / 2 entries: merged into one of 256
+    # G is diagonal: a stack of d^2 blocks of one
     "diagonal_d16": lambda: diagonal_channel_model(16),
+    "diagonal_d24": lambda: diagonal_channel_model(24),
+    "diagonal_d64": lambda: diagonal_channel_model(64),
 }
 
 
 @pytest.mark.parametrize("name", sorted(AGREEMENT_MODELS))
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_dense_path_agrees_with_direct_steps(monkeypatch, name, stride):
-    # "dense": the propagator path, a stack of blocks or one merged block of d^2
+    # "dense": the propagator path, a padded stack of G's blocks
     model = AGREEMENT_MODELS[name]()
     assert largest_block(model) <= MAX_BLOCK
     builds = []
@@ -148,8 +162,9 @@ def test_cached_power_agrees_with_direct_steps(monkeypatch, name, stride):
 
 
 # Powers taken for chunks of the stride and of the remainder 37. A chunk of k uses
-# one when k > size * (k.bit_length() + k.bit_count() - 2): the qubits' one 4 x 4
-# matrix takes both (37 > 4 * 7), dense_d4's 16 x 16 one and the d=16 oscillator's
+# one when k > size * (k.bit_length() + k.bit_count() - 2): depolarizing's stack of
+# 2 x 2 blocks, driven_qubit's one 4 x 4 block and diagonal_d16's blocks of one take
+# both (37 > 4 * 7 >= size * 7), dense_d4's 16 x 16 block and the d=16 oscillator's
 # stack of 16 x 16 blocks only the stride (37 < 16 * 7, 250 > 16 * 12).
 @pytest.mark.parametrize(
     "name, stride, powers",
@@ -157,7 +172,7 @@ def test_cached_power_agrees_with_direct_steps(monkeypatch, name, stride):
      ("dense_d4", 250, [250]), ("oscillator_d16", 250, [250]), ("oscillator_d16", 1000, [1000]),
      ("depolarizing", 1, []), ("oscillator_d16", 1, []),
      # near break-even: 250 < 32 * 12 and 250 < 256 * 12
-     ("oscillator_d32", 250, []), ("dense_d16", 250, []), ("diagonal_d16", 250, [])],
+     ("oscillator_d32", 250, []), ("dense_d16", 250, []), ("diagonal_d16", 250, [250, 37])],
 )
 def test_one_power_per_accepted_chunk_length(monkeypatch, name, stride, powers):
     model = dense_model(16, 260) if name == "dense_d16" else AGREEMENT_MODELS[name]()
@@ -174,20 +189,23 @@ def test_one_power_per_accepted_chunk_length(monkeypatch, name, stride, powers):
 
 @pytest.mark.parametrize(
     "name, permuted",
-    [("depolarizing", False), ("driven_qubit", False), ("dense_d4", False),
-     ("amplitude_damping", False), ("oscillator_d16", True), ("oscillator_d32", True),
-     ("diagonal_d16", False)],
+    [("depolarizing", True), ("driven_qubit", False), ("dense_d4", False),
+     ("amplitude_damping", True), ("oscillator_d16", True), ("oscillator_d32", True),
+     ("diagonal_d16", True)],
 )
 def test_state_is_permuted_only_where_blocking_saves_work(monkeypatch, name, permuted):
-    # depolarizing's two blocks of 2 pad to d^4 / 2 entries, driven_qubit is one block;
-    # amplitude_damping's blocks of 1, 1 and 2 stack padded to 2. Those merge into one
-    # block of d^2 entries in vec(rho) order; the oscillators' blocks stay stacked.
+    # The stack holds G's own blocks padded to the largest: depolarizing's two of 2,
+    # amplitude_damping's 1, 1 and 2, diagonal_d16's 256 of one. driven_qubit and
+    # dense_d4 are one block of d^2, in vec(rho) order.
     model = AGREEMENT_MODELS[name]()
     stacks, real = [], dynamics._powered
     monkeypatch.setattr(dynamics, "_powered",
                         lambda stack, size: stacks.append(stack.shape) or real(stack, size))
     advance = propagator(model, 1e-3)
     (shape,) = stacks
+    sectors = _sectors(model)
+    size = sectors[-1].shape[1]
+    assert shape == (sum(len(idx) for idx in sectors), size, size)
     assert (shape[1] < model.dim**2) == permuted
     rho = want = ginibre_state(model.dim, seed=304)
     for _ in range(3):
@@ -199,12 +217,12 @@ def test_state_is_permuted_only_where_blocking_saves_work(monkeypatch, name, per
 
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_above_dense_max_dim_takes_the_direct_path(stride):
-    # a dense G at d=17 is one block of 289 > MAX_BLOCK entries; the d=24 diagonal
-    # model's blocks of 24 and 1 are small, but merge into one block of 576
-    dense, diagonal = dense_model(17, 220), diagonal_channel_model(24)
+    # a dense G at d=17 is one block of 289 > MAX_BLOCK entries; the over-cap model's
+    # blocks are at most 64, but their padded stack holds more than MAX_BLOCK d^2
+    dense, over_cap = dense_model(17, 220), over_cap_model()
     assert largest_block(dense) == 17 * 17 > MAX_BLOCK
-    assert largest_block(diagonal) == 24
-    for model in (dense, diagonal):
+    assert largest_block(over_cap) == 64
+    for model in (dense, over_cap):
         rho0 = ginibre_state(model.dim, seed=301)
         cfg = IntegratorConfig(dt=1e-3, t_max=0.3, record_stride=stride)
         taken = list(_recorded_steps(model, rho0, cfg))
@@ -213,6 +231,30 @@ def test_above_dense_max_dim_takes_the_direct_path(stride):
         for (k, got), (k_ref, want) in zip(taken, reference):
             assert k == k_ref
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("run", [final_state, propagate])
+def test_over_cap_stack_is_refused_before_any_block_is_built(monkeypatch, run):
+    model = over_cap_model()
+    sectors = _sectors(model)
+    count, size = sum(len(idx) for idx in sectors), sectors[-1].shape[1]
+    assert (count, size) == (289, 64) and count * size * size > MAX_BLOCK * model.dim**2
+
+    def refused(*args):
+        raise AssertionError("a block of the over-cap stack was built")
+
+    monkeypatch.setattr(dynamics, "_generator_blocks", refused)
+    monkeypatch.setattr(dynamics, "_check_against_direct_map", refused)
+    rho0 = ginibre_state(model.dim, seed=307)
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.3, record_stride=50)
+    reference = [state for _, state in direct_recorded_steps(model, rho0, cfg)]
+    if run is final_state:
+        states, reference = [final_state(model, rho0, cfg)], reference[-1:]
+    else:
+        states = propagate(model, rho0, cfg).states
+    assert len(states) == len(reference)
+    for got, want in zip(states, reference):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("stride", [1, 7, 250])
