@@ -45,7 +45,7 @@ from typing import Any, TextIO
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, LindbladModel, liouvillian_rhs, propagate
+from .dynamics import IntegratorConfig, LindbladModel, propagate
 from .entropy_bounds import (
     _entropies,
     _steady_floor,
@@ -257,7 +257,7 @@ def run_steady(config: dict, out: TextIO) -> None:
     if not isinstance(tol, (int, float)) or not 0 < tol < 1:
         raise ConfigError("'tol' must be a number in (0, 1)")
     try:
-        rho_inf, spectra = _steady_solve(model, float(tol))
+        rho_inf, spectra, residual = _steady_solve(model, float(tol))
     except DegenerateSteadyStateError as exc:
         _write_json(
             out,
@@ -268,7 +268,6 @@ def run_steady(config: dict, out: TextIO) -> None:
             },
         )
         raise
-    residual = float(np.linalg.norm(liouvillian_rhs(model, rho_inf)))
     bound = _steady_floor(model, spectra)
     report = {
         "label": model.label,

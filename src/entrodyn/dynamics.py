@@ -8,9 +8,9 @@ fourth-order Runge-Kutta scheme so trajectories are bit-reproducible.
 Vectorization stacks columns: ``vec(A X B) = kron(B.T, A) @ vec(X)``. The
 generator G on vec(rho) is used as dense blocks over its sectors, read off the
 model's operators (:func:`_sectors`, :func:`_generator_blocks`); the steady
-state and the RK4 propagator both run on them. The propagator advances G's own
-blocks as one stack padded to the largest, where that stack holds at most
-``MAX_BLOCK`` d^2 entries. The blocks are cross-checked against the direct
+state and the RK4 propagator both run on these same blocks. The propagator
+advances them as one stack padded to the largest, where that stack holds at
+most ``MAX_BLOCK`` d^2 entries. The blocks are cross-checked against the direct
 generator on random states before any use.
 """
 
@@ -183,16 +183,15 @@ def _decay_terms(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     return -1j * model.hamiltonian - half_decay, 1j * model.hamiltonian - half_decay
 
 
-def _sectors(model: LindbladModel, trace_row: bool = False) -> list[np.ndarray]:
-    """Blocks of G (of M, G with the trace row, if ``trace_row``), one (count, size) array per size.
+def _sectors(model: LindbladModel) -> list[np.ndarray]:
+    """Blocks of G, one (count, size) array per size.
 
     G maps rho[c, e] into rho[a, b] with weight delta_be K[a, c] +
     delta_ac R[e, b] + sum_j conj(L_j[b, e]) L_j[a, c], so the blocks are the
     connected components of the edges that K, R and each channel's pairs of
-    nonzeros make; M's trace row adds edges that join rho's diagonal. This
-    covers the exact pattern: a block is a component of it or, where entries
-    cancel, coarser. Indices ascend within a block and blocks of one size by
-    their first index, so index 0 is entry [0, 0] of its array.
+    nonzeros make. This covers the exact pattern: a block is a component of it
+    or, where entries cancel, coarser. Indices ascend within a block and blocks
+    of one size by their first index, so index 0 is entry [0, 0] of its array.
     """
     d = model.dim
     if any(np.count_nonzero(chan) == d * d for chan in model.channels):
@@ -201,8 +200,6 @@ def _sectors(model: LindbladModel, trace_row: bool = False) -> list[np.ndarray]:
     k, r = _decay_terms(model)
     (a, c), (e, b) = np.nonzero(k), np.nonzero(r)
     edges = [(cell[:, a], cell[:, c]), (cell[b], cell[e])]
-    if trace_row:
-        edges.append((0 * cell[0], cell.diagonal()))
     for rows, cols in (np.nonzero(chan) for chan in model.channels):
         edges.append((cell[rows[:, None], rows], cell[cols[:, None], cols]))
     label = _components(*(np.concatenate([x[i].ravel() for x in edges]) for i in (0, 1)), d * d)

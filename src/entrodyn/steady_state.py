@@ -32,23 +32,26 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
     direction, |G vec(rho)| <= tol c |rho|_F one (norms in units of G's
     largest |entry|, so none overflows). Otherwise an SVD counts them.
 
-    Both solves run on G's blocks, assembled from the model's operators (see
-    :func:`entrodyn.dynamics._sectors`); no d^2 x d^2 matrix is formed. G and
-    M are block diagonal in them, so M^-1 is the blocks' inverses, |M^-1|_F^2
-    their sum of |B^-1|_F^2 and x column 0 of the inverse of the block of index
-    0, and the singular values of G are the union of its blocks'. A model with
-    a conserved quantity, such as n - m for the oscillator, splits into its
-    sectors; a dense G is one block.
+    Both solves run on G's own blocks (see :func:`entrodyn.dynamics._sectors`);
+    no d^2 x d^2 matrix is formed. G preserves the trace, so a block holding
+    part of rho's diagonal is singular, and a unique steady state's block, that
+    of index 0, holds the whole diagonal. M's row 0 is the trace row restricted
+    to that block (where the diagonal spans several, a singular block is left
+    and the SVD counts), so M is block diagonal in G's blocks: M^-1 is their
+    inverses, |M^-1|_F^2 the sum of their |B^-1|_F^2 and x column 0 of the
+    inverse of the block of index 0, and G's singular values are the union of
+    its blocks'. A model with a conserved quantity, such as n - m for the
+    oscillator, splits into its sectors; a dense G is one block.
     """
     return _steady_solve(model, tol)[0]
 
 
-def _steady_solve(model: LindbladModel, tol: float) -> tuple[np.ndarray, SpectralDecomposition]:
-    """:func:`steady_state` with the spectrum its validation gate computed, as a stack of one."""
+def _steady_solve(model: LindbladModel,
+                  tol: float) -> tuple[np.ndarray, SpectralDecomposition, float]:
+    """:func:`steady_state` with its gates' spectrum (a stack of one) and |G vec(rho)|."""
     d = model.dim
-    blocks = _generator_blocks(model, _sectors(model, trace_row=True))
+    blocks = _generator_blocks(model, _sectors(model))
     peak, frob, col = _check_against_direct_map(model, blocks)
-    trace_row = vec(np.identity(d))
     x = np.zeros(d * d, dtype=np.complex128)
     inv_sq = 0.0  # |M^-1|_F^2
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the tests
@@ -57,7 +60,7 @@ def _steady_solve(model: LindbladModel, tol: float) -> tuple[np.ndarray, Spectra
                 scaled = mats / peak
                 holds_zero = idx[0, 0] == 0  # index 0 leads the first block of its size
                 if holds_zero:
-                    scaled[0, 0] = trace_row[idx[0]]
+                    scaled[0, 0] = idx[0] % (d + 1) == 0  # the trace row: 1 on rho's diagonal
                 inverses = np.linalg.inv(scaled)
                 if holds_zero:
                     x[idx[0]] = inverses[0, :, 0]
@@ -69,12 +72,12 @@ def _steady_solve(model: LindbladModel, tol: float) -> tuple[np.ndarray, Spectra
             # a density has |rho|_F <= 1, so rho also passes _svd_solve's residual gate
             residual = np.linalg.norm(_apply(blocks, vec(rho / peak)[:, None]))
             if residual <= tol * col * np.linalg.norm(rho):
-                return rho, _validated(rho)
+                return rho, _validated(rho), peak * float(residual)
     return _svd_solve(blocks, d, tol)
 
 
 def _svd_solve(blocks: list[tuple], d: int,
-               tol: float) -> tuple[np.ndarray, SpectralDecomposition]:
+               tol: float) -> tuple[np.ndarray, SpectralDecomposition, float]:
     decomposed = []
     for idx, mats in blocks:
         if idx.shape[1] == 1:  # a 1 x 1 block's singular value is |g|, its right vector 1
@@ -102,7 +105,7 @@ def _svd_solve(blocks: list[tuple], d: int,
     if residual > 10.0 * tol * max(1.0, smax):
         raise NoSteadyStateError(f"extracted state has generator residual {residual:.3e}; "
                                  "tighten tol")
-    return rho, spectra
+    return rho, spectra, residual
 
 
 def _normalized(v: np.ndarray, d: int) -> np.ndarray:

@@ -29,9 +29,9 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
 def diagonal_channel_model(d: int) -> LindbladModel:
     """H and one Hermitian L, both diagonal: the decoherence that measures an observable.
 
-    G is diagonal, so each entry of rho is a block of one and the propagator
-    advances a stack of d^2 blocks of one. Only the steady solve's M, whose
-    trace row joins the d populations, has a larger block.
+    G is diagonal, so each entry of rho is a block of one: the propagator
+    advances a stack of d^2 blocks of one, and the steady solve finds d
+    singular blocks and a null space of dimension d. No block is larger than one.
     """
     return LindbladModel(np.diag(np.linspace(0.0, 1.0, d)), (np.diag(np.linspace(0.2, 1.0, d)),),
                          label=f"diagonal_d{d}")

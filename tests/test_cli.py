@@ -340,7 +340,7 @@ class TestSteady:
     @pytest.mark.parametrize("name", ["driven_qubit", "truncated_oscillator"])
     def test_generator_built_zero_times(self, tmp_path, name):
         # the traced peak stays under the d=64 models' bound, and the report's
-        # residual is the direct map's
+        # residual, measured on G's blocks, is the dense generator's
         (code, text), peak = traced_peak_mb(run, tmp_path, "steady", {"model": {"name": name}})
         assert code == 0
         assert peak < PEAK_MB
@@ -349,6 +349,23 @@ class TestSteady:
         gen = build_superoperator(cli.get_model(name, {}))
         expected = float(np.linalg.norm(gen @ steady_state_module.vec(rho)))
         assert abs(report["generator_residual"] - expected) <= 1e-15
+
+    @pytest.mark.parametrize("config", [{"model": {"name": "driven_qubit"}}, oscillator(5)])
+    def test_direct_map_runs_once(self, tmp_path, monkeypatch, config):
+        # the self-check's stacked probes are the run's only direct map; the
+        # report's residual comes from the solve
+        calls = []
+        original = dynamics.liouvillian_rhs
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, "liouvillian_rhs", counted)
+        monkeypatch.setattr(cli, "liouvillian_rhs", counted, raising=False)
+        code, _ = run(tmp_path, "steady", config)
+        assert code == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("config", [
         *({"model": {"name": name}} for name in PRESET_NAMES),

@@ -59,7 +59,6 @@ def test_blocks_are_the_dense_generator(name):
 def test_oscillator_sectors_are_the_components_of_the_exact_pattern(d):
     model = get_model("truncated_oscillator", {"d": d})
     pattern = build_superoperator(model) != 0
-    pattern[0, :: d + 1] = True  # the trace row
     label = _components(*np.nonzero(pattern), d * d)
     exact = sorted(tuple(np.flatnonzero(label == k)) for k in np.unique(label))
     sectors = sorted(tuple(block) for idx in _sectors(model) for block in idx)

@@ -15,7 +15,7 @@ import pytest
 
 from entrodyn import dynamics, entropy_bounds, operators
 from entrodyn.cli import main
-from entrodyn.dynamics import IntegratorConfig, propagate
+from entrodyn.dynamics import IntegratorConfig, LindbladModel, propagate
 from entrodyn.entropy_bounds import (
     bound_report,
     log_inequality_check,
@@ -23,7 +23,7 @@ from entrodyn.entropy_bounds import (
     trace_square_audit,
 )
 from entrodyn.errors import DegenerateSteadyStateError, NotDensityError
-from entrodyn.models import get_model
+from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model
 from entrodyn.operators import ginibre_state
 from entrodyn.steady_state import steady_state
 
@@ -101,7 +101,8 @@ def test_cli_bounds_decomposes_its_state_once(tmp_path, linalg_calls):
 @pytest.mark.parametrize("name, params, code, expected", [
     ("driven_qubit", {}, 0, Counter(eigh=1)),
     ("truncated_oscillator", {"d": 5}, 0, Counter(eigh=1)),
-    ("dephasing", {}, 5, Counter(svd=1)),  # degenerate: the SVD counts, nothing is validated
+    # degenerate: G is four blocks of one, whose singular values are their moduli
+    ("dephasing", {}, 5, Counter()),
 ])
 def test_cli_steady_decomposes_its_state_once(tmp_path, linalg_calls, name, params, code,
                                               expected):
@@ -137,6 +138,12 @@ def test_certified_steady_state_runs_no_svd(linalg_calls, name, params):
 
 
 def test_degenerate_steady_state_runs_one_svd(linalg_calls):
+    # rho's diagonal is one 2 x 2 block of G, and its null directions one SVD's
+    weak = LindbladModel(np.diag([0.5, -0.5]), (PAULI_Z, math.sqrt(1e-12) * SIGMA_MINUS))
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(weak)
+    assert linalg_calls["svd"] == 1
+    # dephasing's G is four blocks of one: their singular values are their moduli
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(get_model("dephasing"))
     assert linalg_calls["svd"] == 1

@@ -21,7 +21,7 @@ from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, named_state
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, maximally_mixed
 from entrodyn.steady_state import (_steady_solve, _svd_solve, long_time_entropy, steady_state,
                                    unvec, vec)
-from oracles import build_superoperator
+from oracles import build_superoperator, diagonal_channel_model
 
 UNIQUE_PRESETS = ("amplitude_damping", "depolarizing", "driven_qubit", "truncated_oscillator")
 
@@ -265,17 +265,22 @@ class TestCertifiedSolve:
         for seed in range(8):
             model = random_model(d, seed, 1 + seed % 3)
             direct = steady_state(model)
-            by_svd, _ = _svd_solve(blocks_of(model), d, 1e-10)
+            by_svd, _, _ = _svd_solve(blocks_of(model), d, 1e-10)
             assert np.max(np.abs(direct - by_svd)) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_both_solves_return_the_spectrum_of_their_state(self, d):
+        # and its residual, measured on the blocks: the dense generator's
+        # product to the roundoff of either product
         for seed in range(4):
             model = random_model(d, seed, 2)
-            for rho, spectra in (_steady_solve(model, 1e-10),
-                                 _svd_solve(blocks_of(model), d, 1e-10)):
+            gen = build_superoperator(model)
+            for rho, spectra, residual in (_steady_solve(model, 1e-10),
+                                           _svd_solve(blocks_of(model), d, 1e-10)):
                 (lam,), (vecs,) = spectra.eigenvalues, spectra.eigenvectors
                 assert np.max(np.abs((vecs * lam) @ vecs.conj().T - rho)) <= 1e-12
+                expected = np.linalg.norm(gen @ vec(rho))
+                assert abs(residual - expected) <= 1e-14 * np.max(np.abs(gen))
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_absurd_tolerance_still_finds_no_null_space(self, d):
@@ -403,7 +408,7 @@ class TestBlockSolve:
             gen = build_superoperator(model)
             null = unvec(np.conj(np.linalg.svd(gen)[2][-1]), d)
             null = 0.5 * (null + null.conj().T)
-            by_blocks, _ = _svd_solve(blocks_of(model), d, 1e-10)
+            by_blocks, _, _ = _svd_solve(blocks_of(model), d, 1e-10)
             assert np.max(np.abs(by_blocks - null / np.trace(null).real)) <= 1e-12
 
     @pytest.mark.parametrize("factor, certified", [(0.9, True), (1.1, False)])
@@ -453,3 +458,38 @@ class TestBlockSolve:
                 steady_state(model)
         assert largest and max(largest) == d
         assert sum(len(idx) for idx in _sectors(model)) == 2 * d - 1
+
+
+def unique_steady_models():
+    """Every model with a unique steady state that this module solves."""
+    yield from (get_model(name) for name in UNIQUE_PRESETS)
+    yield from (get_model("truncated_oscillator", {"d": d, "gamma": 0.3}) for d in range(2, 13))
+    yield from (sector_model(d, 10 * d + seed) for d in range(3, 9) for seed in range(3))
+    yield from (random_model(d, seed, 1 + seed % 3) for d in range(2, 7) for seed in range(8))
+
+
+class TestTraceSectors:
+    """The steady solve runs on G's own blocks: what that rests on."""
+
+    def test_the_block_of_index_zero_holds_the_whole_diagonal(self):
+        # G preserves the trace, so a block with part of the diagonal is singular;
+        # with one null direction, one block holds all of it
+        count = 0
+        for model in unique_steady_models():
+            d = model.dim
+            (holder,) = [block for idx in _sectors(model) for block in idx if 0 in block]
+            assert set(range(0, d * d, d + 1)) <= set(holder.tolist())
+            count += 1
+        assert count == 73
+
+    @pytest.mark.parametrize("model, expected", [
+        (get_model("dephasing"), 2),
+        (diagonal_channel_model(8), 8),
+        (LindbladModel(np.diag([0.5, -0.5]), (PAULI_Z, 0.0 * SIGMA_MINUS)), 2),
+    ], ids=["dephasing", "diagonal_d8", "zero_decay"])
+    def test_diagonal_over_several_blocks_counts_as_the_full_svd(self, model, expected):
+        svals = np.linalg.svd(build_superoperator(model), compute_uv=False)
+        with pytest.raises(DegenerateSteadyStateError) as excinfo:
+            steady_state(model)
+        assert excinfo.value.null_dimension == expected
+        assert np.count_nonzero(svals <= 1e-10 * svals[0]) == expected
