@@ -103,9 +103,8 @@ SIMULATE_HEADER = (
 AUDIT_HEADER = "case_id,trace_sq_lhs,trace_sq_rhs,trace_sq_holds,logineq_min_eig"
 
 
-def _fmt(x: float | None) -> str:
-    """17 significant digits, scientific notation; ``inf``, ``-inf``, ``nan`` bare; None empty."""
-    return "" if x is None else format(x, ".16e")
+# A simulate row per count of thresholds given; "%.16e" is format(x, ".16e"), inf and nan too.
+_SIMULATE_ROWS = ["%.16e," * 4 + th + "%s,%.16e,%.16e" for th in (",,", "%.16e,,", "%.16e," * 2)]
 
 
 def _json_float(x: float) -> Any:
@@ -242,12 +241,12 @@ def run_simulate(config: dict, out: TextIO) -> None:
     except NotDensityError as exc:
         raise ConfigError(f"initial_state fails the integrator's input gate: {exc}") from exc
     lines = [SIMULATE_HEADER]
-    for t, rep, trace_error, min_eig in zip(traj.times, traj.reports, traj.trace_errors,
-                                            traj.min_eigs):
-        numbers = (t, rep.entropy, rep.rate_exact, rep.rate_lower_bound, rep.threshold_general,
-                   rep.threshold_variance)
-        flag = str(rep.monotone_guaranteed).lower()
-        lines.append(",".join([*map(_fmt, numbers), flag, _fmt(trace_error), _fmt(min_eig)]))
+    for t, rep, trace_error, min_eig in zip(traj.times.tolist(), traj.reports,
+                                            traj.trace_errors.tolist(), traj.min_eigs.tolist()):
+        given = [x for x in (rep.threshold_general, rep.threshold_variance) if x is not None]
+        lines.append(_SIMULATE_ROWS[len(given)] % (
+            t, rep.entropy, rep.rate_exact, rep.rate_lower_bound, *given,
+            "true" if rep.monotone_guaranteed else "false", trace_error, min_eig))
     out.write("\n".join(lines) + "\n")
 
 

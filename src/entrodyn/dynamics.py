@@ -7,11 +7,11 @@ fourth-order Runge-Kutta scheme so trajectories are bit-reproducible.
 
 Vectorization stacks columns: ``vec(A X B) = kron(B.T, A) @ vec(X)``. The
 generator G on vec(rho) is used as dense blocks over its sectors, read off the
-model's operators (:func:`_sectors`, :func:`_generator_blocks`); the steady
-state and the RK4 propagator both run on these same blocks. The propagator
-advances them as one stack padded to the largest, where that stack holds at
-most ``MAX_BLOCK`` d^2 entries. The blocks are cross-checked against the direct
-generator on random states before any use.
+model's operators (:func:`_sectors`, :func:`_generator_blocks`) and checked
+against the direct generator before any use; the steady state and the RK4
+propagator both run on them. The propagator pads them to the largest in one
+stack (of at most ``MAX_BLOCK`` d^2 entries) and keeps the state in its order
+for a whole stack of records, which one gather returns.
 """
 
 from __future__ import annotations
@@ -303,14 +303,12 @@ def _step(model: LindbladModel, state: np.ndarray, dt: float) -> np.ndarray:
 def _powered(mat: np.ndarray, size: int):
     """``apply(v, k)``: mat^k @ v, mat a stack of size x size matrices.
 
-    A chunk of k >= 2 steps applies one cached ``matrix_power(mat, k)`` when
-    that is cheaper: its k.bit_length() + k.bit_count() - 2 products of two
-    matrices cost at most ``size`` products with v each, so the power is used
-    when k exceeds ``size`` times that count. It is built at most once per k
-    (a run has at most two: the stride and the remainder). A power with a
-    non-finite entry is cached as None, and its chunk steps instead: a growing
-    mode that v does not excite would otherwise turn inf * 0 into NaN. Any
-    other chunk is k products with mat, as is k = 1.
+    A chunk of k >= 2 steps applies one cached ``matrix_power(mat, k)``, built
+    at most once per k, when k exceeds ``size`` times its k.bit_length() +
+    k.bit_count() - 2 products (each costs at most ``size`` products with v).
+    A power with a non-finite entry is cached as None and its chunk steps, as
+    any other chunk does: a growing mode that v does not excite would otherwise
+    turn inf * 0 into NaN.
     """
     powers = {}
 
@@ -330,15 +328,15 @@ def _powered(mat: np.ndarray, size: int):
 
 
 def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
-    """``advance(rho, k)``: k :func:`_step` maps of a d x d rho, block by block; None if not finite.
+    """``advance(rho, chunks)``: the records after each chunk of :func:`_step`s; None if not finite.
 
-    For a linear generator L, classical RK4 is exactly the polynomial
-    sum_{k<=4} (dt L)^k / k!, evaluated per block by Horner's rule. The block
-    maps are zero-padded to the largest and stacked, one matmul per step, on
-    the state in block order, gathered from rho and scattered back through one
-    index per call. A chunk of k steps may apply a cached power P^k in one
-    product (:func:`_powered`); the result agrees with stepping to about 1e-14
-    relative.
+    Classical RK4 of a linear generator L is exactly sum_{k<=4} (dt L)^k / k!,
+    taken per block by Horner's rule. The block maps are zero-padded to the
+    largest and stacked: one matmul per step, or one cached power P^k per chunk
+    (:func:`_powered`, within about 1e-14 relative of stepping). The state stays
+    in stack order, where each record is Hermitized as 0.5 (v + conj(v[partner])),
+    partner the slot of the transposed entry (padding its own, so it stays zero);
+    one take gathers the records.
     """
     count, size = sum(len(idx) for idx, _ in blocks), blocks[-1][0].shape[1]
     stack = np.zeros((count, size, size), dtype=np.complex128)
@@ -352,40 +350,44 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
         stack[row:row + n, :s, :s] = prop
         pos[idx % d * d + idx // d] = size * np.arange(row, row + n)[:, None] + np.arange(s)
         row += n
+    partner = np.arange(count * size)
+    partner[pos] = pos.reshape(d, d).T.ravel()
     apply = _powered(stack, size)
 
-    def advance(rho: np.ndarray, steps: int) -> np.ndarray:
+    def advance(rho: np.ndarray, chunks: list[int]) -> np.ndarray:
         state = np.zeros(count * size, dtype=np.complex128)
-        state[pos] = rho.ravel()  # the padding stays zero while the state is finite
-        state = apply(state.reshape(count, size, 1), steps)
-        return state.ravel().take(pos).reshape(d, d)
+        state[pos] = rho.ravel()
+        out = np.empty((len(chunks), count * size), dtype=np.complex128)
+        for record, steps in zip(out, chunks):
+            state = apply(state.reshape(count, size, 1), steps).ravel()
+            state = np.multiply(0.5, state + np.conj(state[partner]), out=record)
+        return out.take(pos, axis=1).reshape(-1, d, d)
 
     return advance
 
 
 def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
-    """Yield (k, state) at step 0, at multiples of ``cfg.record_stride`` and at the last step.
+    """Yield (ks, states), stacks of the records at 0, each ``cfg.record_stride`` and the end.
 
-    Each yielded state is replaced by its Hermitian part, which is exactly
-    Hermitian, and integration continues from it. An unstable ``dt`` may
-    overflow between records; the health gate reports that. The steps apply
-    the blocked RK4 propagator, :func:`_step`'s map in another order of
-    arithmetic, unless its padded stack of G's blocks would hold more than
-    ``MAX_BLOCK`` d^2 entries (checked on the blocks' shapes, before any is
-    built), the run is too short to repay the build (``MIN_PROPAGATOR_STEPS``),
-    the propagator overflows (huge rates) or G is too small to self-check
-    (below 1 / ``MAX_SCALE``); the last keeps an exactly stationary state
-    finite. The propagator advances a chunk of ``record_stride`` steps, or the
-    remainder, by one cached power of its map where that takes fewer products
-    than stepping, and steps where the power is not finite; the records stay
-    within 1e-12 of stepping.
+    Stacks hold 1, 2, 4, ... records up to ``entropy_bounds.stack_size``, the
+    first only step 0's; their stops come from a ``range``. Each record is the
+    state's Hermitian part, and integration continues from it (the health gate
+    finds an overflow). The steps apply :func:`_rk4_propagator` (within 1e-12 of
+    stepping) unless its padded stack would hold over ``MAX_BLOCK`` d^2 entries
+    (checked on the blocks' shapes, before any is built), the run is too short
+    to repay the build (``MIN_PROPAGATOR_STEPS``), it overflows (huge rates) or
+    G is too small to self-check (below 1 / ``MAX_SCALE``; stepping keeps it finite).
     """
-    state = hermitian_part(assert_density(rho0, hermiticity_tol=1e-9,
-                                          positivity_tol=POSITIVITY_TOL, trace_tol=1e-9))
+    states = hermitian_part(assert_density(rho0, hermiticity_tol=1e-9,
+                                           positivity_tol=POSITIVITY_TOL, trace_tol=1e-9))[None]
     n, stride, d = cfg.n_steps, int(cfg.record_stride), model.dim
 
-    def advance(rho: np.ndarray, steps: int) -> np.ndarray:  # the direct map
-        return functools.reduce(lambda x, _: _step(model, x, cfg.dt), range(steps), rho)
+    def advance(rho: np.ndarray, chunks: list[int]) -> np.ndarray:  # the direct map
+        out = np.empty((len(chunks), d, d), dtype=np.complex128)
+        for record, steps in zip(out, chunks):
+            rho = functools.reduce(lambda x, _: _step(model, x, cfg.dt), range(steps), rho)
+            record[...] = rho = hermitian_part(rho)
+        return out
 
     # The padded stack may hold cap entries of G (so no block exceeds MAX_BLOCK); a channel
     # with m nonzeros fills m^2 of them, so past the cap its edges are not worth seeking.
@@ -401,12 +403,15 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
                     advance = _rk4_propagator(blocks, cfg.dt, d) or advance
             except BadParamsError:
                 pass
-    yield 0, state
-    for start in range(0, n, stride):
-        stop = min(start + stride, n)
+    yield [0], states
+    starts, size = range(0, n, stride), 1
+    while starts:
+        size = min(2 * size, entropy_bounds.stack_size(d))
+        chunk, starts = starts[:size], starts[size:]
+        ks = [min(start + stride, n) for start in chunk]
         with np.errstate(over="ignore", invalid="ignore"):
-            state = hermitian_part(advance(state, stop - start))
-        yield stop, state
+            states = advance(states[-1], [k - start for k, start in zip(ks, chunk)])
+        yield ks, states
 
 
 def _health_check(states, times) -> tuple[np.ndarray, np.ndarray, SpectralDecomposition]:
@@ -433,34 +438,30 @@ def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRe
 
     Records at step multiples of ``cfg.record_stride`` plus the final step.
     Every recorded state is gated on positivity (within ``POSITIVITY_TOL``)
-    and trace drift (within ``TRACE_DRIFT_TOL``), a stack at a time with one
-    ``eigh``. Stacks hold 1, 2, 4, ... records up to ``stack_size``, so a
-    failing run stops within about twice the records before its failure; a
-    non-finite state ends its stack, so an earlier failure still raises first.
+    and trace drift (within ``TRACE_DRIFT_TOL``), one stack of
+    :func:`_recorded_steps` (1, 2, 4, ... records up to ``stack_size``) at a
+    time with one ``eigh``. A failing run stops within about twice the records
+    before its failure, and the gate raises a stack's first failure first.
     """
-    rows, times, states, size = [], [], [], 1
-    for k, state in _recorded_steps(model, rho0, cfg):
-        times.append(k * cfg.dt)
-        states.append(state)
-        if len(states) == size or k == cfg.n_steps or not np.all(np.isfinite(state)):
-            stack = np.stack(states)
-            trace_errs, min_eigs, spectra = _health_check(stack, times)
-            # These spectra stand in for entropy_bounds.gated_spectra: records are exactly
-            # Hermitian, and positivity 1e-8 and trace 1e-9 are stricter than its 1e-6/1e-6.
-            reports = entropy_bounds.bound_reports(model, times, spectra)
-            rows += zip(times, stack, reports, trace_errs.tolist(), min_eigs.tolist())
-            times, states, size = [], [], min(2 * size, entropy_bounds.stack_size(model.dim))
-    times, states, reports, trace_errors, min_eigs = zip(*rows)
-    return TrajectoryRecord(np.asarray(times), list(states), list(reports),
-                            np.asarray(trace_errors), np.asarray(min_eigs))
+    times, states, reports, gates = [], [], [], []
+    for ks, stack in _recorded_steps(model, rho0, cfg):
+        stack_times = [k * cfg.dt for k in ks]
+        *gate, spectra = _health_check(stack, stack_times)
+        # These spectra stand in for entropy_bounds.gated_spectra: records are exactly
+        # Hermitian, and positivity 1e-8 and trace 1e-9 are stricter than its 1e-6/1e-6.
+        reports += entropy_bounds.bound_reports(model, stack_times, spectra)
+        times += stack_times
+        states += list(stack)
+        gates.append(gate)
+    return TrajectoryRecord(np.asarray(times), states, reports, *map(np.concatenate, zip(*gates)))
 
 
 def final_state(model: LindbladModel, rho0, cfg: IntegratorConfig) -> np.ndarray:
     """Propagate without intermediate recording; health checks run at the end only."""
-    for k, state in _recorded_steps(model, rho0, cfg):
+    for ks, states in _recorded_steps(model, rho0, cfg):
         pass
-    _health_check(state[None], [k * cfg.dt])
-    return state
+    _health_check(states[-1:], [ks[-1] * cfg.dt])
+    return states[-1]
 
 
 def convergence_order_check(model: LindbladModel, rho0, cfg: IntegratorConfig) -> float | None:

@@ -37,6 +37,11 @@ def diagonal_channel_model(d: int) -> LindbladModel:
                          label=f"diagonal_d{d}")
 
 
+def records(stacks) -> list:
+    """The (k, state) pair of each record in stacks of (ks, states), as ``_recorded_steps`` yields."""
+    return [(k, state) for ks, states in stacks for k, state in zip(ks, states)]
+
+
 # Traced peak allowed for a d=64 model: the d^2 x d^2 generator alone is 268 MB.
 PEAK_MB = 64
 

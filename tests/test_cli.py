@@ -146,7 +146,10 @@ class TestSimulate:
         ],
     )
     def test_field_format(self, value, text):
-        assert cli._fmt(value) == text
+        # A row writes each float as "%.16e"; None stands for absent thresholds.
+        given = [] if value is None else [value, value]
+        row = cli._SIMULATE_ROWS[len(given)] % (0.0, 0.0, 0.0, 0.0, *given, "false", 0.0, 0.0)
+        assert row.split(",")[4:6] == [text, text]
 
     @pytest.mark.parametrize(
         "state, row",

@@ -1,6 +1,8 @@
 """The blocked RK4 propagator against the direct step loop and the exact propagator."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from entrodyn.dynamics import (
 )
 from entrodyn.models import get_model, named_state
 from entrodyn.operators import adjoint, ginibre_matrix, ginibre_state, gue_hermitian
-from oracles import build_superoperator, diagonal_channel_model
+from oracles import build_superoperator, diagonal_channel_model, records
 
 
 def random_two_channel_model():
@@ -118,12 +120,45 @@ def test_dense_path_agrees_with_direct_steps(monkeypatch, name, stride):
     )
     rho0 = ginibre_state(model.dim, seed=300)
     cfg = IntegratorConfig(dt=1e-3, t_max=1.0 if model.dim > 16 else 2.0, record_stride=stride)
-    taken = list(_recorded_steps(model, rho0, cfg))
+    taken = records(_recorded_steps(model, rho0, cfg))
     direct = direct_recorded_steps(model, rho0, cfg)
     assert len(builds) == 1
     assert [k for k, _ in taken] == [k for k, _ in direct]
     for (_, got), (_, want) in zip(taken, direct):
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name", ["depolarizing", "amplitude_damping", "oscillator_d16", "oscillator_d32", "diagonal_d16"]
+)
+@pytest.mark.parametrize("stride", [1, 7, 250])
+def test_records_are_exactly_hermitian_on_multi_block_models(monkeypatch, name, stride):
+    # G has several blocks, so the stack order differs from vec order and each record
+    # is Hermitized there, through the slot of its transposed entry.
+    model = AGREEMENT_MODELS[name]()
+    assert largest_block(model) < model.dim**2
+    builds = []
+    monkeypatch.setattr(
+        dynamics, "_rk4_propagator", lambda *args: builds.append(args) or _rk4_propagator(*args)
+    )
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.5, record_stride=stride)
+    taken = records(_recorded_steps(model, ginibre_state(model.dim, seed=308), cfg))
+    assert len(builds) == 1
+    assert len(taken) == -(-cfg.n_steps // stride) + 1
+    for _, state in taken:
+        assert np.array_equal(state, adjoint(state))
+
+
+def test_record_stops_stay_lazy():
+    # 10^15 steps: the record stops come from a range, so the first stacks come at once
+    cfg = IntegratorConfig(dt=1e-3, t_max=1e12)
+    assert cfg.n_steps == 10**15
+    start = time.perf_counter()
+    stacks = list(itertools.islice(
+        _recorded_steps(get_model("depolarizing"), named_state("plus", 2), cfg), 2))
+    assert time.perf_counter() - start < 5.0
+    assert [ks for ks, _ in stacks] == [[0], [1, 2]]
+    assert [states.shape for _, states in stacks] == [(1, 2, 2), (2, 2, 2)]
 
 
 def counted_powers(monkeypatch):
@@ -153,7 +188,7 @@ def test_cached_power_agrees_with_direct_steps(monkeypatch, name, stride):
     calls = counted_powers(monkeypatch)
     rho0 = ginibre_state(model.dim, seed=305)
     cfg = remainder_config(stride)
-    taken = list(_recorded_steps(model, rho0, cfg))
+    taken = records(_recorded_steps(model, rho0, cfg))
     direct = direct_recorded_steps(model, rho0, cfg)
     assert stride in calls  # the records at the stride came from its power
     assert [k for k, _ in taken] == [k for k, _ in direct]
@@ -210,7 +245,7 @@ def test_state_is_permuted_only_where_blocking_saves_work(monkeypatch, name, per
     rho = want = ginibre_state(model.dim, seed=304)
     for _ in range(3):
         want = _step(model, want, 1e-3)
-    got = advance(rho, 3)
+    ((_, got),) = records([([3], advance(rho, [3]))])
     assert got.shape == (model.dim, model.dim)
     assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -225,7 +260,7 @@ def test_above_dense_max_dim_takes_the_direct_path(stride):
     for model in (dense, over_cap):
         rho0 = ginibre_state(model.dim, seed=301)
         cfg = IntegratorConfig(dt=1e-3, t_max=0.3, record_stride=stride)
-        taken = list(_recorded_steps(model, rho0, cfg))
+        taken = records(_recorded_steps(model, rho0, cfg))
         reference = direct_recorded_steps(model, rho0, cfg)
         assert len(taken) == len(reference)
         for (k, got), (k_ref, want) in zip(taken, reference):
@@ -265,14 +300,14 @@ def test_short_run_at_dense_max_dim_takes_the_direct_path(stride):
     rho0 = ginibre_state(d, seed=302)
     cfg = IntegratorConfig(dt=1e-3, t_max=0.06, record_stride=stride)
     assert cfg.n_steps < MIN_PROPAGATOR_STEPS
-    taken = list(_recorded_steps(model, rho0, cfg))
+    taken = records(_recorded_steps(model, rho0, cfg))
     reference = direct_recorded_steps(model, rho0, cfg)
     assert [k for k, _ in taken] == [k for k, _ in reference]
     advance = propagator(model, cfg.dt)
     rho, done = reference[0][1], 0
     for (k, got), (_, want) in zip(taken, reference):
         assert np.array_equal(got, want)
-        dense = advance(rho, k - done)
+        ((_, dense),) = records([([k], advance(rho, [k - done]))])
         rho, done = 0.5 * (dense + adjoint(dense)), k
         assert np.max(np.abs(got - rho)) <= 1e-13
 

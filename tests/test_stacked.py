@@ -28,6 +28,7 @@ from entrodyn.entropy_bounds import (
 from entrodyn.errors import EntrodynError, PositivityLostError
 from entrodyn.models import PAULI_Z, get_model
 from entrodyn.operators import ginibre_state, gue_hermitian, maximally_mixed
+from oracles import records
 
 TOL = 1e-12
 
@@ -102,9 +103,23 @@ def test_propagate_longer_than_a_stack_matches_per_record_reports(name):
         assert abs(min_eig - np.linalg.eigvalsh(state)[0]) <= TOL
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("name, params, t_max", [
+    ("depolarizing", {"gamma": 1.0}, 0.3),
+    ("truncated_oscillator", {"d": 32, "omega": 1.0, "gamma": 0.2}, 0.08),
+])
+def test_trace_errors_are_each_records_own_trace(name, params, t_max, seed):
+    # Bit for bit: the gathered stack sums its diagonals in the order np.trace does.
+    model = get_model(name, params)
+    cfg = IntegratorConfig(dt=1e-3, t_max=t_max, record_stride=1)
+    traj = propagate(model, ginibre_state(model.dim, seed=seed), cfg)
+    assert len(traj.states) == cfg.n_steps + 1
+    assert traj.trace_errors.tolist() == [abs(np.trace(s) - 1.0) for s in traj.states]
+
+
 def first_failure_per_record(model, rho0, cfg):
     """The error a gate on each record in turn raises first."""
-    for k, state in _recorded_steps(model, rho0, cfg):
+    for k, state in records(_recorded_steps(model, rho0, cfg)):
         try:
             _health_check(state[None], [k * cfg.dt])
         except EntrodynError as exc:
@@ -155,9 +170,9 @@ def test_failing_run_stops_within_twice_its_records(monkeypatch, loss_step):
     original = dynamics._recorded_steps
 
     def counted(*args):
-        for k, state in original(*args):
-            yielded.append(k)
-            yield k, state
+        for ks, states in original(*args):
+            yielded.extend(ks)
+            yield ks, states
 
     monkeypatch.setattr(dynamics, "_recorded_steps", counted)
     with pytest.raises(PositivityLostError):
