@@ -10,14 +10,14 @@ generator G on vec(rho) is used as dense blocks over its sectors, read off the
 model's operators (:func:`_sectors`, :func:`_generator_blocks`) and checked
 against the direct generator before any use; the steady state and the RK4
 propagator both run on them. The propagator pads them to the largest in one
-stack (of at most ``MAX_BLOCK`` d^2 entries) and keeps the state in its order
-for a whole stack of records, which one gather returns.
+stack (of at most ``MAX_BLOCK`` d^2 entries). Each record is the Hermitian part
+of the RK4 state; integration continues from the state itself.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -118,9 +118,9 @@ class IntegratorConfig:
 
     ``t_max`` is interpreted as ``round(t_max / dt)`` steps of exactly ``dt``.
     States are recorded at step 0, every ``record_stride`` steps and the last
-    step. Each recorded state is replaced by its Hermitian part and gated on
-    positivity (``POSITIVITY_TOL``) and trace drift (``TRACE_DRIFT_TOL``); the
-    trace is never renormalized, so drift stays an integrator diagnostic.
+    step. Each record is the Hermitian part of the RK4 state (integration
+    continues from the state itself), gated on positivity (``POSITIVITY_TOL``)
+    and trace drift (``TRACE_DRIFT_TOL``); the trace is never renormalized.
     """
 
     dt: float
@@ -128,15 +128,19 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError("dt must be positive and finite")
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ConfigError("t_max must be positive and finite")
+        for name in ("dt", "t_max", "record_stride"):
+            value = getattr(self, name)
+            try:  # math.isfinite overflows on an int past the float range
+                valid = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+            except OverflowError:
+                valid = False
+            if not valid:
+                raise ConfigError(f"{name} must be positive and finite")
         if not self.dt < self.t_max:
             raise ConfigError("dt must be smaller than t_max")
         if not math.isfinite(self.t_max / self.dt):
             raise ConfigError("t_max / dt overflows; the step count must be finite")
-        if int(self.record_stride) != self.record_stride or self.record_stride < 1:
+        if int(self.record_stride) != self.record_stride:
             raise ConfigError("record_stride must be an integer >= 1")
 
     @property
@@ -334,9 +338,7 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
     taken per block by Horner's rule. The block maps are zero-padded to the
     largest and stacked: one matmul per step, or one cached power P^k per chunk
     (:func:`_powered`, within about 1e-14 relative of stepping). The state stays
-    in stack order, where each record is Hermitized as 0.5 (v + conj(v[partner])),
-    partner the slot of the transposed entry (padding its own, so it stays zero);
-    one take gathers the records.
+    in stack order for a whole stack of records (raw RK4 states), which one take gathers.
     """
     count, size = sum(len(idx) for idx, _ in blocks), blocks[-1][0].shape[1]
     stack = np.zeros((count, size, size), dtype=np.complex128)
@@ -350,18 +352,14 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
         stack[row:row + n, :s, :s] = prop
         pos[idx % d * d + idx // d] = size * np.arange(row, row + n)[:, None] + np.arange(s)
         row += n
-    partner = np.arange(count * size)
-    partner[pos] = pos.reshape(d, d).T.ravel()
     apply = _powered(stack, size)
 
     def advance(rho: np.ndarray, chunks: list[int]) -> np.ndarray:
-        state = np.zeros(count * size, dtype=np.complex128)
-        state[pos] = rho.ravel()
-        out = np.empty((len(chunks), count * size), dtype=np.complex128)
-        for record, steps in zip(out, chunks):
-            state = apply(state.reshape(count, size, 1), steps).ravel()
-            state = np.multiply(0.5, state + np.conj(state[partner]), out=record)
-        return out.take(pos, axis=1).reshape(-1, d, d)
+        out = np.zeros((1 + len(chunks), count * size), dtype=np.complex128)  # row 0 is rho
+        out[0, pos] = rho.ravel()
+        for i, steps in enumerate(chunks):
+            out[i + 1] = apply(out[i].reshape(count, size, 1), steps).ravel()
+        return out[1:].take(pos, axis=1).reshape(-1, d, d)
 
     return advance
 
@@ -369,14 +367,14 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
 def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     """Yield (ks, states), stacks of the records at 0, each ``cfg.record_stride`` and the end.
 
-    Stacks hold 1, 2, 4, ... records up to ``entropy_bounds.stack_size``, the
-    first only step 0's; their stops come from a ``range``. Each record is the
-    state's Hermitian part, and integration continues from it (the health gate
-    finds an overflow). The steps apply :func:`_rk4_propagator` (within 1e-12 of
-    stepping) unless its padded stack would hold over ``MAX_BLOCK`` d^2 entries
-    (checked on the blocks' shapes, before any is built), the run is too short
-    to repay the build (``MIN_PROPAGATOR_STEPS``), it overflows (huge rates) or
-    G is too small to self-check (below 1 / ``MAX_SCALE``; stepping keeps it finite).
+    Stacks hold 1, 2, 4, ... records up to ``entropy_bounds.stack_size``, the first only
+    step 0's, rho0's Hermitian part, where integration starts; their stops come from a
+    ``range``. Each later record is the Hermitian part of the RK4 state, and integration
+    continues from the state itself (the health gate finds an overflow). The steps apply
+    :func:`_rk4_propagator` (within 1e-12 of stepping) unless its padded stack would hold
+    over ``MAX_BLOCK`` d^2 entries (checked on the blocks' shapes, before any is built),
+    the run is too short to repay the build (``MIN_PROPAGATOR_STEPS``), it overflows or
+    G is too small to self-check (below 1 / ``MAX_SCALE``).
     """
     states = hermitian_part(assert_density(rho0, hermiticity_tol=1e-9,
                                            positivity_tol=POSITIVITY_TOL, trace_tol=1e-9))[None]
@@ -385,8 +383,8 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     def advance(rho: np.ndarray, chunks: list[int]) -> np.ndarray:  # the direct map
         out = np.empty((len(chunks), d, d), dtype=np.complex128)
         for record, steps in zip(out, chunks):
-            rho = functools.reduce(lambda x, _: _step(model, x, cfg.dt), range(steps), rho)
-            record[...] = rho = hermitian_part(rho)
+            for _ in range(steps):
+                rho = record[:] = _step(model, rho, cfg.dt)
         return out
 
     # The padded stack may hold cap entries of G (so no block exceeds MAX_BLOCK); a channel
@@ -404,13 +402,14 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
             except BadParamsError:
                 pass
     yield [0], states
-    starts, size = range(0, n, stride), 1
+    starts, size, raw = range(0, n, stride), 1, states
     while starts:
         size = min(2 * size, entropy_bounds.stack_size(d))
         chunk, starts = starts[:size], starts[size:]
         ks = [min(start + stride, n) for start in chunk]
         with np.errstate(over="ignore", invalid="ignore"):
-            states = advance(states[-1], [k - start for k, start in zip(ks, chunk)])
+            raw = advance(raw[-1], [k - start for k, start in zip(ks, chunk)])
+            states = hermitian_part(raw)
         yield ks, states
 
 

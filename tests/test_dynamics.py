@@ -98,6 +98,18 @@ class TestIntegratorConfig:
         with pytest.raises(ConfigError):
             IntegratorConfig(dt=0.0, t_max=1.0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"record_stride": float("inf")}, {"record_stride": float("nan")}, {"dt": "0.1"},
+         {"t_max": None}, {"dt": 1j}, {"t_max": 10**400}, {"record_stride": 10**400}],
+        ids=["stride_inf", "stride_nan", "dt_str", "t_max_none", "dt_complex", "t_max_huge_int",
+             "stride_huge_int"],
+    )
+    def test_rejects_non_numbers_and_non_finite_values(self, fields):
+        # each reached int() or math.isfinite() first, which raised outside ConfigError
+        with pytest.raises(ConfigError):
+            IntegratorConfig(**{"dt": 0.1, "t_max": 1.0, **fields})
+
     def test_n_steps_rounds(self):
         assert IntegratorConfig(dt=1e-3, t_max=1.0).n_steps == 1000
 

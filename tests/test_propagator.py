@@ -61,7 +61,10 @@ def propagator(model, dt):
 
 
 def direct_recorded_steps(model, rho0, cfg):
-    """Reference: the stepwise RK4 loop, Hermitized at the records only."""
+    """Reference: the stepwise RK4 loop from rho0's Hermitian part, never projected.
+
+    Each record is the Hermitian part of the state at its step.
+    """
     state = 0.5 * (rho0 + adjoint(rho0))
     out = [(0, state)]
     n, stride = cfg.n_steps, cfg.record_stride
@@ -69,8 +72,7 @@ def direct_recorded_steps(model, rho0, cfg):
         stop = min(start + stride, n)
         for _ in range(start, stop):
             state = _step(model, state, cfg.dt)
-        state = 0.5 * (state + adjoint(state))
-        out.append((stop, state))
+        out.append((stop, 0.5 * (state + adjoint(state))))
     return out
 
 
@@ -128,25 +130,44 @@ def test_dense_path_agrees_with_direct_steps(monkeypatch, name, stride):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def assert_records_exactly_hermitian(monkeypatch, model, stride, builds):
+    """Run 500 steps from a Ginibre state; check the build count and exact Hermiticity.
+
+    ``builds`` is 1 where the propagator advances the state, 0 where the direct map
+    steps it; every record must equal its adjoint bit for bit.
+    """
+    built = []
+    monkeypatch.setattr(
+        dynamics, "_rk4_propagator", lambda *args: built.append(args) or _rk4_propagator(*args)
+    )
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.5, record_stride=stride)
+    taken = records(_recorded_steps(model, ginibre_state(model.dim, seed=308), cfg))
+    assert len(built) == builds
+    assert len(taken) == -(-cfg.n_steps // stride) + 1
+    for _, state in taken:
+        assert np.array_equal(state, adjoint(state))
+
+
 @pytest.mark.parametrize(
     "name", ["depolarizing", "amplitude_damping", "oscillator_d16", "oscillator_d32", "diagonal_d16"]
 )
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_records_are_exactly_hermitian_on_multi_block_models(monkeypatch, name, stride):
-    # G has several blocks, so the stack order differs from vec order and each record
-    # is Hermitized there, through the slot of its transposed entry.
+    # G has several blocks, so the stack order differs from vec order
     model = AGREEMENT_MODELS[name]()
     assert largest_block(model) < model.dim**2
-    builds = []
-    monkeypatch.setattr(
-        dynamics, "_rk4_propagator", lambda *args: builds.append(args) or _rk4_propagator(*args)
-    )
-    cfg = IntegratorConfig(dt=1e-3, t_max=0.5, record_stride=stride)
-    taken = records(_recorded_steps(model, ginibre_state(model.dim, seed=308), cfg))
-    assert len(builds) == 1
-    assert len(taken) == -(-cfg.n_steps // stride) + 1
-    for _, state in taken:
-        assert np.array_equal(state, adjoint(state))
+    assert_records_exactly_hermitian(monkeypatch, model, stride, builds=1)
+
+
+@pytest.mark.parametrize("name, builds", [("driven_qubit", 1), ("dense_d4", 1), ("dense_d17", 0)])
+@pytest.mark.parametrize("stride", [1, 7, 250])
+def test_records_are_exactly_hermitian_on_one_block_models(monkeypatch, name, builds, stride):
+    # G is one block of d^2 in vec order, paired with itself: the propagator advances it
+    # up to MAX_BLOCK entries, and above that (dense_d17) the direct map steps rho
+    model = dense_model(17, 220) if name == "dense_d17" else AGREEMENT_MODELS[name]()
+    assert largest_block(model) == model.dim**2
+    assert (largest_block(model) <= MAX_BLOCK) == (builds == 1)
+    assert_records_exactly_hermitian(monkeypatch, model, stride, builds)
 
 
 def test_record_stops_stay_lazy():
