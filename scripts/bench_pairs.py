@@ -24,8 +24,11 @@ and the raw runs. The better direction of each metric is read
 from ``BENCHMARK.json``. Each workload also gets the per-side medians over the
 seeds of ``run.py``'s ``invocation <name>: median CPU`` lines
 (``invocations``) and of its ``reference deviation`` line (``reference_deviation``,
-the largest deviation from the oracle per output field), so a claim shows which
-invocation moved and how far the outputs sit from the reference.
+the largest deviation from the oracle per output field), which shows how far
+the outputs sit from the reference. The ``invocations`` medians are raw process
+CPU per call: unlike ``cpu_s`` they are not scaled by the calibration kernel,
+and they do not sum to it. They hint at where a pass spends its time, but they
+are no evidence for a claim; a claim rests on the end-to-end metrics.
 
 The output file is updated in place: a workload already in it is replaced,
 the others are kept, so one file can collect several workloads.

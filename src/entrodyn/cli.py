@@ -13,9 +13,10 @@ defaults to stdout):
 * ``models``    list the preset catalog (``--json`` for machine-readable).
 
 Exit codes: 0 success (audit violations are findings, not failures);
-2 config/parse error: non-finite numbers (``NaN``, ``Infinity``, overflowing
-literals), a Hamiltonian or channel with a non-finite Frobenius norm, a model
-scale |H|_F^2 + sum_j |L_j|_F^2 above ``dynamics.MAX_SCALE`` or a ``steady``
+2 config/parse error: a config file that is not UTF-8 or nests too deeply,
+non-finite numbers (``NaN``, ``Infinity``, overflowing literals), a
+Hamiltonian or channel with a non-finite Frobenius norm, a model scale
+|H|_F^2 + sum_j |L_j|_F^2 above ``dynamics.MAX_SCALE`` or a ``steady``
 generator whose largest entry is below 1/``MAX_SCALE``, a dimension above
 ``MAX_DIM``, integrator keys other than the fields of ``IntegratorConfig`` or
 values of the wrong type, a non-bool ``require_variance_threshold``, an
@@ -406,8 +407,12 @@ def _load_config(path: str) -> dict:
             )
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config nests too deeply: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return config
@@ -444,8 +449,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_argv(argv: list[str]) -> argparse.Namespace | None:
+    """``_build_parser().parse_args(argv)`` for ``CMD --config C [--out O]``, else None.
+
+    Options in either order, neither value starting with ``-``; argparse parses the rest.
+    """
+    if len(argv) not in (3, 5) or argv[0] not in ("simulate", "steady", "bounds", "audit"):
+        return None
+    opts = dict(zip(argv[1::2], argv[2::2]))  # a repeated option leaves fewer keys
+    if sorted(opts) != ["--config", "--out"][: len(argv) // 2] or any(
+            value.startswith("-") for value in opts.values()):
+        return None
+    return argparse.Namespace(command=argv[0], config=opts["--config"], out=opts.get("--out"))
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_argv(argv) or _build_parser().parse_args(argv)
     runners = {"simulate": run_simulate, "steady": run_steady, "bounds": run_bounds,
                "audit": run_audit, "models": lambda _, out: run_models(out, args.json)}
     try:

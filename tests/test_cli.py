@@ -509,11 +509,130 @@ class TestModels:
         assert a.read_text() == b.read_text()
 
 
+# One small run per command that the fast argv path accepts.
+RUN_CONFIGS = {
+    "simulate": {"model": {"name": "depolarizing"}, "initial_state": "plus",
+                 "integrator": {"dt": 0.01, "t_max": 0.05}},
+    "steady": {"model": {"name": "driven_qubit"}},
+    "bounds": {"model": {"name": "depolarizing"}, "initial_state": "plus"},
+    "audit": {"d": 2, "count": 3},
+}
+COMMANDS = tuple(RUN_CONFIGS)
+
+
+def argv_cases(p, o):
+    """Argvs around the documented ``CMD --config C [--out O]``, valid and not."""
+    cases = [[], ["--help"], ["bogus", "--config", p], ["Steady", "--config", p],
+             ["--config", p, "steady"], ["models"], ["models", "--json"],
+             ["models", "--out", o], ["models", "--json", "--out", o],
+             ["models", "--out", o, "--json"], ["models", "--config", p]]
+    for cmd in (*COMMANDS, "models"):
+        cases += [
+            [cmd, "--config", p], [cmd, "--config", p, "--out", o],
+            [cmd, "--out", o, "--config", p], [cmd], [cmd, "-h"], [cmd, "--config"],
+            [cmd, "--out", o], [cmd, "--out", o, "--config"],
+            [cmd, "--config", p, "--out"], [cmd, "--config", p, "-h"], [cmd, "--config", ""],
+            [cmd, "--config", "-x"], [cmd, "--config", "-1"], [cmd, "--config", p, "--out", "-"],
+            [cmd, "--out", "-o", "--config", p], [cmd, "--config", p, "--config", p],
+            [cmd, "--out", o, "--out", o], [cmd, "--config", p, "--config", p, "--out", o],
+            [cmd, f"--config={p}"], [cmd, f"--config={p}", "--out", o],
+            [cmd, "--config", p, f"--out={o}"],
+            [cmd, "--conf", p], [cmd, "--c", p, "--out", o], [cmd, "--config", p, "--o", o],
+            [cmd, "--config", p, "--bogus", "x"], [cmd, "--config", p, "x"],
+            [cmd, "--config", p, "--out", o, "x"], [cmd, "--json", "--config", p],
+        ]
+    return cases
+
+
+class TestArgv:
+    """argparse handles every argv but the documented form, with its messages and exit codes."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["steady"], ["steady", "--config"],
+         ["steady", "--config", "CONFIG", "--bogus", "x"]],
+        ids=["empty", "unknown_command", "no_config", "config_without_value", "unknown_option"],
+    )
+    def test_usage_error_exits_two(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, RUN_CONFIGS["steady"])
+        with pytest.raises(SystemExit) as exc:
+            main([path if a == "CONFIG" else a for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: entrodyn")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["steady", "-h"]], ids=["help", "steady_h"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: entrodyn")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("form", ["abbreviated", "equals"])
+    def test_argparse_forms_run(self, tmp_path, capsys, form):
+        path = write_config(tmp_path, RUN_CONFIGS["steady"])
+        option = ["--conf", path] if form == "abbreviated" else [f"--config={path}"]
+        assert main(["steady", *option]) == 0
+        assert json.loads(capsys.readouterr().out)["label"] == "driven_qubit"
+
+    def test_fast_path_is_argparses_parse(self, tmp_path, capsys):
+        p, o = str(tmp_path / "c.json"), str(tmp_path / "o.txt")
+        for argv in argv_cases(p, o):
+            fast = cli._parse_argv(argv)
+            try:
+                expected = cli._build_parser().parse_args(argv)
+            except SystemExit:
+                expected = None
+            if fast is not None:
+                assert fast == expected, argv
+        for cmd in COMMANDS:
+            for argv in ([cmd, "--config", p], [cmd, "--config", p, "--out", o],
+                         [cmd, "--out", o, "--config", p]):
+                assert cli._parse_argv(argv) is not None, argv
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_documented_form_builds_no_parser(self, tmp_path, monkeypatch, command):
+        def refuse():
+            raise AssertionError("argparse parser built for the documented argv")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        path = write_config(tmp_path, RUN_CONFIGS[command])
+        out = tmp_path / "out.txt"
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        assert out.read_text()
+        monkeypatch.setattr(sys, "argv", ["entrodyn", command, "--out", str(out), "--config", path])
+        assert main() == 0
+
+
 class TestConfigErrors:
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["simulate", "--config", str(bad)]) == 2
+
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["steady", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "config is not valid UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000],
+        ids=["arrays", "objects"],
+    )
+    def test_deeply_nested_config_exits_two(self, tmp_path, capsys, text):
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        assert main(["steady", "--config", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "config nests too deeply" in err
 
     def test_preset_and_inline_together(self, tmp_path):
         code, _ = run(
