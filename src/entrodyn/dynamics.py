@@ -9,15 +9,20 @@ Vectorization stacks columns: ``vec(A X B) = kron(B.T, A) @ vec(X)``. The
 generator G on vec(rho) is used as dense blocks over its sectors, read off the
 model's operators (:func:`_sectors`, :func:`_generator_blocks`) and checked
 against the direct generator before any use; the steady state and the RK4
-propagator both run on them. The propagator pads them to the largest in one
-stack (of at most ``MAX_BLOCK`` d^2 entries). Each record is the Hermitian part
-of the RK4 state; integration continues from the state itself.
+propagator both run on them. Of each pair of sectors that transposing rho swaps,
+one is built: the other holds its conjugate entries. The sectors are packed in
+pairs up to the largest one's size, and the propagator pads the blocks to the
+largest in one stack (of at most ``MAX_BLOCK`` d^2 entries). Each record is the
+Hermitian part of the RK4 state; integration continues from the state itself.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,13 +40,15 @@ TRACE_DRIFT_TOL = 1e-9
 # Recorded states may dip this far below zero in their smallest eigenvalue.
 POSITIVITY_TOL = 1e-8
 
-# The RK4 propagator's stack of count blocks padded to size s holds count s^2 entries of
-# G; it is built only where that is at most MAX_BLOCK d^2, so s <= MAX_BLOCK (a dense G
-# is one block of d^2, so d <= 16). Runs of fewer than MIN_PROPAGATOR_STEPS * (s/256)^3
-# steps step directly too (the build is three s x s products per block). Measured for one
-# dense block, s = d^2, BLAS on one thread, 2-core x86-64 VM (direct step vs
-# matvec, build, break-even): d=2 113 vs 1.9 us, 1.0 ms, 9 steps; d=14 105 vs
-# 12 us, 5.1 ms, 55; d=16 105 vs 18 us, 9.6 ms, 110; d=20 187 vs 110 us, 40 ms, 510.
+# The RK4 propagator's stack of the count blocks of _sectors (one of each conjugate pair of
+# G's sectors, packed two to a block no larger than the largest sector), padded to size s,
+# holds count s^2 entries; it is built only where that is at most MAX_BLOCK d^2, so
+# s <= MAX_BLOCK (a dense G is one block of d^2, so d <= 16). Runs of fewer than
+# MIN_PROPAGATOR_STEPS * (s/256)^3 steps step directly too (the build is three s x s
+# products per block). Measured for one dense block, s = d^2, BLAS on one thread, 2-core
+# x86-64 VM (direct step vs matvec, build, break-even): d=2 113 vs 1.9 us, 1.0 ms, 9
+# steps; d=14 105 vs 12 us, 5.1 ms, 55; d=16 105 vs 18 us, 9.6 ms, 110; d=20 187 vs
+# 110 us, 40 ms, 510.
 MAX_BLOCK = 256
 MIN_PROPAGATOR_STEPS = 110
 
@@ -59,14 +66,17 @@ def _frozen_copy(a: np.ndarray) -> np.ndarray:
 class LindbladModel:
     """A Hamiltonian plus decoherence channels on one Hilbert space.
 
-    The Hamiltonian must be Hermitian to within 1e-10 relative; channel
-    operators may be arbitrary complex matrices of the same dimension.
-    Stored arrays are frozen copies, so models are safe to share. Derived
-    once per model: ``channel_adjoints`` (each L_j^dag), ``channel_squares``
-    (each L_j^dag L_j), ``channel_norms_sq`` (each |L_j|_F^2) and
+    The Hamiltonian must be Hermitian to within 1e-10 relative, and its
+    Hermitian part is stored; channel operators may be arbitrary complex
+    matrices of the same dimension. Stored arrays are frozen copies, so models
+    are safe to share. Derived once per model: ``channel_adjoints`` (each
+    L_j^dag), ``channel_squares`` (the Hermitian part of each L_j^dag L_j),
+    ``channel_norms_sq`` (each |L_j|_F^2) and
     ``channels_hermitian`` (every channel Hermitian). A Hamiltonian or channel
     whose squared Frobenius norm is not finite, or a model whose scale
     |H|_F^2 + sum_j |L_j|_F^2 exceeds ``MAX_SCALE``, raises BadParamsError.
+    With H and each L_j^dag L_j exactly Hermitian, the generator's entries on
+    rho transposed are its entries' conjugates bit for bit (see :func:`_sectors`).
     """
 
     hamiltonian: np.ndarray
@@ -98,12 +108,12 @@ class LindbladModel:
             raise NotHermitianError("hamiltonian is not Hermitian within 1e-10 relative")
         chans = tuple(_frozen_copy(c) for c in chans)
         norms.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", _frozen_copy(h))
+        object.__setattr__(self, "hamiltonian", _frozen_copy(hermitian_part(h)))
         object.__setattr__(self, "channels", chans)
         object.__setattr__(self, "channel_adjoints",
                            tuple(_frozen_copy(np.ascontiguousarray(adjoint(c))) for c in chans))
         object.__setattr__(self, "channel_squares",
-                           tuple(_frozen_copy(adjoint(c) @ c) for c in chans))
+                           tuple(_frozen_copy(hermitian_part(adjoint(c) @ c)) for c in chans))
         object.__setattr__(self, "channel_norms_sq", norms)
         object.__setattr__(self, "channels_hermitian", all(is_hermitian(c) for c in chans))
 
@@ -188,14 +198,21 @@ def _decay_terms(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sectors(model: LindbladModel) -> list[np.ndarray]:
-    """Blocks of G, one (count, size) array per size.
+    """The blocks of G that both solvers build, one (count, size) array per size.
 
     G maps rho[c, e] into rho[a, b] with weight delta_be K[a, c] +
-    delta_ac R[e, b] + sum_j conj(L_j[b, e]) L_j[a, c], so the blocks are the
+    delta_ac R[e, b] + sum_j conj(L_j[b, e]) L_j[a, c], so its sectors are the
     connected components of the edges that K, R and each channel's pairs of
-    nonzeros make. This covers the exact pattern: a block is a component of it
-    or, where entries cancel, coarser. Indices ascend within a block and blocks
-    of one size by their first index, so index 0 is entry [0, 0] of its array.
+    nonzeros make. This covers the exact pattern: a sector is a component of it
+    or, where entries cancel, coarser. T, rho[a, b] -> rho[b, a], maps a sector
+    C onto one whose entries are C's conjugates, G[T i, T j] = conj(G[i, j]),
+    since H and each L^dag L are stored exactly Hermitian; of C and T(C) the
+    one with the smaller first index is kept (a self-paired C once), and
+    :func:`_twice` marks the rows that stand for their partner's too. The kept
+    sectors are packed in pairs (:func:`_pairs`), so a block holds at most twice
+    the entries and four times the cube of its sectors' sizes. Indices ascend
+    within a block, blocks of one size by their first index, so index 0 is
+    entry [0, 0] of its array.
     """
     d = model.dim
     if any(np.count_nonzero(chan) == d * d for chan in model.channels):
@@ -207,11 +224,36 @@ def _sectors(model: LindbladModel) -> list[np.ndarray]:
     for rows, cols in (np.nonzero(chan) for chan in model.channels):
         edges.append((cell[rows[:, None], rows], cell[cols[:, None], cols]))
     label = _components(*(np.concatenate([x[i].ravel() for x in edges]) for i in (0, 1)), d * d)
-    order = np.argsort(label, kind="stable")
-    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
-    # sorted(set()), not np.unique: a process's first plain np.unique costs ~15 ms
-    return [order[starts[sizes == size][:, None] + np.arange(size)]
-            for size in sorted(set(sizes.tolist()))]
+    kept = np.flatnonzero(label <= label[cell.T.ravel()[label]])  # label of T(sector) is larger
+    first, sector, sizes = np.unique(label[kept], return_inverse=True, return_counts=True)
+    mate = np.array(_pairs(sizes.tolist()))
+    lead = np.minimum(first, first[mate])[sector]  # the first index of each entry's block
+    width = np.where(mate == np.arange(mate.size), sizes, sizes + sizes[mate])[sector]
+    order = np.lexsort((lead, width))
+    kept, width = kept[order], width[order]
+    cuts = np.flatnonzero(np.diff(width)) + 1
+    return [part.reshape(-1, size) for part, size in zip(np.split(kept, cuts), width[np.r_[0, cuts]])]
+
+
+def _pairs(sizes: list[int]) -> list[int]:
+    """mate[i], the sector packed beside sector i of ``sizes`` (i itself if none).
+
+    Largest first, each sector joins the largest remaining one (the first of
+    equal sizes) that fits beside it within the largest size. Sizes s1 and s2
+    so packed have (s1 + s2)^2 <= 2 (s1^2 + s2^2) and (s1 + s2)^3 <= 4 (s1^3 + s2^3).
+    """
+    mate, free = list(range(len(sizes))), {}  # free[s]: the sectors of size s left, in order
+    for i, size in enumerate(sizes):
+        free.setdefault(size, collections.deque()).append(i)
+    widths = sorted(free, reverse=True)
+    for width in widths:
+        # the sizes that fit beside it; those above it are placed already
+        fits = widths[bisect.bisect_left(widths, width - widths[0], key=operator.neg):]
+        while free[width]:
+            i = free[width].popleft()
+            j = next((free[size].popleft() for size in fits if free[size]), i)
+            mate[i], mate[j] = j, i
+    return mate
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -234,35 +276,55 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 
 
 def _generator_blocks(model: LindbladModel, sectors: list[np.ndarray]) -> list[tuple]:
-    """(index, blocks) per sector size, blocks[i] = G[index[i]][:, index[i]]; G is 0 elsewhere.
+    """(index, blocks) per block size, blocks[i] = G[index[i]][:, index[i]].
 
-    Entries are summed in the order of the tests' dense oracle (channels, K, R),
-    so they equal its entries bit for bit; callers run the self-check on them.
+    G is 0 outside these blocks and their conjugates, rho transposed (:func:`_sectors`).
+
+    Entries are summed in the order of the tests' dense oracle (K, R, then each
+    channel), so they equal its entries bit for bit; callers run the self-check
+    on them. K and R meet only on G's diagonal, where their sum commutes, so
+    G[T i, T j] = conj(G[i, j]) holds bit for bit (see :func:`_sectors`).
     """
     d, (k, r), out = model.dim, _decay_terms(model), []
     for idx in sectors:
         a, b = idx % d, idx // d  # row i of a block is rho[a[i], b[i]], and so is column i
         blocks = np.zeros(idx.shape + idx.shape[1:], dtype=np.complex128)
-        for chan in model.channels:  # einsum's complex product, as in the tests' oracle
-            blocks += np.einsum("nik,nik->nik", np.conj(chan[b[:, :, None], b[:, None, :]]),
-                                chan[a[:, :, None], a[:, None, :]])
         n, i, j = np.nonzero(b[:, :, None] == b[:, None, :])
         blocks[n, i, j] += k[a[n, i], a[n, j]]
         n, i, j = np.nonzero(a[:, :, None] == a[:, None, :])
         blocks[n, i, j] += r[b[n, j], b[n, i]]
+        for chan in model.channels:  # einsum's complex product, as in the tests' oracle
+            blocks += np.einsum("nik,nik->nik", np.conj(chan[b[:, :, None], b[:, None, :]]),
+                                chan[a[:, :, None], a[:, None, :]])
         out.append((idx, blocks))
     return out
 
 
-def _apply(blocks: list[tuple], v: np.ndarray) -> np.ndarray:
-    """G @ v for v of shape (d^2, k), G given by its blocks."""
-    out = np.empty_like(v)
-    for idx, mats in blocks:
+def _twice(blocks: list[tuple], d: int) -> list[np.ndarray]:
+    """Per block entry: whether its row also stands for its partner's, rho transposed.
+
+    That partner lies in no block, its sector being the conjugate of this one's
+    (:func:`_sectors`), so G's norms and counts take such a row twice.
+    """
+    held = np.zeros(d * d, dtype=bool)
+    for idx, _ in blocks:
+        held[idx] = True
+    return [~held[idx % d * d + idx // d] for idx, _ in blocks]
+
+
+def _apply(blocks: list[tuple], twice: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """G @ v for v of shape (d^2, k), vec of Hermitian matrices, G given by its blocks.
+
+    The rows of the sectors left out are the conjugates of their partners' (:func:`_twice`).
+    """
+    d, out = math.isqrt(len(v)), np.empty_like(v)
+    for (idx, mats), tw in zip(blocks, twice):
         out[idx] = mats @ v[idx]
+        out[idx[tw] % d * d + idx[tw] // d] = np.conj(out[idx[tw]])
     return out
 
 
-def _magnitudes(blocks: list[tuple]) -> tuple[float, float, float]:
+def _magnitudes(blocks: list[tuple], twice: list[np.ndarray]) -> tuple[float, float, float]:
     """Largest |entry| of G (1 for a zero G); |G|_F and largest column norm in its units."""
     rel = [np.abs(mats) for _, mats in blocks]
     peak = max(float(x.max(initial=0.0)) for x in rel) or 1.0
@@ -271,28 +333,32 @@ def _magnitudes(blocks: list[tuple]) -> tuple[float, float, float]:
                              f"{1.0 / MAX_SCALE:.3e}; rescale time")
     for x in rel:
         x /= peak
-    col_sq = np.concatenate([np.einsum("nij,nij->nj", x, x).ravel() for x in rel])
-    return peak, math.sqrt(float(col_sq.sum())), math.sqrt(float(col_sq.max(initial=0.0)))
+    col_sq = [np.einsum("nij,nij->nj", x, x) for x in rel]  # a column's sector is its row's
+    frob_sq = sum(float(sq.sum() + sq[tw].sum()) for sq, tw in zip(col_sq, twice))
+    return peak, math.sqrt(frob_sq), math.sqrt(max(float(sq.max(initial=0.0)) for sq in col_sq))
 
 
 def _check_against_direct_map(model: LindbladModel, blocks: list[tuple]) -> tuple:
-    """Check G's blocks against :func:`liouvillian_rhs` on random states; return its _magnitudes.
+    """Check G's blocks against :func:`liouvillian_rhs` on random states.
 
-    The probes are dense, so an entry missing between blocks shows as a residual.
-    All 10 go through one stacked pass: one draw, one block product, one direct map.
+    Returns :func:`_magnitudes` and :func:`_twice`. The probes are dense (and
+    Hermitian, as :func:`_apply` needs), so an entry missing between blocks
+    shows as a residual. All 10 go through one stacked pass: one draw, one block
+    product, one direct map.
     """
-    peak, frob, col = _magnitudes(blocks)
     d = model.dim
+    twice = _twice(blocks, d)
+    peak, frob, col = _magnitudes(blocks, twice)
     real, imag = np.random.default_rng(0).standard_normal((2, 10, d, d))
     probes = gram_state(real + 1j * imag) / peak  # units of peak
     # vec of each probe is a row of its transpose; unvec undoes it the same way
-    applied = _apply(blocks, probes.swapaxes(1, 2).reshape(10, d * d).T)
+    applied = _apply(blocks, twice, probes.swapaxes(1, 2).reshape(10, d * d).T)
     residual = applied.T.reshape(10, d, d).swapaxes(1, 2) - liouvillian_rhs(model, probes)
     # NaN fails the comparison
     if not np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-10 * max(1.0 / peak, frob)):
         raise NumericsError("superoperator disagrees with the direct generator; "
                             "vectorization convention broken")
-    return peak, frob, col
+    return peak, frob, col, twice
 
 
 def _step(model: LindbladModel, state: np.ndarray, dt: float) -> np.ndarray:
@@ -337,12 +403,15 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
     Classical RK4 of a linear generator L is exactly sum_{k<=4} (dt L)^k / k!,
     taken per block by Horner's rule. The block maps are zero-padded to the
     largest and stacked: one matmul per step, or one cached power P^k per chunk
-    (:func:`_powered`, within about 1e-14 relative of stepping). The state stays
-    in stack order for a whole stack of records (raw RK4 states), which one take gathers.
+    (:func:`_powered`, within about 1e-14 relative of stepping). Only the blocks
+    of :func:`_sectors` advance: for rho Hermitian, each entry left out is the
+    conjugate of its transposed entry, which one gather reads with the rest. The
+    state stays in stack order for a whole stack of records (raw RK4 states).
     """
     count, size = sum(len(idx) for idx, _ in blocks), blocks[-1][0].shape[1]
     stack = np.zeros((count, size, size), dtype=np.complex128)
-    pos, row = np.empty(d * d, dtype=np.intp), 0  # pos[a*d + b]: where rho[a, b] sits in the stack
+    pos = np.full(d * d, -1)  # pos[a*d + b]: where rho[a, b], or its conjugate, sits in the stack
+    row = 0
     for idx, mats in blocks:
         a, eye = mats * dt, np.identity(idx.shape[1], dtype=np.complex128)
         prop = eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
@@ -352,14 +421,19 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
         stack[row:row + n, :s, :s] = prop
         pos[idx % d * d + idx // d] = size * np.arange(row, row + n)[:, None] + np.arange(s)
         row += n
+    held = np.flatnonzero(pos >= 0)
+    conj = pos < 0
+    pos[conj] = pos[np.arange(d * d).reshape(d, d).T.ravel()[conj]]
     apply = _powered(stack, size)
 
     def advance(rho: np.ndarray, chunks: list[int]) -> np.ndarray:
         out = np.zeros((1 + len(chunks), count * size), dtype=np.complex128)  # row 0 is rho
-        out[0, pos] = rho.ravel()
+        out[0, pos[held]] = rho.ravel()[held]
         for i, steps in enumerate(chunks):
             out[i + 1] = apply(out[i].reshape(count, size, 1), steps).ravel()
-        return out[1:].take(pos, axis=1).reshape(-1, d, d)
+        states = out[1:].take(pos, axis=1)
+        np.conjugate(states, out=states, where=conj)
+        return states.reshape(-1, d, d)
 
     return advance
 

@@ -5,36 +5,68 @@ import tracemalloc
 import numpy as np
 
 from entrodyn.dynamics import LindbladModel, _decay_terms
+from entrodyn.operators import ginibre_matrix, gue_hermitian
 
 
 def build_superoperator(model: LindbladModel) -> np.ndarray:
     """The d^2 x d^2 matrix on vec(rho): kron(I, K) + kron(R.T, I) + sum_j kron(conj(L_j), L_j).
 
-    The jump terms are one einsum over the stacked channels; K and R.T are
-    added into strided block diagonals, so no Kronecker product is formed.
+    K and R.T are added into strided block diagonals, then each channel's
+    jump term, one einsum each, so no Kronecker product is formed.
     ``dynamics._generator_blocks`` sums its entries in the same order, so the
     blocks equal this matrix's entries bit for bit.
     """
     d = model.dim
     k, r = _decay_terms(model)
-    chans = np.array(model.channels, dtype=np.complex128).reshape(-1, d, d)
-    # entry (b*d + a, e*d + c) of kron(conj(L), L) is conj(L)[b, e] L[a, c]
-    gen4 = np.einsum("jbe,jac->baec", np.conj(chans), chans)
+    gen4 = np.zeros((d, d, d, d), dtype=np.complex128)
     idx = np.arange(d)
     gen4[idx, :, idx, :] += k
     gen4[:, idx, :, idx] += r.T
+    for chan in model.channels:
+        # entry (b*d + a, e*d + c) of kron(conj(L), L) is conj(L)[b, e] L[a, c]
+        gen4 += np.einsum("be,ac->baec", np.conj(chan), chan)
     return gen4.reshape(d * d, d * d)
 
 
 def diagonal_channel_model(d: int) -> LindbladModel:
     """H and one Hermitian L, both diagonal: the decoherence that measures an observable.
 
-    G is diagonal, so each entry of rho is a block of one: the propagator
-    advances a stack of d^2 blocks of one, and the steady solve finds d
-    singular blocks and a null space of dimension d. No block is larger than one.
+    G is diagonal, so each entry of rho is a sector of one: the propagator
+    advances a stack of d (d + 1) / 2 blocks of one (the diagonal and one of
+    each transposed pair), and the steady solve finds d singular blocks and a
+    null space of dimension d. No block is larger than one.
     """
     return LindbladModel(np.diag(np.linspace(0.0, 1.0, d)), (np.diag(np.linspace(0.2, 1.0, d)),),
                          label=f"diagonal_d{d}")
+
+
+def dense_model(d, seed):
+    """One channel and a Hamiltonian with no zero entry: G is one block of d^2."""
+    return LindbladModel(gue_hermitian(d, seed), (ginibre_matrix(d, seed + 1),))
+
+
+def over_cap_model():
+    """H diagonal at d=24 and one channel, a dense 8 x 8 Ginibre block on levels 0-7.
+
+    G's sectors are one of 64 (rho[a, b] with a, b < 8), 32 of 8 and 256 of
+    one. Of each conjugate pair one is kept, and they pack into one block of
+    64, 8 of 16 and 68 of 2: padded to 64 they would hold 77 * 64^2 entries,
+    more than MAX_BLOCK d^2.
+    """
+    chan = np.zeros((24, 24), dtype=np.complex128)
+    chan[:8, :8] = ginibre_matrix(8, 270)
+    return LindbladModel(np.diag(np.linspace(0.0, 1.0, 24)), (chan,), label="over_cap_d24")
+
+
+def sector_model(d, seed):
+    """A random model conserving n - m, in a shuffled basis."""
+    rng = np.random.default_rng(seed)
+    lower = np.diag(rng.normal(size=d - 1) + 1j * rng.normal(size=d - 1), -1)
+    raise_ = 0.4 * np.diag(rng.normal(size=d - 1) + 1j * rng.normal(size=d - 1), 1)
+    ops = (np.diag(rng.normal(size=d)), lower, raise_, np.diag(rng.normal(size=d)))
+    p = np.identity(d)[rng.permutation(d)]
+    h, *channels = (p @ op @ p.T for op in ops)
+    return LindbladModel(h, tuple(channels))
 
 
 def records(stacks) -> list:

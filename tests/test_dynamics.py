@@ -21,7 +21,8 @@ from entrodyn.errors import (
     PositivityLostError,
 )
 from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, named_state
-from entrodyn.operators import adjoint, ginibre_matrix, ginibre_state, gue_hermitian
+from entrodyn.operators import (adjoint, ginibre_matrix, ginibre_state, gue_hermitian,
+                                hermitian_part)
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -54,6 +55,16 @@ class TestLindbladModel:
         with pytest.raises(ValueError):
             model.channels[0][0, 0] = 1.0
 
+    def test_stores_exactly_hermitian_h_and_channel_squares(self):
+        # within the 1e-10 gate, off by 1e-12: stored as their Hermitian parts, so
+        # the generator's conjugate sectors are exact conjugates
+        h = gue_hermitian(4, seed=8) + 1e-12 * ginibre_matrix(4, seed=9)
+        assert not np.array_equal(h, adjoint(h))
+        model = LindbladModel(h, (ginibre_matrix(4, seed=10), ginibre_matrix(4, seed=11)))
+        assert np.array_equal(model.hamiltonian, hermitian_part(h))
+        for op in (model.hamiltonian, *model.channel_squares):
+            assert np.array_equal(op, adjoint(op))
+
     def test_dim(self):
         assert get_model("truncated_oscillator", {"d": 5}).dim == 5
 
@@ -65,7 +76,7 @@ class TestLindbladModel:
         for c, c_dag, sq, norm in derived:
             assert np.array_equal(c_dag, adjoint(c))
             assert c_dag.flags.c_contiguous
-            assert np.array_equal(sq, adjoint(c) @ c)
+            assert np.array_equal(sq, hermitian_part(adjoint(c) @ c))
             assert norm == float(np.sum(np.abs(c) ** 2))
         assert not model.channels_hermitian
         assert get_model("depolarizing").channels_hermitian

@@ -11,11 +11,13 @@ from entrodyn.dynamics import (
     _generator_blocks,
     _sectors,
     final_state,
+    liouvillian_rhs,
 )
 from entrodyn.models import get_model, list_models
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian
 from entrodyn.steady_state import steady_state
-from oracles import PEAK_MB, build_superoperator, diagonal_channel_model, traced_peak_mb
+from oracles import (PEAK_MB, build_superoperator, dense_model, diagonal_channel_model,
+                     over_cap_model, sector_model, traced_peak_mb)
 
 
 def random_dense_model(seed, channels):
@@ -41,28 +43,107 @@ ORACLE_CASES = {
 }
 
 
+def transposed(d):
+    """T as an index map: entry i, the vec index of rho[a, b], to that of rho[b, a]."""
+    return np.arange(d * d).reshape(d, d).T.ravel()
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_blocks_are_the_dense_generator(name):
     model = ORACLE_CASES[name]()
     gen = build_superoperator(model)
+    flip = transposed(model.dim)
     inside = np.zeros(gen.shape, dtype=bool)
     for idx, blocks in _generator_blocks(model, _sectors(model)):
         cut = gen[idx[:, :, None], idx[:, None, :]]
         # bit for bit, the sign of zero included
         assert np.array_equal(cut.view(np.float64), blocks.view(np.float64))
+        # the sectors left out are the conjugates of those kept, bit for bit
+        mirror = flip[idx]
+        assert np.array_equal(gen[mirror[:, :, None], mirror[:, None, :]], np.conj(blocks))
         inside[idx[:, :, None], idx[:, None, :]] = True
+        inside[mirror[:, :, None], mirror[:, None, :]] = True
     assert np.all(gen[~inside] == 0)
-    assert np.all(inside.diagonal())  # every index lies in a block
+    assert np.all(inside.diagonal())  # every index lies in a block or its mirror
 
 
 @pytest.mark.parametrize("d", [16, 24])
 def test_oscillator_sectors_are_the_components_of_the_exact_pattern(d):
+    # the 2d - 1 sectors n - m = k: k = 0 alone, and one of k, -k beside one of d - k, k - d
     model = get_model("truncated_oscillator", {"d": d})
     pattern = build_superoperator(model) != 0
     label = _components(*np.nonzero(pattern), d * d)
-    exact = sorted(tuple(np.flatnonzero(label == k)) for k in np.unique(label))
-    sectors = sorted(tuple(block) for idx in _sectors(model) for block in idx)
-    assert sectors == exact and len(sectors) == 2 * d - 1
+    exact = {tuple(np.flatnonzero(label == k)) for k in np.unique(label)}
+    assert len(exact) == 2 * d - 1
+    blocks = [block for idx in _sectors(model) for block in idx]
+    assert sorted(len(block) for block in blocks) == [d // 2] + [d] * (d // 2)
+    kept = [tuple(np.flatnonzero(label == k)) for block in blocks for k in np.unique(label[block])]
+    assert sorted(sum(kept, ())) == sorted(np.concatenate(blocks).tolist())  # each kept whole
+    flip = transposed(d)
+    assert exact == set(kept) | {tuple(sorted(flip[list(part)])) for part in kept}
+    # ascending sizes: the block of d / 2, then k = 0 (it holds index 0) and the pairs
+    assert [len(np.unique(label[block])) for block in blocks] == [1, 1] + [2] * (d // 2 - 1)
+
+
+def exact_labels(model):
+    """Components of G's exact pattern, read off the direct map on each unit matrix."""
+    d = model.dim
+    rows, cols = [], []
+    for start in range(0, d * d, 256):
+        units = np.zeros((min(256, d * d - start), d * d), dtype=np.complex128)
+        units[np.arange(len(units)), np.arange(start, start + len(units))] = 1.0
+        # column j of G is vec of the map on unvec(e_j); vec is the transpose's rows
+        images = liouvillian_rhs(model, units.reshape(-1, d, d).swapaxes(1, 2))
+        j, i = np.nonzero(images.swapaxes(1, 2).reshape(len(units), d * d))
+        rows.append(i)
+        cols.append(j + start)
+    return _components(np.concatenate(rows), np.concatenate(cols), d * d)
+
+
+LAYOUT_CASES = {
+    **{spec.name: lambda name=spec.name: get_model(name) for spec in list_models()},
+    **{
+        f"oscillator_d{d}": lambda d=d: get_model("truncated_oscillator", {"d": d})
+        for d in range(2, 34)
+    },
+    **{f"sector_d{d}": lambda d=d: sector_model(d, 10 * d) for d in range(3, 9)},
+    "over_cap": over_cap_model,
+    "diagonal_d64": lambda: diagonal_channel_model(64),
+    "dense_d4": lambda: dense_model(4, 210),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_sectors_pack_one_of_each_conjugate_pair(name):
+    model = LAYOUT_CASES[name]()
+    d = model.dim
+    label, flip = exact_labels(model), transposed(d)
+    sectors = _sectors(model)
+    sizes = [idx.shape[1] for idx in sectors]
+    assert sizes == sorted(set(sizes))  # one array per size, ascending
+    assert any(idx[0, 0] == 0 for idx in sectors)  # index 0 is entry [0, 0] of its array
+    home = np.full(d * d, -1)  # the block of each index
+    blocks = [block for idx in sectors for block in idx]
+    for n, block in enumerate(blocks):
+        assert np.all(np.diff(block) > 0)
+        assert np.all(home[block] == -1)
+        home[block] = n
+        assert len(np.unique(label[block])) <= 2
+    kept = []
+    order = np.argsort(label, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+        own, partner = set(home[members].tolist()), set(home[flip[members]].tolist())
+        # it or its partner lies whole in one block and the other in none; where entries
+        # cancel (depolarizing's rho[0, 1] and rho[1, 0]) the two may share it
+        assert any(len(homes) == 1 and -1 not in homes for homes in (own, partner))
+        assert own == partner or -1 in own | partner
+        if -1 not in own:
+            kept.append(len(members))
+    kept = np.array(kept)
+    packed = np.array([len(block) for block in blocks])
+    assert packed.sum() == kept.sum()
+    assert np.sum(packed**2) <= 2 * np.sum(kept**2)
+    assert np.sum(packed**3) <= 4 * np.sum(kept**3)
 
 
 def test_dense_channel_is_one_block_without_a_sweep(monkeypatch):
@@ -94,7 +175,8 @@ def test_d64_oscillator_never_builds_the_dense_generator(monkeypatch):
 
 
 def test_d64_diagonal_channel_never_builds_the_dense_generator():
-    # G is diagonal: the propagator advances a stack of 4096 blocks of one
+    # G is diagonal: the propagator advances a stack of 2080 blocks of one (64 diagonal
+    # entries and one of each of the 2016 transposed pairs)
     model = diagonal_channel_model(64)
     cfg = IntegratorConfig(dt=1e-3, t_max=4e-3)
     state, peak = traced_peak_mb(final_state, model, ginibre_state(64, seed=5), cfg)

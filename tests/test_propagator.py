@@ -26,7 +26,8 @@ from entrodyn.dynamics import (
 )
 from entrodyn.models import get_model, named_state
 from entrodyn.operators import adjoint, ginibre_matrix, ginibre_state, gue_hermitian
-from oracles import build_superoperator, diagonal_channel_model, records
+from oracles import (build_superoperator, dense_model, diagonal_channel_model,
+                     over_cap_model, records, sector_model)
 
 
 def random_two_channel_model():
@@ -34,24 +35,8 @@ def random_two_channel_model():
     return LindbladModel(gue_hermitian(3, 200), channels, label="rand_two_channel")
 
 
-def dense_model(d, seed):
-    """One channel and a Hamiltonian with no zero entry: G is one block of d^2."""
-    return LindbladModel(gue_hermitian(d, seed), (ginibre_matrix(d, seed + 1),))
-
-
 def largest_block(model):
     return max(idx.shape[1] for idx in _sectors(model))
-
-
-def over_cap_model():
-    """H diagonal at d=24 and one channel, a dense 8 x 8 Ginibre block on levels 0-7.
-
-    G's blocks are one of 64 (rho[a, b] with a, b < 8), 32 of 8 and 256 of one:
-    padded to 64 they would hold 289 * 64^2 entries, more than MAX_BLOCK d^2.
-    """
-    chan = np.zeros((24, 24), dtype=np.complex128)
-    chan[:8, :8] = ginibre_matrix(8, 270)
-    return LindbladModel(np.diag(np.linspace(0.0, 1.0, 24)), (chan,), label="over_cap_d24")
 
 
 def propagator(model, dt):
@@ -99,11 +84,15 @@ AGREEMENT_MODELS = {
     "driven_qubit": lambda: get_model("driven_qubit"),
     "amplitude_damping": lambda: get_model("amplitude_damping"),
     "oscillator": lambda: get_model("truncated_oscillator"),
+    # odd d: (d + 1) / 2 blocks of d, the sectors n - m = k and k - d paired, no block of d / 2
+    "oscillator_d15": lambda: get_model("truncated_oscillator", {"d": 15}),
     "oscillator_d16": lambda: get_model("truncated_oscillator", {"d": 16}),
     "oscillator_d32": lambda: get_model("truncated_oscillator", {"d": 32, "gamma": 0.2}),
     "random_d3_two_channels": random_two_channel_model,
+    # sectors in a shuffled basis, so each block's indices and its partner's are scattered
+    "sector_d7": lambda: sector_model(7, 71),
     "dense_d4": lambda: dense_model(4, 210),
-    # G is diagonal: a stack of d^2 blocks of one
+    # G is diagonal: a stack of d (d + 1) / 2 blocks of one, a diagonal entry or a pair
     "diagonal_d16": lambda: diagonal_channel_model(16),
     "diagonal_d24": lambda: diagonal_channel_model(24),
     "diagonal_d64": lambda: diagonal_channel_model(64),
@@ -250,8 +239,9 @@ def test_one_power_per_accepted_chunk_length(monkeypatch, name, stride, powers):
      ("diagonal_d16", True)],
 )
 def test_state_is_permuted_only_where_blocking_saves_work(monkeypatch, name, permuted):
-    # The stack holds G's own blocks padded to the largest: depolarizing's two of 2,
-    # amplitude_damping's 1, 1 and 2, diagonal_d16's 256 of one. driven_qubit and
+    # The stack holds the blocks of _sectors padded to the largest: depolarizing's two
+    # of 2, amplitude_damping's 2 and one of its two conjugate 1s, diagonal_d16's 136
+    # of one (16 diagonal entries and one of each transposed pair). driven_qubit and
     # dense_d4 are one block of d^2, in vec(rho) order.
     model = AGREEMENT_MODELS[name]()
     stacks, real = [], dynamics._powered
@@ -294,7 +284,8 @@ def test_over_cap_stack_is_refused_before_any_block_is_built(monkeypatch, run):
     model = over_cap_model()
     sectors = _sectors(model)
     count, size = sum(len(idx) for idx in sectors), sectors[-1].shape[1]
-    assert (count, size) == (289, 64) and count * size * size > MAX_BLOCK * model.dim**2
+    # packed: one block of 64, 8 of 16 and 68 of 2, still over the cap when padded
+    assert (count, size) == (77, 64) and count * size * size > MAX_BLOCK * model.dim**2
 
     def refused(*args):
         raise AssertionError("a block of the over-cap stack was built")

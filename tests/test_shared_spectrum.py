@@ -101,7 +101,7 @@ def test_cli_bounds_decomposes_its_state_once(tmp_path, linalg_calls):
 @pytest.mark.parametrize("name, params, code, expected", [
     ("driven_qubit", {}, 0, Counter(eigh=1)),
     ("truncated_oscillator", {"d": 5}, 0, Counter(eigh=1)),
-    # degenerate: G is four blocks of one, whose singular values are their moduli
+    # degenerate: G is four blocks of one (three built), whose singular values are their moduli
     ("dephasing", {}, 5, Counter()),
 ])
 def test_cli_steady_decomposes_its_state_once(tmp_path, linalg_calls, name, params, code,
@@ -117,16 +117,17 @@ def test_steady_state_takes_the_generator_magnitudes_once(monkeypatch):
     calls = []
     original = dynamics._magnitudes
 
-    def counted(blocks):
+    def counted(blocks, twice):
         calls.append([idx.shape for idx, _ in blocks])
-        return original(blocks)
+        return original(blocks, twice)
 
     monkeypatch.setattr(dynamics, "_magnitudes", counted)
     # also wherever the solver module may import it by name
     solver = importlib.import_module("entrodyn.steady_state")
     monkeypatch.setattr(solver, "_magnitudes", counted, raising=False)
     steady_state(get_model("truncated_oscillator", {"d": 5}))
-    assert calls == [[(2, 1), (2, 2), (2, 3), (2, 4), (1, 5)]]
+    # three blocks of 5: n - m = 0; one of +-1 beside +-4, of +-2 beside +-3
+    assert calls == [[(3, 5)]]
 
 
 @pytest.mark.parametrize(
@@ -143,7 +144,8 @@ def test_degenerate_steady_state_runs_one_svd(linalg_calls):
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(weak)
     assert linalg_calls["svd"] == 1
-    # dephasing's G is four blocks of one: their singular values are their moduli
+    # dephasing's G is four blocks of one, of which three are built (rho[1, 0] is
+    # rho[0, 1]'s conjugate): their singular values are their moduli
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(get_model("dephasing"))
     assert linalg_calls["svd"] == 1

@@ -21,7 +21,7 @@ from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, named_state
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, maximally_mixed
 from entrodyn.steady_state import (_steady_solve, _svd_solve, long_time_entropy, steady_state,
                                    unvec, vec)
-from oracles import build_superoperator, diagonal_channel_model
+from oracles import build_superoperator, diagonal_channel_model, sector_model
 
 UNIQUE_PRESETS = ("amplitude_damping", "depolarizing", "driven_qubit", "truncated_oscillator")
 
@@ -236,10 +236,12 @@ class TestSelfCheck:
         # Splitting a sector in two drops the entries that join its halves;
         # the dense probes see them missing.
         model = get_model("truncated_oscillator", {"d": 5})
+        # three blocks of 5: n - m = 0; one of +-1 beside +-4, of +-2 beside +-3
         sectors = _sectors(model)
-        idx = sectors[-1]  # the diagonal entries of rho, one block of d
-        assert idx.shape == (1, 5)
-        split = sectors[:-1] + [idx[:, :2], idx[:, 2:]]
+        (idx,) = sectors
+        assert idx.shape == (3, 5) and np.array_equal(idx[0], np.arange(0, 25, 6))
+        # the diagonal entries of rho, the block of index 0, cut in two
+        split = [idx[1:], idx[:1, :2], idx[:1, 2:]]
         _check_against_direct_map(model, _generator_blocks(model, sectors))
         with pytest.raises(NumericsError):
             _check_against_direct_map(model, _generator_blocks(model, split))
@@ -376,15 +378,9 @@ def full_direct_solve(model):
     return rho / np.trace(rho).real
 
 
-def sector_model(d, seed):
-    """A random model conserving n - m, in a shuffled basis."""
-    rng = np.random.default_rng(seed)
-    lower = np.diag(rng.normal(size=d - 1) + 1j * rng.normal(size=d - 1), -1)
-    raise_ = 0.4 * np.diag(rng.normal(size=d - 1) + 1j * rng.normal(size=d - 1), 1)
-    ops = (np.diag(rng.normal(size=d)), lower, raise_, np.diag(rng.normal(size=d)))
-    p = np.identity(d)[rng.permutation(d)]
-    h, *channels = (p @ op @ p.T for op in ops)
-    return LindbladModel(h, tuple(channels))
+def component_count(model):
+    """Connected components of the dense generator's nonzero pattern."""
+    return len(np.unique(_components(*np.nonzero(build_superoperator(model)), model.dim**2)))
 
 
 class TestBlockSolve:
@@ -399,9 +395,8 @@ class TestBlockSolve:
     def test_shuffled_sector_models_match_the_full_inverse(self, d):
         for seed in range(3):
             model = sector_model(d, 10 * d + seed)
-            sectors = _sectors(model)
-            assert len(sectors) > 1
-            assert any(np.any(np.diff(block) != 1) for idx in sectors for block in idx)
+            assert component_count(model) > 1
+            assert any(np.any(np.diff(block) != 1) for idx in _sectors(model) for block in idx)
             rho = steady_state(model)
             assert np.max(np.abs(rho - full_direct_solve(model))) <= 1e-12
             # the block SVD gives the full SVD's null vector
@@ -430,6 +425,14 @@ class TestBlockSolve:
             assert not certified
         assert (not svd_calls) == certified
 
+    @pytest.mark.parametrize("d", [48, 64])
+    def test_large_oscillator_relaxes_to_zero_quanta(self, d):
+        # d / 2 blocks of d and one of d / 2, each pair of conjugate sectors inverted once
+        rho = steady_state(get_model("truncated_oscillator", {"d": d, "gamma": 0.5}))
+        ground = np.zeros((d, d))
+        ground[d - 1, d - 1] = 1.0
+        assert np.max(np.abs(rho - ground)) <= 1e-12
+
     def test_near_degenerate_oscillator_counts_as_the_full_svd(self):
         model = get_model("truncated_oscillator", {"d": 6, "gamma": 1e-12})
         svals = np.linalg.svd(build_superoperator(model), compute_uv=False)
@@ -457,7 +460,7 @@ class TestBlockSolve:
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state(model)
         assert largest and max(largest) == d
-        assert sum(len(idx) for idx in _sectors(model)) == 2 * d - 1
+        assert component_count(model) == 2 * d - 1
 
 
 def unique_steady_models():
@@ -486,7 +489,10 @@ class TestTraceSectors:
         (get_model("dephasing"), 2),
         (diagonal_channel_model(8), 8),
         (LindbladModel(np.diag([0.5, -0.5]), (PAULI_Z, 0.0 * SIGMA_MINUS)), 2),
-    ], ids=["dephasing", "diagonal_d8", "zero_decay"])
+        # decay 1 -> 0 and 3 -> 2: rho[0, 2] is stationary too, in a block of 2 whose
+        # conjugate, rho[2, 0] with rho[3, 1], is not built but counts
+        (LindbladModel(np.zeros((4, 4)), (np.diag([1.0, 0.0, 1.0], 1),)), 4),
+    ], ids=["dephasing", "diagonal_d8", "zero_decay", "stationary_coherence"])
     def test_diagonal_over_several_blocks_counts_as_the_full_svd(self, model, expected):
         svals = np.linalg.svd(build_superoperator(model), compute_uv=False)
         with pytest.raises(DegenerateSteadyStateError) as excinfo:
