@@ -12,7 +12,8 @@ defaults to stdout):
   through the two inequality audits and emit a CSV of findings,
 * ``models``    list the preset catalog (``--json`` for machine-readable).
 
-Exit codes: 0 success (audit violations are findings, not failures);
+Exit codes: 0 success (audit violations are findings, not failures, and a
+reader that closes stdout early, as ``| head`` does, drops the rest silently);
 2 config/parse error: a config file that is not UTF-8 or nests too deeply,
 non-finite numbers (``NaN``, ``Infinity``, overflowing literals), a
 Hamiltonian or channel with a non-finite Frobenius norm, a model scale
@@ -39,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -472,6 +474,9 @@ def main(argv: list[str] | None = None) -> int:
         config = None if args.command == "models" else _load_config(args.config)
         with _open_out(args.out) as out:
             runners[args.command](config, out)
+            out.flush()  # a reader that closed early shows here, not at the interpreter's exit
+    except BrokenPipeError:  # what that reader took is the output; the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (EntrodynError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

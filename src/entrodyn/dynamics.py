@@ -18,11 +18,8 @@ Hermitian part of the RK4 state; integration continues from the state itself.
 
 from __future__ import annotations
 
-import bisect
-import collections
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -208,11 +205,11 @@ def _sectors(model: LindbladModel) -> list[np.ndarray]:
     C onto one whose entries are C's conjugates, G[T i, T j] = conj(G[i, j]),
     since H and each L^dag L are stored exactly Hermitian; of C and T(C) the
     one with the smaller first index is kept (a self-paired C once), and
-    :func:`_twice` marks the rows that stand for their partner's too. The kept
-    sectors are packed in pairs (:func:`_pairs`), so a block holds at most twice
-    the entries and four times the cube of its sectors' sizes. Indices ascend
-    within a block, blocks of one size by their first index, so index 0 is
-    entry [0, 0] of its array.
+    :func:`_generator_blocks` marks the rows that stand for their partner's too.
+    The kept sectors are packed in pairs (:func:`_pairs`), so a block holds at
+    most twice the entries and four times the cube of its sectors' sizes.
+    Indices ascend within a block, blocks of one size by their first index, so
+    index 0 is entry [0, 0] of its array.
     """
     d = model.dim
     if any(np.count_nonzero(chan) == d * d for chan in model.channels):
@@ -238,21 +235,19 @@ def _sectors(model: LindbladModel) -> list[np.ndarray]:
 def _pairs(sizes: list[int]) -> list[int]:
     """mate[i], the sector packed beside sector i of ``sizes`` (i itself if none).
 
-    Largest first, each sector joins the largest remaining one (the first of
-    equal sizes) that fits beside it within the largest size. Sizes s1 and s2
-    so packed have (s1 + s2)^2 <= 2 (s1^2 + s2^2) and (s1 + s2)^3 <= 4 (s1^3 + s2^3).
+    Sorted largest first (stably), the largest sector left joins the smallest left
+    where both fit within the largest size, and stays alone otherwise: the rule
+    that packs the most pairs. Sizes s1 and s2 so packed have
+    (s1 + s2)^2 <= 2 (s1^2 + s2^2) and (s1 + s2)^3 <= 4 (s1^3 + s2^3).
     """
-    mate, free = list(range(len(sizes))), {}  # free[s]: the sectors of size s left, in order
-    for i, size in enumerate(sizes):
-        free.setdefault(size, collections.deque()).append(i)
-    widths = sorted(free, reverse=True)
-    for width in widths:
-        # the sizes that fit beside it; those above it are placed already
-        fits = widths[bisect.bisect_left(widths, width - widths[0], key=operator.neg):]
-        while free[width]:
-            i = free[width].popleft()
-            j = next((free[size].popleft() for size in fits if free[size]), i)
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    mate, lo, hi = list(range(len(sizes))), 0, len(sizes) - 1
+    while lo < hi:
+        i, j = order[lo], order[hi]
+        if sizes[i] + sizes[j] <= sizes[order[0]]:
             mate[i], mate[j] = j, i
+            hi -= 1
+        lo += 1
     return mate
 
 
@@ -276,9 +271,11 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 
 
 def _generator_blocks(model: LindbladModel, sectors: list[np.ndarray]) -> list[tuple]:
-    """(index, blocks) per block size, blocks[i] = G[index[i]][:, index[i]].
+    """(index, blocks, twice) per block size, blocks[i] = G[index[i]][:, index[i]].
 
-    G is 0 outside these blocks and their conjugates, rho transposed (:func:`_sectors`).
+    G is 0 outside these blocks and their conjugates, rho transposed (:func:`_sectors`):
+    twice[i, j] marks a row whose partner, rho[b, a] for rho[a, b], lies in no
+    block, so it stands for both, and G's norms and counts take it twice.
 
     Entries are summed in the order of the tests' dense oracle (K, R, then each
     channel), so they equal its entries bit for bit; callers run the self-check
@@ -286,6 +283,8 @@ def _generator_blocks(model: LindbladModel, sectors: list[np.ndarray]) -> list[t
     G[T i, T j] = conj(G[i, j]) holds bit for bit (see :func:`_sectors`).
     """
     d, (k, r), out = model.dim, _decay_terms(model), []
+    held = np.zeros(d * d, dtype=bool)
+    held[np.concatenate([idx.ravel() for idx in sectors])] = True
     for idx in sectors:
         a, b = idx % d, idx // d  # row i of a block is rho[a[i], b[i]], and so is column i
         blocks = np.zeros(idx.shape + idx.shape[1:], dtype=np.complex128)
@@ -296,37 +295,25 @@ def _generator_blocks(model: LindbladModel, sectors: list[np.ndarray]) -> list[t
         for chan in model.channels:  # einsum's complex product, as in the tests' oracle
             blocks += np.einsum("nik,nik->nik", np.conj(chan[b[:, :, None], b[:, None, :]]),
                                 chan[a[:, :, None], a[:, None, :]])
-        out.append((idx, blocks))
+        out.append((idx, blocks, ~held[a * d + b]))
     return out
 
 
-def _twice(blocks: list[tuple], d: int) -> list[np.ndarray]:
-    """Per block entry: whether its row also stands for its partner's, rho transposed.
-
-    That partner lies in no block, its sector being the conjugate of this one's
-    (:func:`_sectors`), so G's norms and counts take such a row twice.
-    """
-    held = np.zeros(d * d, dtype=bool)
-    for idx, _ in blocks:
-        held[idx] = True
-    return [~held[idx % d * d + idx // d] for idx, _ in blocks]
-
-
-def _apply(blocks: list[tuple], twice: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+def _apply(blocks: list[tuple], v: np.ndarray) -> np.ndarray:
     """G @ v for v of shape (d^2, k), vec of Hermitian matrices, G given by its blocks.
 
-    The rows of the sectors left out are the conjugates of their partners' (:func:`_twice`).
+    The rows left out are the conjugates of the rows marked twice (:func:`_generator_blocks`).
     """
     d, out = math.isqrt(len(v)), np.empty_like(v)
-    for (idx, mats), tw in zip(blocks, twice):
+    for idx, mats, twice in blocks:
         out[idx] = mats @ v[idx]
-        out[idx[tw] % d * d + idx[tw] // d] = np.conj(out[idx[tw]])
+        out[idx[twice] % d * d + idx[twice] // d] = np.conj(out[idx[twice]])
     return out
 
 
-def _magnitudes(blocks: list[tuple], twice: list[np.ndarray]) -> tuple[float, float, float]:
+def _magnitudes(blocks: list[tuple]) -> tuple[float, float, float]:
     """Largest |entry| of G (1 for a zero G); |G|_F and largest column norm in its units."""
-    rel = [np.abs(mats) for _, mats in blocks]
+    rel = [np.abs(mats) for _, mats, _ in blocks]
     peak = max(float(x.max(initial=0.0)) for x in rel) or 1.0
     if peak < 1.0 / MAX_SCALE:  # its reciprocal, which scales the self-check's probes, overflows
         raise BadParamsError(f"generator scale {peak:.3e} is below 1/MAX_SCALE = "
@@ -334,31 +321,30 @@ def _magnitudes(blocks: list[tuple], twice: list[np.ndarray]) -> tuple[float, fl
     for x in rel:
         x /= peak
     col_sq = [np.einsum("nij,nij->nj", x, x) for x in rel]  # a column's sector is its row's
-    frob_sq = sum(float(sq.sum() + sq[tw].sum()) for sq, tw in zip(col_sq, twice))
+    frob_sq = sum(float(sq.sum() + sq[twice].sum()) for sq, (_, _, twice) in zip(col_sq, blocks))
     return peak, math.sqrt(frob_sq), math.sqrt(max(float(sq.max(initial=0.0)) for sq in col_sq))
 
 
 def _check_against_direct_map(model: LindbladModel, blocks: list[tuple]) -> tuple:
     """Check G's blocks against :func:`liouvillian_rhs` on random states.
 
-    Returns :func:`_magnitudes` and :func:`_twice`. The probes are dense (and
-    Hermitian, as :func:`_apply` needs), so an entry missing between blocks
-    shows as a residual. All 10 go through one stacked pass: one draw, one block
-    product, one direct map.
+    Returns :func:`_magnitudes` (peak, |G|_F, largest column norm). The probes
+    are dense (and Hermitian, as :func:`_apply` needs), so an entry missing
+    between blocks shows as a residual. All 10 go through one stacked pass: one
+    draw, one block product, one direct map.
     """
     d = model.dim
-    twice = _twice(blocks, d)
-    peak, frob, col = _magnitudes(blocks, twice)
+    peak, frob, col = _magnitudes(blocks)
     real, imag = np.random.default_rng(0).standard_normal((2, 10, d, d))
     probes = gram_state(real + 1j * imag) / peak  # units of peak
     # vec of each probe is a row of its transpose; unvec undoes it the same way
-    applied = _apply(blocks, twice, probes.swapaxes(1, 2).reshape(10, d * d).T)
+    applied = _apply(blocks, probes.swapaxes(1, 2).reshape(10, d * d).T)
     residual = applied.T.reshape(10, d, d).swapaxes(1, 2) - liouvillian_rhs(model, probes)
     # NaN fails the comparison
     if not np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-10 * max(1.0 / peak, frob)):
         raise NumericsError("superoperator disagrees with the direct generator; "
                             "vectorization convention broken")
-    return peak, frob, col, twice
+    return peak, frob, col
 
 
 def _step(model: LindbladModel, state: np.ndarray, dt: float) -> np.ndarray:
@@ -408,22 +394,22 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
     conjugate of its transposed entry, which one gather reads with the rest. The
     state stays in stack order for a whole stack of records (raw RK4 states).
     """
-    count, size = sum(len(idx) for idx, _ in blocks), blocks[-1][0].shape[1]
+    count, size = sum(len(idx) for idx, _, _ in blocks), blocks[-1][0].shape[1]
     stack = np.zeros((count, size, size), dtype=np.complex128)
-    pos = np.full(d * d, -1)  # pos[a*d + b]: where rho[a, b], or its conjugate, sits in the stack
-    row = 0
-    for idx, mats in blocks:
+    pos = np.empty(d * d, dtype=np.intp)  # pos[a*d + b]: where rho[a, b] sits in the stack,
+    conj, row = np.zeros(d * d, dtype=bool), 0  # or rho[b, a], its conjugate, if conj[a*d + b]
+    for idx, mats, twice in blocks:
         a, eye = mats * dt, np.identity(idx.shape[1], dtype=np.complex128)
         prop = eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
         if not np.all(np.isfinite(prop)):
             return None
         n, s = idx.shape
         stack[row:row + n, :s, :s] = prop
-        pos[idx % d * d + idx // d] = size * np.arange(row, row + n)[:, None] + np.arange(s)
+        at = size * np.arange(row, row + n)[:, None] + np.arange(s)
+        pos[idx % d * d + idx // d] = at
+        pos[idx[twice]], conj[idx[twice]] = at[twice], True  # rho[b, a] of the rows marked twice
         row += n
-    held = np.flatnonzero(pos >= 0)
-    conj = pos < 0
-    pos[conj] = pos[np.arange(d * d).reshape(d, d).T.ravel()[conj]]
+    held = np.flatnonzero(~conj)
     apply = _powered(stack, size)
 
     def advance(rho: np.ndarray, chunks: list[int]) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dynamics import (IntegratorConfig, LindbladModel, _apply, _check_against_direct_map,
-                       _generator_blocks, _sectors, _twice, final_state, unvec, vec)
+                       _generator_blocks, _sectors, final_state, unvec, vec)
 from .entropy_bounds import von_neumann_entropy
 from .errors import DegenerateSteadyStateError, NoSteadyStateError, NotDensityError
 from .operators import SpectralDecomposition, density_spectra, hermitian_part
@@ -54,12 +54,12 @@ def _steady_solve(model: LindbladModel,
     """:func:`steady_state` with its gates' spectrum (a stack of one) and |G vec(rho)|."""
     d = model.dim
     blocks = _generator_blocks(model, _sectors(model))
-    peak, frob, col, twice = _check_against_direct_map(model, blocks)
+    peak, frob, col = _check_against_direct_map(model, blocks)
     x = np.zeros(d * d, dtype=np.complex128)
     inv_sq = 0.0  # |M^-1|_F^2
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the tests
         try:
-            for (idx, mats), tw in zip(blocks, twice):
+            for idx, mats, twice in blocks:
                 scaled = mats / peak
                 holds_zero = idx[0, 0] == 0  # index 0 leads the first block of its size
                 if holds_zero:
@@ -68,14 +68,14 @@ def _steady_solve(model: LindbladModel,
                 if holds_zero:
                     x[idx[0]] = inverses[0, :, 0]
                 inv_sq += float(np.vdot(inverses, inverses).real)
-                twice_rows = inverses[tw]  # M^-1 holds the conjugate sectors' rows too
+                twice_rows = inverses[twice]  # M^-1 holds the conjugate sectors' rows too
                 inv_sq += float(np.vdot(twice_rows, twice_rows).real)
         except np.linalg.LinAlgError:
             inv_sq = math.inf
         if tol * frob * math.sqrt(inv_sq) < 1.0:
             rho = _normalized(x, d)
             # a density has |rho|_F <= 1, so rho also passes _svd_solve's residual gate
-            residual = np.linalg.norm(_apply(blocks, twice, vec(rho / peak)[:, None]))
+            residual = np.linalg.norm(_apply(blocks, vec(rho / peak)[:, None]))
             if residual <= tol * col * np.linalg.norm(rho):
                 return rho, _validated(rho), peak * float(residual)
     return _svd_solve(blocks, d, tol)
@@ -83,15 +83,14 @@ def _steady_solve(model: LindbladModel,
 
 def _svd_solve(blocks: list[tuple], d: int,
                tol: float) -> tuple[np.ndarray, SpectralDecomposition, float]:
-    twice = _twice(blocks, d)
     decomposed = []
-    for (idx, mats), tw in zip(blocks, twice):
+    for idx, mats, twice in blocks:
         if idx.shape[1] == 1:  # a 1 x 1 block's singular value is |g|, its right vector 1
             svals, vh = np.abs(mats[:, 0]), np.ones_like(mats)
         else:
             svals, vh = np.linalg.svd(mats)[1:]
         # a singular value counts twice where its right vector lies in a sector that does
-        weights = 1.0 + np.einsum("nkj,nj->nk", np.abs(vh) ** 2, tw)
+        weights = 1.0 + np.einsum("nkj,nj->nk", np.abs(vh) ** 2, twice)
         decomposed.append((idx, svals, vh, weights))
     svals = np.concatenate([s.ravel() for _, s, _, _ in decomposed])
     smax = float(svals.max())
@@ -111,7 +110,7 @@ def _svd_solve(blocks: list[tuple], d: int,
     null[idx[block]] = np.conj(vh[block, pos])
     rho = _normalized(null, d)
     spectra = _validated(rho)
-    residual = float(np.linalg.norm(_apply(blocks, twice, vec(rho)[:, None])))
+    residual = float(np.linalg.norm(_apply(blocks, vec(rho)[:, None])))
     if residual > 10.0 * tol * max(1.0, smax):
         raise NoSteadyStateError(f"extracted state has generator residual {residual:.3e}; "
                                  "tighten tol")

@@ -486,6 +486,20 @@ class TestAudit:
         assert code == 0
         assert text.strip().splitlines()[-1].startswith("# summary: rows=3")
 
+    def test_reader_closing_stdout_early_is_no_failure(self, tmp_path):
+        # `entrodyn audit ... | head -1`: 20 000 rows, about 1.8 MB, overrun the pipe's
+        # buffer, so writes go on after the reader has closed its end
+        config = write_config(tmp_path, {"d": 2, "count": 20000})
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        with subprocess.Popen([sys.executable, "-m", "entrodyn", "audit", "--config", config],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline().decode().rstrip("\n") == AUDIT_HEADER
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert stderr == b""
+
 
 class TestModels:
     def test_lists_all_presets(self, capsys):

@@ -9,6 +9,7 @@ from entrodyn.dynamics import (
     LindbladModel,
     _components,
     _generator_blocks,
+    _pairs,
     _sectors,
     final_state,
     liouvillian_rhs,
@@ -54,7 +55,7 @@ def test_blocks_are_the_dense_generator(name):
     gen = build_superoperator(model)
     flip = transposed(model.dim)
     inside = np.zeros(gen.shape, dtype=bool)
-    for idx, blocks in _generator_blocks(model, _sectors(model)):
+    for idx, blocks, _ in _generator_blocks(model, _sectors(model)):
         cut = gen[idx[:, :, None], idx[:, None, :]]
         # bit for bit, the sign of zero included
         assert np.array_equal(cut.view(np.float64), blocks.view(np.float64))
@@ -144,6 +145,37 @@ def test_sectors_pack_one_of_each_conjugate_pair(name):
     assert packed.sum() == kept.sum()
     assert np.sum(packed**2) <= 2 * np.sum(kept**2)
     assert np.sum(packed**3) <= 4 * np.sum(kept**3)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_blocks_mark_the_rows_whose_partner_no_block_holds(name):
+    model = LAYOUT_CASES[name]()
+    blocks = _generator_blocks(model, _sectors(model))
+    inside = np.concatenate([idx.ravel() for idx, _, _ in blocks])
+    flip = transposed(model.dim)
+    for idx, _, twice in blocks:
+        assert twice.dtype == bool and twice.shape == idx.shape
+        assert np.array_equal(twice, ~np.isin(flip[idx], inside))
+
+
+def most_pairs(sizes, cap):
+    """The most disjoint pairs of ``sizes`` whose sums are at most cap, by brute force."""
+    if len(sizes) < 2:
+        return 0
+    first, rest = sizes[0], sizes[1:]
+    return max([most_pairs(rest, cap)] + [1 + most_pairs(rest[:j] + rest[j + 1:], cap)
+                                          for j, size in enumerate(rest) if first + size <= cap])
+
+
+def test_pairs_packs_the_most_pairs_within_the_largest_size():
+    rng = np.random.default_rng(25)
+    for _ in range(400):
+        sizes = rng.integers(1, 7, size=rng.integers(1, 9)).tolist()
+        mate = _pairs(sizes)
+        assert all(mate[mate[i]] == i for i in range(len(sizes)))
+        paired = [i for i in range(len(sizes)) if mate[i] != i]
+        assert all(sizes[i] + sizes[mate[i]] <= max(sizes) for i in paired)
+        assert len(paired) == 2 * most_pairs(sizes, max(sizes))
 
 
 def test_dense_channel_is_one_block_without_a_sweep(monkeypatch):

@@ -117,9 +117,9 @@ def test_steady_state_takes_the_generator_magnitudes_once(monkeypatch):
     calls = []
     original = dynamics._magnitudes
 
-    def counted(blocks, twice):
-        calls.append([idx.shape for idx, _ in blocks])
-        return original(blocks, twice)
+    def counted(blocks):
+        calls.append([idx.shape for idx, _, _ in blocks])
+        return original(blocks)
 
     monkeypatch.setattr(dynamics, "_magnitudes", counted)
     # also wherever the solver module may import it by name

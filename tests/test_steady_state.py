@@ -206,7 +206,7 @@ class TestSelfCheck:
         model = self.huge_model()
         blocks = blocks_of(model)
         mats = blocks[-1][1]
-        mats[0, 1, 0] += 1e-6 * max(np.max(np.abs(m)) for _, m in blocks)
+        mats[0, 1, 0] += 1e-6 * max(np.max(np.abs(m)) for _, m, _ in blocks)
         with pytest.raises(NumericsError):
             _check_against_direct_map(model, blocks)
 
