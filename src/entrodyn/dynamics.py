@@ -2,8 +2,10 @@
 
 The generator is ``d rho/dt = -i[H, rho] + sum_j D[L_j] rho`` with
 ``D[L] rho = L rho L^dag - (L^dag L rho + rho L^dag L)/2`` and hbar = 1; all
-rates and times are dimensionless. Propagation uses a classical fixed-step
-fourth-order Runge-Kutta scheme so trajectories are bit-reproducible.
+rates and times are dimensionless. Its one form is K rho + rho K^dag + sum_j
+L_j rho L_j^dag, K = -iH - sum_j L_j^dag L_j / 2 (``LindbladModel.no_jump``).
+Propagation uses a classical fixed-step fourth-order Runge-Kutta scheme so
+trajectories are bit-reproducible.
 
 Vectorization stacks columns: ``vec(A X B) = kron(B.T, A) @ vec(X)``. The
 generator G on vec(rho) is used as dense blocks over its sectors, read off the
@@ -28,8 +30,8 @@ from . import entropy_bounds
 from .errors import (BadParamsError, ConfigError, DimMismatchError, NotHermitianError,
                      NumericsError, PositivityLostError)
 from .operators import (SpectralDecomposition, adjoint, as_operator, assert_density,
-                        frobenius_norm_sq, gram_state, hermitian_eig, hermitian_part,
-                        hermiticity_defect, is_hermitian)
+                        frobenius_norm_sq, hermitian_eig, hermitian_part, hermiticity_defect,
+                        is_hermitian)
 
 # Recorded states must hold |tr(rho) - 1| within this drift; the trace is never renormalized.
 TRACE_DRIFT_TOL = 1e-9
@@ -43,9 +45,10 @@ POSITIVITY_TOL = 1e-8
 # s <= MAX_BLOCK (a dense G is one block of d^2, so d <= 16). Runs of fewer than
 # MIN_PROPAGATOR_STEPS * (s/256)^3 steps step directly too (the build is three s x s
 # products per block). Measured for one dense block, s = d^2, BLAS on one thread, 2-core
-# x86-64 VM (direct step vs matvec, build, break-even): d=2 113 vs 1.9 us, 1.0 ms, 9
-# steps; d=14 105 vs 12 us, 5.1 ms, 55; d=16 105 vs 18 us, 9.6 ms, 110; d=20 187 vs
-# 110 us, 40 ms, 510.
+# x86-64 VM, two runs (direct step vs matvec, build, break-even): d=2 61-77 vs 1.1-2.2 us,
+# 0.2-0.3 ms, 3-5 steps; d=14 67-105 vs 12-15 us, 7-8 ms, 94-139; d=16 71-76 vs 21-30 us,
+# 13-18 ms, 256-395; d=20 direct 76-114 vs 82-103 us. MIN_PROPAGATOR_STEPS lies below the
+# d=16 break-even: a run near it may build where stepping is cheaper, by less than a build.
 MAX_BLOCK = 256
 MIN_PROPAGATOR_STEPS = 110
 
@@ -67,20 +70,20 @@ class LindbladModel:
     Hermitian part is stored; channel operators may be arbitrary complex
     matrices of the same dimension. Stored arrays are frozen copies, so models
     are safe to share. Derived once per model: ``channel_adjoints`` (each
-    L_j^dag), ``channel_squares`` (the Hermitian part of each L_j^dag L_j),
-    ``channel_norms_sq`` (each |L_j|_F^2) and
+    L_j^dag), ``no_jump`` (K = -iH - sum_j herm(L_j^dag L_j) / 2, herm the
+    Hermitian part), ``channel_norms_sq`` (each |L_j|_F^2) and
     ``channels_hermitian`` (every channel Hermitian). A Hamiltonian or channel
     whose squared Frobenius norm is not finite, or a model whose scale
     |H|_F^2 + sum_j |L_j|_F^2 exceeds ``MAX_SCALE``, raises BadParamsError.
-    With H and each L_j^dag L_j exactly Hermitian, the generator's entries on
-    rho transposed are its entries' conjugates bit for bit (see :func:`_sectors`).
+    Both terms Hermitian, K^dag is iH - sum_j herm(L_j^dag L_j) / 2 exactly, so the
+    generator's entries on rho transposed are its entries' conjugates (:func:`_sectors`).
     """
 
     hamiltonian: np.ndarray
     channels: tuple[np.ndarray, ...] = ()
     label: str = ""
     channel_adjoints: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    channel_squares: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    no_jump: np.ndarray = field(init=False, repr=False)
     channel_norms_sq: np.ndarray = field(init=False, repr=False)
     channels_hermitian: bool = field(init=False, repr=False)
 
@@ -109,8 +112,8 @@ class LindbladModel:
         object.__setattr__(self, "channels", chans)
         object.__setattr__(self, "channel_adjoints",
                            tuple(_frozen_copy(np.ascontiguousarray(adjoint(c))) for c in chans))
-        object.__setattr__(self, "channel_squares",
-                           tuple(_frozen_copy(hermitian_part(adjoint(c) @ c)) for c in chans))
+        decay = sum((0.5 * hermitian_part(adjoint(c) @ c) for c in chans), np.zeros_like(h))
+        object.__setattr__(self, "no_jump", _frozen_copy(-1j * self.hamiltonian - decay))
         object.__setattr__(self, "channel_norms_sq", norms)
         object.__setattr__(self, "channels_hermitian", all(is_hermitian(c) for c in chans))
 
@@ -167,14 +170,14 @@ class TrajectoryRecord:
 
 
 def liouvillian_rhs(model: LindbladModel, rho) -> np.ndarray:
-    """Full generator -i[H, rho] + sum_j D[L_j] rho, of one state or of each of a stack."""
+    """Full generator K rho + rho K^dag + sum_j L_j rho L_j^dag, of one state or of a stack."""
     state = np.asarray(rho, dtype=np.complex128)
     if state.shape[-2:] != model.hamiltonian.shape:
         raise DimMismatchError(f"state {state.shape} vs model dim {model.dim}")
-    h = model.hamiltonian
-    out = -1j * (h @ state - state @ h)
-    for c, c_dag, sq in zip(model.channels, model.channel_adjoints, model.channel_squares):
-        out += c @ state @ c_dag - 0.5 * (sq @ state + state @ sq)
+    k = model.no_jump
+    out = k @ state + state @ adjoint(k)
+    for c, c_dag in zip(model.channels, model.channel_adjoints):
+        out += c @ state @ c_dag
     return out
 
 
@@ -188,24 +191,19 @@ def unvec(v, d: int) -> np.ndarray:
     return np.asarray(v, dtype=np.complex128).reshape((d, d), order="F")
 
 
-def _decay_terms(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
-    """K = -iH - sum_j L_j^dag L_j / 2 (acting from the left) and R = iH - sum_j L_j^dag L_j / 2."""
-    half_decay = sum((0.5 * sq for sq in model.channel_squares), np.zeros_like(model.hamiltonian))
-    return -1j * model.hamiltonian - half_decay, 1j * model.hamiltonian - half_decay
-
-
 def _sectors(model: LindbladModel) -> list[np.ndarray]:
     """The blocks of G that both solvers build, one (count, size) array per size.
 
-    G maps rho[c, e] into rho[a, b] with weight delta_be K[a, c] +
-    delta_ac R[e, b] + sum_j conj(L_j[b, e]) L_j[a, c], so its sectors are the
-    connected components of the edges that K, R and each channel's pairs of
-    nonzeros make. This covers the exact pattern: a sector is a component of it
-    or, where entries cancel, coarser. T, rho[a, b] -> rho[b, a], maps a sector
-    C onto one whose entries are C's conjugates, G[T i, T j] = conj(G[i, j]),
-    since H and each L^dag L are stored exactly Hermitian; of C and T(C) the
-    one with the smaller first index is kept (a self-paired C once), and
-    :func:`_generator_blocks` marks the rows that stand for their partner's too.
+    G maps rho[c, e] into rho[a, b] with weight delta_be K[a, c] + delta_ac
+    conj(K[b, e]) + sum_j conj(L_j[b, e]) L_j[a, c], K = ``model.no_jump``, so its
+    sectors are the connected components of the edges that K's one pattern makes on
+    either side of rho and each channel's pairs of nonzeros make. This covers the
+    exact pattern: a sector is a component of it or, where entries cancel, coarser.
+    T, rho[a, b] -> rho[b, a], maps a sector C onto one whose entries are C's
+    conjugates, G[T i, T j] = conj(G[i, j]), since H and each L^dag L are stored
+    exactly Hermitian; of C and T(C) the one with the smaller first index is kept
+    (a self-paired C once), and :func:`_generator_blocks` marks the rows that
+    stand for their partner's too.
     The kept sectors are packed in pairs (:func:`_pairs`), so a block holds at
     most twice the entries and four times the cube of its sectors' sizes.
     Indices ascend within a block, blocks of one size by their first index, so
@@ -215,9 +213,8 @@ def _sectors(model: LindbladModel) -> list[np.ndarray]:
     if any(np.count_nonzero(chan) == d * d for chan in model.channels):
         return [np.arange(d * d)[None]]  # a dense channel joins every pair: one block, no sweep
     cell = np.arange(d * d).reshape(d, d)  # cell[b, a] is the vec index of rho[a, b]
-    k, r = _decay_terms(model)
-    (a, c), (e, b) = np.nonzero(k), np.nonzero(r)
-    edges = [(cell[:, a], cell[:, c]), (cell[b], cell[e])]
+    a, c = np.nonzero(model.no_jump)  # K[a, c]: rho[a, x] to rho[c, x], rho[x, a] to rho[x, c]
+    edges = [(cell[:, a], cell[:, c]), (cell[a], cell[c])]
     for rows, cols in (np.nonzero(chan) for chan in model.channels):
         edges.append((cell[rows[:, None], rows], cell[cols[:, None], cols]))
     label = _components(*(np.concatenate([x[i].ravel() for x in edges]) for i in (0, 1)), d * d)
@@ -277,12 +274,12 @@ def _generator_blocks(model: LindbladModel, sectors: list[np.ndarray]) -> list[t
     twice[i, j] marks a row whose partner, rho[b, a] for rho[a, b], lies in no
     block, so it stands for both, and G's norms and counts take it twice.
 
-    Entries are summed in the order of the tests' dense oracle (K, R, then each
-    channel), so they equal its entries bit for bit; callers run the self-check
-    on them. K and R meet only on G's diagonal, where their sum commutes, so
-    G[T i, T j] = conj(G[i, j]) holds bit for bit (see :func:`_sectors`).
+    Entries are summed in the order of the tests' dense oracle (K, K^dag, then
+    each channel), so they equal its entries bit for bit; callers run the
+    self-check on them. K and K^dag meet only on G's diagonal, where their sum
+    commutes, so G[T i, T j] = conj(G[i, j]) holds exactly (see :func:`_sectors`).
     """
-    d, (k, r), out = model.dim, _decay_terms(model), []
+    d, k, out = model.dim, model.no_jump, []
     held = np.zeros(d * d, dtype=bool)
     held[np.concatenate([idx.ravel() for idx in sectors])] = True
     for idx in sectors:
@@ -291,7 +288,7 @@ def _generator_blocks(model: LindbladModel, sectors: list[np.ndarray]) -> list[t
         n, i, j = np.nonzero(b[:, :, None] == b[:, None, :])
         blocks[n, i, j] += k[a[n, i], a[n, j]]
         n, i, j = np.nonzero(a[:, :, None] == a[:, None, :])
-        blocks[n, i, j] += r[b[n, j], b[n, i]]
+        blocks[n, i, j] += np.conj(k[b[n, i], b[n, j]])  # K^dag[b[j], b[i]]
         for chan in model.channels:  # einsum's complex product, as in the tests' oracle
             blocks += np.einsum("nik,nik->nik", np.conj(chan[b[:, :, None], b[:, None, :]]),
                                 chan[a[:, :, None], a[:, None, :]])
@@ -326,17 +323,19 @@ def _magnitudes(blocks: list[tuple]) -> tuple[float, float, float]:
 
 
 def _check_against_direct_map(model: LindbladModel, blocks: list[tuple]) -> tuple:
-    """Check G's blocks against :func:`liouvillian_rhs` on random states.
+    """Check G's blocks against :func:`liouvillian_rhs` on random Hermitian matrices.
 
-    Returns :func:`_magnitudes` (peak, |G|_F, largest column norm). The probes
-    are dense (and Hermitian, as :func:`_apply` needs), so an entry missing
-    between blocks shows as a residual. All 10 go through one stacked pass: one
-    draw, one block product, one direct map.
+    Returns :func:`_magnitudes` (peak, |G|_F, largest column norm). Each probe is the
+    Hermitian part of a complex Gaussian matrix (as :func:`_apply` needs), |p|_F = 1 / peak,
+    so its entries are of order 1 / (d peak): an entry off by delta peak, or missing between
+    blocks, leaves a residual of order delta / d against the tolerance 1e-10 |G|_F / peak.
+    All 10 go through one stacked pass: one draw, one block product, one direct map.
     """
     d = model.dim
     peak, frob, col = _magnitudes(blocks)
     real, imag = np.random.default_rng(0).standard_normal((2, 10, d, d))
-    probes = gram_state(real + 1j * imag) / peak  # units of peak
+    probes = hermitian_part(real + 1j * imag)
+    probes = probes / np.linalg.norm(probes, axis=(1, 2), keepdims=True) / peak  # units of peak
     # vec of each probe is a row of its transpose; unvec undoes it the same way
     applied = _apply(blocks, probes.swapaxes(1, 2).reshape(10, d * d).T)
     residual = applied.T.reshape(10, d, d).swapaxes(1, 2) - liouvillian_rhs(model, probes)

@@ -4,20 +4,24 @@ import tracemalloc
 
 import numpy as np
 
-from entrodyn.dynamics import LindbladModel, _decay_terms
-from entrodyn.operators import ginibre_matrix, gue_hermitian
+from entrodyn.dynamics import LindbladModel
+from entrodyn.operators import adjoint, ginibre_matrix, gue_hermitian, hermitian_part
 
 
 def build_superoperator(model: LindbladModel) -> np.ndarray:
     """The d^2 x d^2 matrix on vec(rho): kron(I, K) + kron(R.T, I) + sum_j kron(conj(L_j), L_j).
 
-    K and R.T are added into strided block diagonals, then each channel's
-    jump term, one einsum each, so no Kronecker product is formed.
+    K = -iH - sum_j herm(L_j^dag L_j) / 2 is formed here from the model's H and
+    channels, not read from ``model.no_jump``, and R = K^dag. K and R.T are
+    added into strided block diagonals, then each channel's jump term, one
+    einsum each, so no Kronecker product is formed.
     ``dynamics._generator_blocks`` sums its entries in the same order, so the
     blocks equal this matrix's entries bit for bit.
     """
-    d = model.dim
-    k, r = _decay_terms(model)
+    d, h = model.dim, model.hamiltonian
+    decay = sum((0.5 * hermitian_part(adjoint(c) @ c) for c in model.channels), np.zeros_like(h))
+    k = -1j * h - decay
+    r = adjoint(k)
     gen4 = np.zeros((d, d, d, d), dtype=np.complex128)
     idx = np.arange(d)
     gen4[idx, :, idx, :] += k

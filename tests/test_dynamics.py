@@ -56,28 +56,31 @@ class TestLindbladModel:
             model.channels[0][0, 0] = 1.0
 
     def test_stores_exactly_hermitian_h_and_channel_squares(self):
-        # within the 1e-10 gate, off by 1e-12: stored as their Hermitian parts, so
-        # the generator's conjugate sectors are exact conjugates
+        # within the 1e-10 gate, off by 1e-12: H and each L^dag L enter K as their
+        # Hermitian parts, so K^dag is iH - sum_j L_j^dag L_j / 2 exactly and the
+        # generator's conjugate sectors are exact conjugates
         h = gue_hermitian(4, seed=8) + 1e-12 * ginibre_matrix(4, seed=9)
         assert not np.array_equal(h, adjoint(h))
         model = LindbladModel(h, (ginibre_matrix(4, seed=10), ginibre_matrix(4, seed=11)))
         assert np.array_equal(model.hamiltonian, hermitian_part(h))
-        for op in (model.hamiltonian, *model.channel_squares):
-            assert np.array_equal(op, adjoint(op))
+        assert np.array_equal(model.hamiltonian, adjoint(model.hamiltonian))
+        squares = [hermitian_part(adjoint(c) @ c) for c in model.channels]
+        decay = sum((0.5 * sq for sq in squares), np.zeros((4, 4), dtype=complex))
+        want = -1j * model.hamiltonian - decay
+        assert np.array_equal(model.no_jump.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(adjoint(model.no_jump), 1j * model.hamiltonian - decay)  # as values
 
     def test_dim(self):
         assert get_model("truncated_oscillator", {"d": 5}).dim == 5
 
     def test_channel_data_is_derived_and_read_only(self):
         model = random_model(3, seed=5, n_channels=2)
-        derived = zip(
-            model.channels, model.channel_adjoints, model.channel_squares, model.channel_norms_sq
-        )
-        for c, c_dag, sq, norm in derived:
+        for c, c_dag, norm in zip(model.channels, model.channel_adjoints, model.channel_norms_sq):
             assert np.array_equal(c_dag, adjoint(c))
             assert c_dag.flags.c_contiguous
-            assert np.array_equal(sq, hermitian_part(adjoint(c) @ c))
             assert norm == float(np.sum(np.abs(c) ** 2))
+        decay = sum(adjoint(c) @ c for c in model.channels) / 2
+        assert_allclose(model.no_jump, -1j * model.hamiltonian - decay, rtol=0, atol=1e-14)
         assert not model.channels_hermitian
         assert get_model("depolarizing").channels_hermitian
         assert not get_model("amplitude_damping").channels_hermitian
@@ -89,7 +92,7 @@ class TestLindbladModel:
         with pytest.raises(ValueError):
             model.channel_norms_sq[0] = 0.0
         with pytest.raises(ValueError):
-            model.channel_squares[0][0, 0] = 0.0
+            model.no_jump[0, 0] = 0.0
         with pytest.raises(ValueError):
             model.channel_adjoints[0][0, 0] = 0.0
         rebuilt = dataclasses.replace(model, channels=model.channels[:1])

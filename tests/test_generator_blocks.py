@@ -57,9 +57,10 @@ def test_blocks_are_the_dense_generator(name):
     inside = np.zeros(gen.shape, dtype=bool)
     for idx, blocks, _ in _generator_blocks(model, _sectors(model)):
         cut = gen[idx[:, :, None], idx[:, None, :]]
-        # bit for bit, the sign of zero included
-        assert np.array_equal(cut.view(np.float64), blocks.view(np.float64))
-        # the sectors left out are the conjugates of those kept, bit for bit
+        # bit for bit, the sign of zero included (as floats, -0.0 == 0.0)
+        assert np.array_equal(cut.view(np.uint64), blocks.view(np.uint64))
+        # the sectors left out are the conjugates of those kept, as values: conj(0) is -0j,
+        # so where the entries are zero the signs of zero differ
         mirror = flip[idx]
         assert np.array_equal(gen[mirror[:, :, None], mirror[:, None, :]], np.conj(blocks))
         inside[idx[:, :, None], idx[:, None, :]] = True

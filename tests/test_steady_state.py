@@ -160,7 +160,8 @@ def kron_superoperator(model):
     eye = np.identity(model.dim)
     h = model.hamiltonian
     gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for channel, sq in zip(model.channels, model.channel_squares):
+    for channel in model.channels:
+        sq = channel.conj().T @ channel
         gen = gen + np.kron(np.conj(channel), channel)
         gen = gen - 0.5 * np.kron(eye, sq) - 0.5 * np.kron(sq.T, eye)
     return gen
@@ -231,6 +232,23 @@ class TestSelfCheck:
         _check_against_direct_map(model, blocks)
         assert len(calls["default_rng"]) == len(calls["liouvillian_rhs"]) == 1
         assert calls["liouvillian_rhs"][0][1].shape == (10, model.dim, model.dim)
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_one_entry_off_by_a_millionth_of_the_peak_fails(self, d):
+        # 30 seeded entries, drawn uniformly over all blocks' entries, each raised alone
+        model = get_model("truncated_oscillator", {"d": d})
+        blocks = blocks_of(model)
+        mats = [m for _, m, _ in blocks]  # changed in place, as the blocks' own arrays
+        peak = max(np.max(np.abs(m)) for m in mats)
+        ends = np.cumsum([m.size for m in mats])
+        for at in np.random.default_rng(d).integers(ends[-1], size=30):
+            g = int(np.searchsorted(ends, at, side="right"))
+            entry = np.unravel_index(at - ends[g] + mats[g].size, mats[g].shape)
+            kept = mats[g][entry]
+            mats[g][entry] += 1e-6 * peak
+            with pytest.raises(NumericsError):
+                _check_against_direct_map(model, blocks)
+            mats[g][entry] = kept
 
     def test_entry_missing_across_blocks_fails(self):
         # Splitting a sector in two drops the entries that join its halves;
