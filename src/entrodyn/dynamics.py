@@ -13,9 +13,9 @@ model's operators (:func:`_sectors`, :func:`_generator_blocks`) and checked
 against the direct generator before any use; the steady state and the RK4
 propagator both run on them. Of each pair of sectors that transposing rho swaps,
 one is built: the other holds its conjugate entries. The sectors are packed in
-pairs up to the largest one's size, and the propagator pads the blocks to the
-largest in one stack (of at most ``MAX_BLOCK`` d^2 entries). Each record is the
-Hermitian part of the RK4 state; integration continues from the state itself.
+pairs up to the largest one's size, and the blocks of each size form one stack,
+which the propagator advances where no block is larger than ``MAX_BLOCK``. Each
+record is the Hermitian part of the RK4 state; integration continues from it.
 """
 
 from __future__ import annotations
@@ -39,18 +39,19 @@ TRACE_DRIFT_TOL = 1e-9
 # Recorded states may dip this far below zero in their smallest eigenvalue.
 POSITIVITY_TOL = 1e-8
 
-# The RK4 propagator's stack of the count blocks of _sectors (one of each conjugate pair of
-# G's sectors, packed two to a block no larger than the largest sector), padded to size s,
-# holds count s^2 entries; it is built only where that is at most MAX_BLOCK d^2, so
-# s <= MAX_BLOCK (a dense G is one block of d^2, so d <= 16). Runs of fewer than
-# MIN_PROPAGATOR_STEPS * (s/256)^3 steps step directly too (the build is three s x s
-# products per block). Measured for one dense block, s = d^2, BLAS on one thread, 2-core
-# x86-64 VM, two runs (direct step vs matvec, build, break-even): d=2 61-77 vs 1.1-2.2 us,
-# 0.2-0.3 ms, 3-5 steps; d=14 67-105 vs 12-15 us, 7-8 ms, 94-139; d=16 71-76 vs 21-30 us,
-# 13-18 ms, 256-395; d=20 direct 76-114 vs 82-103 us. MIN_PROPAGATOR_STEPS lies below the
-# d=16 break-even: a run near it may build where stepping is cheaper, by less than a build.
+# The RK4 propagator advances the blocks of _sectors (one of each conjugate pair of G's
+# sectors, packed two to a block no larger than the largest sector, s) only where
+# s <= MAX_BLOCK (a dense G is one block of d^2, so d <= 16). Its stacks, n blocks of size
+# s' per size, then hold sum n s'^2 <= s sum n s' <= MAX_BLOCK d^2 entries, as at most d^2
+# rows are kept. Runs of fewer than MIN_PROPAGATOR_STEPS * (s/256)^3 steps step directly
+# too (the build is three s x s products per block). Measured for one dense block, s = d^2
+# (tests/oracles.dense_model), BLAS on one thread, 2-core x86-64 VM, medians of 40
+# interleaved rounds in each of three runs (direct step vs propagated step, build,
+# break-even): d=14 67-93 vs 15-20 us, 5.8-7.8 ms, 108-112 steps (quartiles 103-119);
+# d=16 66-70 vs 25-28 us, 9.6-11 ms, 232-244 (quartiles 223-255); 250 steps at d=16 is
+# 112 at d=14. Past MAX_BLOCK no run repays it: at d=20 direct 76-114 vs 82-103 us.
 MAX_BLOCK = 256
-MIN_PROPAGATOR_STEPS = 110
+MIN_PROPAGATOR_STEPS = 250
 
 # Largest |H|_F^2 + sum_j |L_j|_F^2: derived numbers, at most 32x it, stay finite.
 MAX_SCALE = np.finfo(np.float64).max / 64
@@ -141,11 +142,12 @@ class IntegratorConfig:
         for name in ("dt", "t_max", "record_stride"):
             value = getattr(self, name)
             try:  # math.isfinite overflows on an int past the float range
-                valid = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+                valid = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                         and math.isfinite(value) and value > 0)
             except OverflowError:
                 valid = False
             if not valid:
-                raise ConfigError(f"{name} must be positive and finite")
+                raise ConfigError(f"{name} must be a positive finite number")
         if not self.dt < self.t_max:
             raise ConfigError("dt must be smaller than t_max")
         if not math.isfinite(self.t_max / self.dt):
@@ -386,38 +388,31 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
     """``advance(rho, chunks)``: the records after each chunk of :func:`_step`s; None if not finite.
 
     Classical RK4 of a linear generator L is exactly sum_{k<=4} (dt L)^k / k!,
-    taken per block by Horner's rule. The block maps are zero-padded to the
-    largest and stacked: one matmul per step, or one cached power P^k per chunk
-    (:func:`_powered`, within about 1e-14 relative of stepping). Only the blocks
-    of :func:`_sectors` advance: for rho Hermitian, each entry left out is the
-    conjugate of its transposed entry, which one gather reads with the rest. The
-    state stays in stack order for a whole stack of records (raw RK4 states).
+    taken per block by Horner's rule. Each size group of blocks advances as one
+    stack, as :func:`_apply` applies G: one matmul per step, or one cached power
+    P^k per chunk (:func:`_powered`, within about 1e-14 relative of stepping).
+    Only the blocks of :func:`_sectors` advance: for rho Hermitian, each entry
+    left out is the conjugate of its transposed entry, written from it. A group's
+    state stays in block order for a whole stack of records (raw RK4 states).
     """
-    count, size = sum(len(idx) for idx, _, _ in blocks), blocks[-1][0].shape[1]
-    stack = np.zeros((count, size, size), dtype=np.complex128)
-    pos = np.empty(d * d, dtype=np.intp)  # pos[a*d + b]: where rho[a, b] sits in the stack,
-    conj, row = np.zeros(d * d, dtype=bool), 0  # or rho[b, a], its conjugate, if conj[a*d + b]
+    groups = []
     for idx, mats, twice in blocks:
         a, eye = mats * dt, np.identity(idx.shape[1], dtype=np.complex128)
         prop = eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
         if not np.all(np.isfinite(prop)):
             return None
-        n, s = idx.shape
-        stack[row:row + n, :s, :s] = prop
-        at = size * np.arange(row, row + n)[:, None] + np.arange(s)
-        pos[idx % d * d + idx // d] = at
-        pos[idx[twice]], conj[idx[twice]] = at[twice], True  # rho[b, a] of the rows marked twice
-        row += n
-    held = np.flatnonzero(~conj)
-    apply = _powered(stack, size)
+        # rho[a, b] sits at a*d + b of rho.ravel(), and rho[b, a] at its vec index
+        groups.append((idx % d * d + idx // d, twice, idx[twice], _powered(prop, idx.shape[1])))
 
     def advance(rho: np.ndarray, chunks: list[int]) -> np.ndarray:
-        out = np.zeros((1 + len(chunks), count * size), dtype=np.complex128)  # row 0 is rho
-        out[0, pos[held]] = rho.ravel()[held]
-        for i, steps in enumerate(chunks):
-            out[i + 1] = apply(out[i].reshape(count, size, 1), steps).ravel()
-        states = out[1:].take(pos, axis=1)
-        np.conjugate(states, out=states, where=conj)
+        states = np.empty((len(chunks), d * d), dtype=np.complex128)
+        for at, twice, partner, apply in groups:
+            out = np.empty((1 + len(chunks), *at.shape, 1), dtype=np.complex128)  # row 0 is rho
+            out[0, ..., 0] = rho.ravel()[at]
+            for i, steps in enumerate(chunks):
+                out[i + 1] = apply(out[i], steps)
+            states[:, at] = out[1:, ..., 0]
+            states[:, partner] = np.conj(out[1:, twice, 0])
         return states.reshape(-1, d, d)
 
     return advance
@@ -430,8 +425,8 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     step 0's, rho0's Hermitian part, where integration starts; their stops come from a
     ``range``. Each later record is the Hermitian part of the RK4 state, and integration
     continues from the state itself (the health gate finds an overflow). The steps apply
-    :func:`_rk4_propagator` (within 1e-12 of stepping) unless its padded stack would hold
-    over ``MAX_BLOCK`` d^2 entries (checked on the blocks' shapes, before any is built),
+    :func:`_rk4_propagator` (within 1e-12 of stepping) unless a block would be larger
+    than ``MAX_BLOCK`` (checked on the sectors' shapes, before any block is built),
     the run is too short to repay the build (``MIN_PROPAGATOR_STEPS``), it overflows or
     G is too small to self-check (below 1 / ``MAX_SCALE``).
     """
@@ -446,13 +441,13 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
                 rho = record[:] = _step(model, rho, cfg.dt)
         return out
 
-    # The padded stack may hold cap entries of G (so no block exceeds MAX_BLOCK); a channel
-    # with m nonzeros fills m^2 of them, so past the cap its edges are not worth seeking.
-    cap = MAX_BLOCK * d * d
-    if max((np.count_nonzero(c) ** 2 for c in model.channels), default=0) <= cap:
+    # A channel with m nonzeros puts m^2 entries of G in its sectors, which hold at most
+    # their largest size times d^2: past MAX_BLOCK d^2 a block is larger than MAX_BLOCK,
+    # so its edges are not worth seeking.
+    if max((np.count_nonzero(c) ** 2 for c in model.channels), default=0) <= MAX_BLOCK * d * d:
         sectors = _sectors(model)
-        count, size = sum(len(idx) for idx in sectors), sectors[-1].shape[1]
-        if count * size * size <= cap and n >= MIN_PROPAGATOR_STEPS * (size / MAX_BLOCK) ** 3:
+        size = sectors[-1].shape[1]
+        if size <= MAX_BLOCK and n >= MIN_PROPAGATOR_STEPS * (size / MAX_BLOCK) ** 3:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     blocks = _generator_blocks(model, sectors)

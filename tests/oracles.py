@@ -49,17 +49,28 @@ def dense_model(d, seed):
     return LindbladModel(gue_hermitian(d, seed), (ginibre_matrix(d, seed + 1),))
 
 
-def over_cap_model():
-    """H diagonal at d=24 and one channel, a dense 8 x 8 Ginibre block on levels 0-7.
+def level_block_model(levels: int) -> LindbladModel:
+    """H diagonal at d=24 and one channel, a dense Ginibre block on levels 0 to levels - 1.
 
-    G's sectors are one of 64 (rho[a, b] with a, b < 8), 32 of 8 and 256 of
-    one. Of each conjugate pair one is kept, and they pack into one block of
-    64, 8 of 16 and 68 of 2: padded to 64 they would hold 77 * 64^2 entries,
-    more than MAX_BLOCK d^2.
+    With m = levels, G's sectors are one of m^2 (rho[a, b] with a, b < m), 2 (24 - m)
+    of m (the rest of a row or a column of rho) and (24 - m)^2 of one. Of each
+    conjugate pair one is kept; the packing joins each sector of m to one of one,
+    and the ones left two by two. On levels 0-7 the blocks are 60 of 2, 16 of 9 and
+    one of 64: three size groups, 5632 entries of G in all.
     """
     chan = np.zeros((24, 24), dtype=np.complex128)
-    chan[:8, :8] = ginibre_matrix(8, 270)
-    return LindbladModel(np.diag(np.linspace(0.0, 1.0, 24)), (chan,), label="over_cap_d24")
+    chan[:levels, :levels] = ginibre_matrix(levels, 270)
+    return LindbladModel(np.diag(np.linspace(0.0, 1.0, 24)), (chan,),
+                         label=f"level_block_{levels}_d24")
+
+
+def over_cap_model():
+    """:func:`level_block_model` on levels 0-16: blocks of 1, 2, 18 and 289 > MAX_BLOCK.
+
+    G is not one dense block (289 < 24^2), and the channel's 289^2 entries of G
+    pass the pre-check on its nonzeros (at most MAX_BLOCK d^2 = 147 456).
+    """
+    return level_block_model(17)
 
 
 def sector_model(d, seed):

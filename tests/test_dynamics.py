@@ -115,12 +115,14 @@ class TestIntegratorConfig:
     @pytest.mark.parametrize(
         "fields",
         [{"record_stride": float("inf")}, {"record_stride": float("nan")}, {"dt": "0.1"},
-         {"t_max": None}, {"dt": 1j}, {"t_max": 10**400}, {"record_stride": 10**400}],
+         {"t_max": None}, {"dt": 1j}, {"t_max": 10**400}, {"record_stride": 10**400},
+         {"dt": True, "t_max": 2.0}, {"t_max": True}, {"record_stride": True}],
         ids=["stride_inf", "stride_nan", "dt_str", "t_max_none", "dt_complex", "t_max_huge_int",
-             "stride_huge_int"],
+             "stride_huge_int", "dt_bool", "t_max_bool", "stride_bool"],
     )
     def test_rejects_non_numbers_and_non_finite_values(self, fields):
-        # each reached int() or math.isfinite() first, which raised outside ConfigError
+        # each reached int() or math.isfinite() first, which raised outside ConfigError;
+        # a bool is a numbers.Real, so True ran as dt = 1 or a stride of 1
         with pytest.raises(ConfigError):
             IntegratorConfig(**{"dt": 0.1, "t_max": 1.0, **fields})
 

@@ -18,7 +18,7 @@ from entrodyn.models import get_model, list_models
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian
 from entrodyn.steady_state import steady_state
 from oracles import (PEAK_MB, build_superoperator, dense_model, diagonal_channel_model,
-                     over_cap_model, sector_model, traced_peak_mb)
+                     level_block_model, over_cap_model, sector_model, traced_peak_mb)
 
 
 def random_dense_model(seed, channels):
@@ -110,6 +110,7 @@ LAYOUT_CASES = {
     },
     **{f"sector_d{d}": lambda d=d: sector_model(d, 10 * d) for d in range(3, 9)},
     "over_cap": over_cap_model,
+    "level_block_8_d24": lambda: level_block_model(8),
     "diagonal_d64": lambda: diagonal_channel_model(64),
     "dense_d4": lambda: dense_model(4, 210),
 }

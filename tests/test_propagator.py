@@ -28,7 +28,7 @@ from entrodyn.dynamics import (
 from entrodyn.models import get_model, named_state
 from entrodyn.operators import adjoint, ginibre_matrix, ginibre_state, gue_hermitian
 from oracles import (build_superoperator, dense_model, diagonal_channel_model,
-                     over_cap_model, records, sector_model)
+                     level_block_model, over_cap_model, records, sector_model)
 
 
 def random_two_channel_model():
@@ -97,6 +97,8 @@ AGREEMENT_MODELS = {
     "diagonal_d16": lambda: diagonal_channel_model(16),
     "diagonal_d24": lambda: diagonal_channel_model(24),
     "diagonal_d64": lambda: diagonal_channel_model(64),
+    # a dense channel on levels 0-7 of 24: three size groups, 60 blocks of 2, 16 of 9, 1 of 64
+    "mixed_sizes_d24": lambda: level_block_model(8),
 }
 
 
@@ -108,7 +110,7 @@ STRIDE_ONE = {}  # the stride-1 reference of the model last run, and of no other
 @pytest.mark.parametrize("stride, name", AGREEMENT_CASES,
                          ids=[f"{stride}-{name}" for stride, name in AGREEMENT_CASES])
 def test_dense_path_agrees_with_direct_steps(monkeypatch, name, stride):
-    # "dense": the propagator path, a padded stack of G's blocks
+    # "dense": the propagator path, a stack of G's blocks per size
     model = AGREEMENT_MODELS[name]()
     assert largest_block(model) <= MAX_BLOCK
     builds = []
@@ -151,11 +153,12 @@ def assert_records_exactly_hermitian(monkeypatch, model, stride, builds):
 
 
 @pytest.mark.parametrize(
-    "name", ["depolarizing", "amplitude_damping", "oscillator_d16", "oscillator_d32", "diagonal_d16"]
+    "name", ["depolarizing", "amplitude_damping", "oscillator_d16", "oscillator_d32",
+             "diagonal_d16", "mixed_sizes_d24"]
 )
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_records_are_exactly_hermitian_on_multi_block_models(monkeypatch, name, stride):
-    # G has several blocks, so the stack order differs from vec order
+    # G has several blocks, so the block order differs from vec order
     model = AGREEMENT_MODELS[name]()
     assert largest_block(model) < model.dim**2
     assert_records_exactly_hermitian(monkeypatch, model, stride, builds=1)
@@ -219,18 +222,20 @@ def test_cached_power_agrees_with_direct_steps(monkeypatch, name, stride):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-# Powers taken for chunks of the stride and of the remainder 37. A chunk of k uses
-# one when k > size * (k.bit_length() + k.bit_count() - 2): depolarizing's stack of
-# 2 x 2 blocks, driven_qubit's one 4 x 4 block and diagonal_d16's blocks of one take
-# both (37 > 4 * 7 >= size * 7), dense_d4's 16 x 16 block and the d=16 oscillator's
-# stack of 16 x 16 blocks only the stride (37 < 16 * 7, 250 > 16 * 12).
+# Powers taken for chunks of the stride and of the remainder 37, one per size group
+# (smallest size first) for each chunk length. A chunk of k uses one when
+# k > size * (k.bit_length() + k.bit_count() - 2): depolarizing's stack of 2 x 2 blocks,
+# driven_qubit's one 4 x 4 block and diagonal_d16's blocks of one take both
+# (37 > 4 * 7 >= size * 7), dense_d4's 16 x 16 block and the d=16 oscillator's groups
+# of 8 x 8 and 16 x 16 blocks only the stride (37 < 8 * 7, 250 > 16 * 12).
 @pytest.mark.parametrize(
     "name, stride, powers",
     [("depolarizing", 250, [250, 37]), ("driven_qubit", 1000, [1000, 37]),
-     ("dense_d4", 250, [250]), ("oscillator_d16", 250, [250]), ("oscillator_d16", 1000, [1000]),
-     ("depolarizing", 1, []), ("oscillator_d16", 1, []),
-     # near break-even: 250 < 32 * 12 and 250 < 256 * 12
-     ("oscillator_d32", 250, []), ("dense_d16", 250, []), ("diagonal_d16", 250, [250, 37])],
+     ("dense_d4", 250, [250]), ("oscillator_d16", 250, [250, 250]),
+     ("oscillator_d16", 1000, [1000, 1000]), ("depolarizing", 1, []), ("oscillator_d16", 1, []),
+     # near break-even: the d=32 oscillator's one 16 x 16 block powers (250 > 16 * 12),
+     # its 32 x 32 blocks do not (250 < 32 * 12), nor dense_d16's one block (250 < 256 * 12)
+     ("oscillator_d32", 250, [250]), ("dense_d16", 250, []), ("diagonal_d16", 250, [250, 37])],
 )
 def test_one_power_per_accepted_chunk_length(monkeypatch, name, stride, powers):
     model = dense_model(16, 260) if name == "dense_d16" else AGREEMENT_MODELS[name]()
@@ -252,20 +257,17 @@ def test_one_power_per_accepted_chunk_length(monkeypatch, name, stride, powers):
      ("diagonal_d16", True)],
 )
 def test_state_is_permuted_only_where_blocking_saves_work(monkeypatch, name, permuted):
-    # The stack holds the blocks of _sectors padded to the largest: depolarizing's two
-    # of 2, amplitude_damping's 2 and one of its two conjugate 1s, diagonal_d16's 136
-    # of one (16 diagonal entries and one of each transposed pair). driven_qubit and
-    # dense_d4 are one block of d^2, in vec(rho) order.
+    # Each size group of _sectors is one stack: depolarizing's two blocks of 2,
+    # amplitude_damping's 2 and one of its two conjugate 1s, diagonal_d16's 136 of one
+    # (16 diagonal entries and one of each transposed pair), the oscillators' blocks of
+    # d and one of d / 2. driven_qubit and dense_d4 are one block of d^2, in vec(rho) order.
     model = AGREEMENT_MODELS[name]()
     stacks, real = [], dynamics._powered
     monkeypatch.setattr(dynamics, "_powered",
                         lambda stack, size: stacks.append(stack.shape) or real(stack, size))
     advance = propagator(model, 1e-3)
-    (shape,) = stacks
-    sectors = _sectors(model)
-    size = sectors[-1].shape[1]
-    assert shape == (sum(len(idx) for idx in sectors), size, size)
-    assert (shape[1] < model.dim**2) == permuted
+    assert stacks == [(len(idx), idx.shape[1], idx.shape[1]) for idx in _sectors(model)]
+    assert (stacks[-1][1] < model.dim**2) == permuted
     rho = want = ginibre_state(model.dim, seed=304)
     for _ in range(3):
         want = _step(model, want, 1e-3)
@@ -276,11 +278,11 @@ def test_state_is_permuted_only_where_blocking_saves_work(monkeypatch, name, per
 
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_above_dense_max_dim_takes_the_direct_path(stride):
-    # a dense G at d=17 is one block of 289 > MAX_BLOCK entries; the over-cap model's
-    # blocks are at most 64, but their padded stack holds more than MAX_BLOCK d^2
+    # a dense G at d=17 is one block of 289 > MAX_BLOCK entries; so is the largest of the
+    # over-cap model's four size groups at d=24
     dense, over_cap = dense_model(17, 220), over_cap_model()
     assert largest_block(dense) == 17 * 17 > MAX_BLOCK
-    assert largest_block(over_cap) == 64
+    assert largest_block(over_cap) == 17 * 17 < over_cap.dim**2
     for model in (dense, over_cap):
         rho0 = ginibre_state(model.dim, seed=301)
         cfg = IntegratorConfig(dt=1e-3, t_max=0.3, record_stride=stride)
@@ -295,10 +297,11 @@ def test_above_dense_max_dim_takes_the_direct_path(stride):
 @pytest.mark.parametrize("run", [final_state, propagate])
 def test_over_cap_stack_is_refused_before_any_block_is_built(monkeypatch, run):
     model = over_cap_model()
+    # packed: 10 blocks of 2, 7 of 18, one of one and one of 289 > MAX_BLOCK, whose
+    # channel entries pass the pre-check on the channel's nonzeros
     sectors = _sectors(model)
-    count, size = sum(len(idx) for idx in sectors), sectors[-1].shape[1]
-    # packed: one block of 64, 8 of 16 and 68 of 2, still over the cap when padded
-    assert (count, size) == (77, 64) and count * size * size > MAX_BLOCK * model.dim**2
+    assert [(len(idx), idx.shape[1]) for idx in sectors] == [(1, 1), (10, 2), (7, 18), (1, 289)]
+    assert np.count_nonzero(model.channels[0]) ** 2 <= MAX_BLOCK * model.dim**2
 
     def refused(*args):
         raise AssertionError("a block of the over-cap stack was built")
