@@ -48,8 +48,9 @@ POSITIVITY_TOL = 1e-8
 # (tests/oracles.dense_model), BLAS on one thread, 2-core x86-64 VM, medians of 40
 # interleaved rounds in each of three runs (direct step vs propagated step, build,
 # break-even): d=14 67-93 vs 15-20 us, 5.8-7.8 ms, 108-112 steps (quartiles 103-119);
-# d=16 66-70 vs 25-28 us, 9.6-11 ms, 232-244 (quartiles 223-255); 250 steps at d=16 is
-# 112 at d=14. Past MAX_BLOCK no run repays it: at d=20 direct 76-114 vs 82-103 us.
+# d=16 66-70 vs 25-28 us, 9.6-11 ms, 232-244 (quartiles 223-255). 250 steps at d=16 and
+# 112.2 at d=14 lie inside both quartile ranges, just above both median ranges.
+# Past MAX_BLOCK no run repays it: at d=20 direct 76-114 vs 82-103 us.
 MAX_BLOCK = 256
 MIN_PROPAGATOR_STEPS = 250
 

@@ -285,7 +285,9 @@ def test_above_dense_max_dim_takes_the_direct_path(stride):
     assert largest_block(over_cap) == 17 * 17 < over_cap.dim**2
     for model in (dense, over_cap):
         rho0 = ginibre_state(model.dim, seed=301)
-        cfg = IntegratorConfig(dt=1e-3, t_max=0.3, record_stride=stride)
+        cfg = IntegratorConfig(dt=1e-3, t_max=0.4, record_stride=stride)
+        # long enough that only the block size can refuse the propagator
+        assert cfg.n_steps >= MIN_PROPAGATOR_STEPS * (largest_block(model) / MAX_BLOCK) ** 3
         taken = records(_recorded_steps(model, rho0, cfg))
         reference = direct_recorded_steps(model, rho0, cfg)
         assert len(taken) == len(reference)
@@ -309,7 +311,9 @@ def test_over_cap_stack_is_refused_before_any_block_is_built(monkeypatch, run):
     monkeypatch.setattr(dynamics, "_generator_blocks", refused)
     monkeypatch.setattr(dynamics, "_check_against_direct_map", refused)
     rho0 = ginibre_state(model.dim, seed=307)
-    cfg = IntegratorConfig(dt=1e-3, t_max=0.3, record_stride=50)
+    cfg = IntegratorConfig(dt=1e-3, t_max=0.4, record_stride=50)
+    # long enough that only the block size can refuse the propagator
+    assert cfg.n_steps >= MIN_PROPAGATOR_STEPS * (largest_block(model) / MAX_BLOCK) ** 3
     reference = [state for _, state in direct_recorded_steps(model, rho0, cfg)]
     if run is final_state:
         states, reference = [final_state(model, rho0, cfg)], reference[-1:]
