@@ -1,4 +1,4 @@
-"""Lindblad generator, its blocks on vec(rho) and fixed-step time propagation.
+"""Lindblad generator, its blocks on rho.ravel() and fixed-step time propagation.
 
 The generator is ``d rho/dt = -i[H, rho] + sum_j D[L_j] rho`` with
 ``D[L] rho = L rho L^dag - (L^dag L rho + rho L^dag L)/2`` and hbar = 1; all
@@ -7,15 +7,16 @@ L_j rho L_j^dag, K = -iH - sum_j L_j^dag L_j / 2 (``LindbladModel.no_jump``).
 Propagation uses a classical fixed-step fourth-order Runge-Kutta scheme so
 trajectories are bit-reproducible.
 
-Vectorization stacks columns: ``vec(A X B) = kron(B.T, A) @ vec(X)``. The
-generator G on vec(rho) is used as dense blocks over its sectors, read off the
-model's operators (:func:`_sectors`, :func:`_generator_blocks`) and checked
-against the direct generator before any use; the steady state and the RK4
-propagator both run on them. Of each pair of sectors that transposing rho swaps,
-one is built: the other holds its conjugate entries. The sectors are packed in
-pairs up to the largest one's size, and the blocks of each size form one stack,
-which the propagator advances where no block is larger than ``MAX_BLOCK``. Each
-record is the Hermitian part of the RK4 state; integration continues from it.
+The generator G acts on rho.ravel(), the row-major order in which every state
+is stored: entry a*d + b is rho[a, b]. It is used as dense blocks over its
+sectors, read off the model's operators (:func:`_sectors`,
+:func:`_generator_blocks`) and checked against the direct generator before any
+use; the steady state and the RK4 propagator both run on them. Of each pair of
+sectors that transposing rho swaps, one is built: the other holds its conjugate
+entries. The sectors are packed in pairs up to the largest one's size, and the
+blocks of each size form one stack, which the propagator advances where no
+block is larger than ``MAX_BLOCK``. Each record is the Hermitian part of the
+RK4 state; integration continues from the state itself.
 """
 
 from __future__ import annotations
@@ -184,16 +185,6 @@ def liouvillian_rhs(model: LindbladModel, rho) -> np.ndarray:
     return out
 
 
-def vec(x) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(x, dtype=np.complex128).reshape(-1, order="F")
-
-
-def unvec(v, d: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a d x d matrix."""
-    return np.asarray(v, dtype=np.complex128).reshape((d, d), order="F")
-
-
 def _sectors(model: LindbladModel) -> list[np.ndarray]:
     """The blocks of G that both solvers build, one (count, size) array per size.
 
@@ -215,9 +206,9 @@ def _sectors(model: LindbladModel) -> list[np.ndarray]:
     d = model.dim
     if any(np.count_nonzero(chan) == d * d for chan in model.channels):
         return [np.arange(d * d)[None]]  # a dense channel joins every pair: one block, no sweep
-    cell = np.arange(d * d).reshape(d, d)  # cell[b, a] is the vec index of rho[a, b]
+    cell = np.arange(d * d).reshape(d, d)  # cell[a, b] is the index of rho[a, b]
     a, c = np.nonzero(model.no_jump)  # K[a, c]: rho[a, x] to rho[c, x], rho[x, a] to rho[x, c]
-    edges = [(cell[:, a], cell[:, c]), (cell[a], cell[c])]
+    edges = [(cell[a], cell[c]), (cell[:, a], cell[:, c])]
     for rows, cols in (np.nonzero(chan) for chan in model.channels):
         edges.append((cell[rows[:, None], rows], cell[cols[:, None], cols]))
     label = _components(*(np.concatenate([x[i].ravel() for x in edges]) for i in (0, 1)), d * d)
@@ -273,20 +264,22 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 def _generator_blocks(model: LindbladModel, sectors: list[np.ndarray]) -> list[tuple]:
     """(index, blocks, twice) per block size, blocks[i] = G[index[i]][:, index[i]].
 
+    Indices are into rho.ravel(), so index a*d + b is rho[a, b].
     G is 0 outside these blocks and their conjugates, rho transposed (:func:`_sectors`):
     twice[i, j] marks a row whose partner, rho[b, a] for rho[a, b], lies in no
     block, so it stands for both, and G's norms and counts take it twice.
 
     Entries are summed in the order of the tests' dense oracle (K, K^dag, then
-    each channel), so they equal its entries bit for bit; callers run the
-    self-check on them. K and K^dag meet only on G's diagonal, where their sum
-    commutes, so G[T i, T j] = conj(G[i, j]) holds exactly (see :func:`_sectors`).
+    each channel), so they equal its entries bit for bit at transposed indices (the
+    oracle stacks rho's columns); callers run the self-check on them. K and K^dag
+    meet only on G's diagonal, where their sum commutes, so G[T i, T j] =
+    conj(G[i, j]) holds exactly (see :func:`_sectors`).
     """
     d, k, out = model.dim, model.no_jump, []
     held = np.zeros(d * d, dtype=bool)
     held[np.concatenate([idx.ravel() for idx in sectors])] = True
     for idx in sectors:
-        a, b = idx % d, idx // d  # row i of a block is rho[a[i], b[i]], and so is column i
+        a, b = idx // d, idx % d  # row i of a block is rho[a[i], b[i]], and so is column i
         blocks = np.zeros(idx.shape + idx.shape[1:], dtype=np.complex128)
         n, i, j = np.nonzero(b[:, :, None] == b[:, None, :])
         blocks[n, i, j] += k[a[n, i], a[n, j]]
@@ -295,20 +288,22 @@ def _generator_blocks(model: LindbladModel, sectors: list[np.ndarray]) -> list[t
         for chan in model.channels:  # einsum's complex product, as in the tests' oracle
             blocks += np.einsum("nik,nik->nik", np.conj(chan[b[:, :, None], b[:, None, :]]),
                                 chan[a[:, :, None], a[:, None, :]])
-        out.append((idx, blocks, ~held[a * d + b]))
+        out.append((idx, blocks, ~held[b * d + a]))
     return out
 
 
-def _apply(blocks: list[tuple], v: np.ndarray) -> np.ndarray:
-    """G @ v for v of shape (d^2, k), vec of Hermitian matrices, G given by its blocks.
+def _apply(blocks: list[tuple], states: np.ndarray) -> np.ndarray:
+    """G applied to a Hermitian d x d matrix or a stack of them, as :func:`liouvillian_rhs`.
 
     The rows left out are the conjugates of the rows marked twice (:func:`_generator_blocks`).
     """
-    d, out = math.isqrt(len(v)), np.empty_like(v)
+    d = states.shape[-1]
+    v = states.reshape(-1, d * d).T
+    out = np.empty_like(v)
     for idx, mats, twice in blocks:
         out[idx] = mats @ v[idx]
         out[idx[twice] % d * d + idx[twice] // d] = np.conj(out[idx[twice]])
-    return out
+    return out.T.reshape(states.shape)
 
 
 def _magnitudes(blocks: list[tuple]) -> tuple[float, float, float]:
@@ -339,9 +334,7 @@ def _check_against_direct_map(model: LindbladModel, blocks: list[tuple]) -> tupl
     real, imag = np.random.default_rng(0).standard_normal((2, 10, d, d))
     probes = hermitian_part(real + 1j * imag)
     probes = probes / np.linalg.norm(probes, axis=(1, 2), keepdims=True) / peak  # units of peak
-    # vec of each probe is a row of its transpose; unvec undoes it the same way
-    applied = _apply(blocks, probes.swapaxes(1, 2).reshape(10, d * d).T)
-    residual = applied.T.reshape(10, d, d).swapaxes(1, 2) - liouvillian_rhs(model, probes)
+    residual = _apply(blocks, probes) - liouvillian_rhs(model, probes)
     # NaN fails the comparison
     if not np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-10 * max(1.0 / peak, frob)):
         raise NumericsError("superoperator disagrees with the direct generator; "
@@ -393,8 +386,9 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
     stack, as :func:`_apply` applies G: one matmul per step, or one cached power
     P^k per chunk (:func:`_powered`, within about 1e-14 relative of stepping).
     Only the blocks of :func:`_sectors` advance: for rho Hermitian, each entry
-    left out is the conjugate of its transposed entry, written from it. A group's
-    state stays in block order for a whole stack of records (raw RK4 states).
+    left out is the conjugate of its transposed entry, written from it, as
+    :func:`_apply` writes it. A group's state is gathered from rho.ravel() once
+    and stays in block order for a whole stack of records (raw RK4 states).
     """
     groups = []
     for idx, mats, twice in blocks:
@@ -402,17 +396,17 @@ def _rk4_propagator(blocks: list[tuple], dt: float, d: int):
         prop = eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)
         if not np.all(np.isfinite(prop)):
             return None
-        # rho[a, b] sits at a*d + b of rho.ravel(), and rho[b, a] at its vec index
-        groups.append((idx % d * d + idx // d, twice, idx[twice], _powered(prop, idx.shape[1])))
+        partner = idx[twice] % d * d + idx[twice] // d  # rho[b, a] for rho[a, b]
+        groups.append((idx, twice, partner, _powered(prop, idx.shape[1])))
 
     def advance(rho: np.ndarray, chunks: list[int]) -> np.ndarray:
         states = np.empty((len(chunks), d * d), dtype=np.complex128)
-        for at, twice, partner, apply in groups:
-            out = np.empty((1 + len(chunks), *at.shape, 1), dtype=np.complex128)  # row 0 is rho
-            out[0, ..., 0] = rho.ravel()[at]
+        for idx, twice, partner, apply in groups:
+            out = np.empty((1 + len(chunks), *idx.shape, 1), dtype=np.complex128)  # row 0 is rho
+            out[0, ..., 0] = rho.ravel()[idx]
             for i, steps in enumerate(chunks):
                 out[i + 1] = apply(out[i], steps)
-            states[:, at] = out[1:, ..., 0]
+            states[:, idx] = out[1:, ..., 0]
             states[:, partner] = np.conj(out[1:, twice, 0])
         return states.reshape(-1, d, d)
 

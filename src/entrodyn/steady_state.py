@@ -1,6 +1,6 @@
 """Steady states: a direct solve block by block, certified against the SVD rule.
 
-The generator's blocks and ``vec``/``unvec`` live in :mod:`entrodyn.dynamics`.
+The generator's blocks, on rho.ravel(), live in :mod:`entrodyn.dynamics`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dynamics import (IntegratorConfig, LindbladModel, _apply, _check_against_direct_map,
-                       _generator_blocks, _sectors, final_state, unvec, vec)
+                       _generator_blocks, _sectors, final_state)
 from .entropy_bounds import von_neumann_entropy
 from .errors import DegenerateSteadyStateError, NoSteadyStateError, NotDensityError
 from .operators import SpectralDecomposition, density_spectra, hermitian_part
@@ -26,10 +26,10 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
     dimension, rather than silently picking a point of a fixed-point manifold.
 
     The state solves M x = e_0, M being G with row 0 replaced by the trace
-    row vec(I)^T (QuTiP's direct method). Row replacement is rank one, so
+    row I.ravel() (QuTiP's direct method). Row replacement is rank one, so
     sigma_{n-1}(G) >= sigma_n(M) >= 1/|M^-1|_F, and |G|_F >= sigma_max >= c,
     G's largest column norm: 1/|M^-1|_F > tol |G|_F proves at most one null
-    direction, |G vec(rho)| <= tol c |rho|_F one (norms in units of G's
+    direction, |G rho|_F <= tol c |rho|_F one (norms in units of G's
     largest |entry|, so none overflows). Otherwise an SVD counts them.
 
     Both solves run on G's own blocks (see :func:`entrodyn.dynamics._sectors`);
@@ -51,7 +51,7 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
 
 def _steady_solve(model: LindbladModel,
                   tol: float) -> tuple[np.ndarray, SpectralDecomposition, float]:
-    """:func:`steady_state` with its gates' spectrum (a stack of one) and |G vec(rho)|."""
+    """:func:`steady_state` with its gates' spectrum (a stack of one) and |G rho|_F."""
     d = model.dim
     blocks = _generator_blocks(model, _sectors(model))
     peak, frob, col = _check_against_direct_map(model, blocks)
@@ -75,7 +75,7 @@ def _steady_solve(model: LindbladModel,
         if tol * frob * math.sqrt(inv_sq) < 1.0:
             rho = _normalized(x, d)
             # a density has |rho|_F <= 1, so rho also passes _svd_solve's residual gate
-            residual = np.linalg.norm(_apply(blocks, vec(rho / peak)[:, None]))
+            residual = np.linalg.norm(_apply(blocks, rho / peak))
             if residual <= tol * col * np.linalg.norm(rho):
                 return rho, _validated(rho), peak * float(residual)
     return _svd_solve(blocks, d, tol)
@@ -110,7 +110,7 @@ def _svd_solve(blocks: list[tuple], d: int,
     null[idx[block]] = np.conj(vh[block, pos])
     rho = _normalized(null, d)
     spectra = _validated(rho)
-    residual = float(np.linalg.norm(_apply(blocks, vec(rho)[:, None])))
+    residual = float(np.linalg.norm(_apply(blocks, rho)))
     if residual > 10.0 * tol * max(1.0, smax):
         raise NoSteadyStateError(f"extracted state has generator residual {residual:.3e}; "
                                  "tighten tol")
@@ -118,7 +118,7 @@ def _svd_solve(blocks: list[tuple], d: int,
 
 
 def _normalized(v: np.ndarray, d: int) -> np.ndarray:
-    rho = hermitian_part(unvec(v, d))
+    rho = hermitian_part(v.reshape(d, d))
     trace = float(np.trace(rho).real)
     if abs(trace) < 1e-12:
         raise NotDensityError("extracted null vector is traceless; cannot normalize")

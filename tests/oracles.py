@@ -8,6 +8,16 @@ from entrodyn.dynamics import LindbladModel
 from entrodyn.operators import adjoint, ginibre_matrix, gue_hermitian, hermitian_part
 
 
+def vec(x) -> np.ndarray:
+    """Column-stack a matrix into a vector: vec(A X B) = kron(B.T, A) vec(X)."""
+    return np.asarray(x, dtype=np.complex128).reshape(-1, order="F")
+
+
+def unvec(v, d: int) -> np.ndarray:
+    """Inverse of :func:`vec` for a d x d matrix."""
+    return np.asarray(v, dtype=np.complex128).reshape((d, d), order="F")
+
+
 def build_superoperator(model: LindbladModel) -> np.ndarray:
     """The d^2 x d^2 matrix on vec(rho): kron(I, K) + kron(R.T, I) + sum_j kron(conj(L_j), L_j).
 
@@ -15,8 +25,9 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
     channels, not read from ``model.no_jump``, and R = K^dag. K and R.T are
     added into strided block diagonals, then each channel's jump term, one
     einsum each, so no Kronecker product is formed.
-    ``dynamics._generator_blocks`` sums its entries in the same order, so the
-    blocks equal this matrix's entries bit for bit.
+    ``dynamics._generator_blocks`` sums its entries in the same order, but indexes
+    rho.ravel(): its blocks equal this matrix's entries at transposed indices
+    (rho[a, b] is entry b*d + a here, a*d + b there) bit for bit.
     """
     d, h = model.dim, model.hamiltonian
     decay = sum((0.5 * hermitian_part(adjoint(c) @ c) for c in model.channels), np.zeros_like(h))

@@ -13,7 +13,7 @@ import pytest
 from entrodyn import cli, dynamics
 from entrodyn.cli import AUDIT_HEADER, SIMULATE_HEADER, main
 from entrodyn.models import MAX_DIM
-from oracles import PEAK_MB, build_superoperator, traced_peak_mb
+from oracles import PEAK_MB, build_superoperator, traced_peak_mb, vec
 
 PRESET_NAMES = (
     "dephasing",
@@ -350,7 +350,7 @@ class TestSteady:
         report = json.loads(text)
         rho = np.array([[complex(re, im) for re, im in row] for row in report["steady_state"]])
         gen = build_superoperator(cli.get_model(name, {}))
-        expected = float(np.linalg.norm(gen @ steady_state_module.vec(rho)))
+        expected = float(np.linalg.norm(gen @ vec(rho)))
         assert abs(report["generator_residual"] - expected) <= 1e-15
 
     @pytest.mark.parametrize("config", [{"model": {"name": "driven_qubit"}}, oscillator(5)])

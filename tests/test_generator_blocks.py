@@ -7,6 +7,7 @@ from entrodyn import dynamics
 from entrodyn.dynamics import (
     IntegratorConfig,
     LindbladModel,
+    _apply,
     _components,
     _generator_blocks,
     _pairs,
@@ -45,28 +46,43 @@ ORACLE_CASES = {
 
 
 def transposed(d):
-    """T as an index map: entry i, the vec index of rho[a, b], to that of rho[b, a]."""
+    """T as an index map: entry i, the index of rho[a, b], to that of rho[b, a].
+
+    The same map in rho.ravel() and in the oracle's column-stacked vec(rho), and it
+    carries one order into the other.
+    """
     return np.arange(d * d).reshape(d, d).T.ravel()
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_blocks_are_the_dense_generator(name):
     model = ORACLE_CASES[name]()
+    d = model.dim
     gen = build_superoperator(model)
-    flip = transposed(model.dim)
+    flip = transposed(d)
     inside = np.zeros(gen.shape, dtype=bool)
-    for idx, blocks, _ in _generator_blocks(model, _sectors(model)):
-        cut = gen[idx[:, :, None], idx[:, None, :]]
+    blocks_by_size = _generator_blocks(model, _sectors(model))
+    for idx, blocks, _ in blocks_by_size:
+        # rho[a, b] is entry a*d + b of rho.ravel(), which the blocks index, and entry
+        # flip[a*d + b] = b*d + a of the oracle's vec(rho)
+        mirror = flip[idx]
+        cut = gen[mirror[:, :, None], mirror[:, None, :]]
         # bit for bit, the sign of zero included (as floats, -0.0 == 0.0)
         assert np.array_equal(cut.view(np.uint64), blocks.view(np.uint64))
         # the sectors left out are the conjugates of those kept, as values: conj(0) is -0j,
         # so where the entries are zero the signs of zero differ
-        mirror = flip[idx]
-        assert np.array_equal(gen[mirror[:, :, None], mirror[:, None, :]], np.conj(blocks))
+        assert np.array_equal(gen[idx[:, :, None], idx[:, None, :]], np.conj(blocks))
         inside[idx[:, :, None], idx[:, None, :]] = True
         inside[mirror[:, :, None], mirror[:, None, :]] = True
     assert np.all(gen[~inside] == 0)
     assert np.all(inside.diagonal())  # every index lies in a block or its mirror
+    # _apply takes and returns what liouvillian_rhs does: a stack, or one matrix
+    stack = np.stack([gue_hermitian(d, seed) for seed in range(3)])
+    for states in (stack, stack[0]):
+        applied, direct = _apply(blocks_by_size, states), liouvillian_rhs(model, states)
+        assert applied.shape == direct.shape == states.shape
+        err = np.linalg.norm(applied - direct, axis=(-2, -1))
+        assert np.all(err <= 1e-12 * np.linalg.norm(direct, axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("d", [16, 24])
@@ -94,9 +110,9 @@ def exact_labels(model):
     for start in range(0, d * d, 256):
         units = np.zeros((min(256, d * d - start), d * d), dtype=np.complex128)
         units[np.arange(len(units)), np.arange(start, start + len(units))] = 1.0
-        # column j of G is vec of the map on unvec(e_j); vec is the transpose's rows
-        images = liouvillian_rhs(model, units.reshape(-1, d, d).swapaxes(1, 2))
-        j, i = np.nonzero(images.swapaxes(1, 2).reshape(len(units), d * d))
+        # column j of G is the map on unit matrix j, flattened
+        images = liouvillian_rhs(model, units.reshape(-1, d, d))
+        j, i = np.nonzero(images.reshape(len(units), d * d))
         rows.append(i)
         cols.append(j + start)
     return _components(np.concatenate(rows), np.concatenate(cols), d * d)

@@ -22,13 +22,11 @@ from entrodyn.dynamics import (
     _step,
     final_state,
     propagate,
-    unvec,
-    vec,
 )
 from entrodyn.models import get_model, named_state
 from entrodyn.operators import adjoint, ginibre_matrix, ginibre_state, gue_hermitian
 from oracles import (build_superoperator, dense_model, diagonal_channel_model,
-                     level_block_model, over_cap_model, records, sector_model)
+                     level_block_model, over_cap_model, records, sector_model, unvec, vec)
 
 
 def random_two_channel_model():
@@ -158,7 +156,7 @@ def assert_records_exactly_hermitian(monkeypatch, model, stride, builds):
 )
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_records_are_exactly_hermitian_on_multi_block_models(monkeypatch, name, stride):
-    # G has several blocks, so the block order differs from vec order
+    # G has several blocks, so the block order differs from rho.ravel()
     model = AGREEMENT_MODELS[name]()
     assert largest_block(model) < model.dim**2
     assert_records_exactly_hermitian(monkeypatch, model, stride, builds=1)
@@ -167,7 +165,7 @@ def test_records_are_exactly_hermitian_on_multi_block_models(monkeypatch, name, 
 @pytest.mark.parametrize("name, builds", [("driven_qubit", 1), ("dense_d4", 1), ("dense_d17", 0)])
 @pytest.mark.parametrize("stride", [1, 7, 250])
 def test_records_are_exactly_hermitian_on_one_block_models(monkeypatch, name, builds, stride):
-    # G is one block of d^2 in vec order, paired with itself: the propagator advances it
+    # G is one block of d^2 in rho.ravel() order, paired with itself: the propagator advances it
     # up to MAX_BLOCK entries, and above that (dense_d17) the direct map steps rho
     model = dense_model(17, 220) if name == "dense_d17" else AGREEMENT_MODELS[name]()
     assert largest_block(model) == model.dim**2
@@ -260,7 +258,7 @@ def test_state_is_permuted_only_where_blocking_saves_work(monkeypatch, name, per
     # Each size group of _sectors is one stack: depolarizing's two blocks of 2,
     # amplitude_damping's 2 and one of its two conjugate 1s, diagonal_d16's 136 of one
     # (16 diagonal entries and one of each transposed pair), the oscillators' blocks of
-    # d and one of d / 2. driven_qubit and dense_d4 are one block of d^2, in vec(rho) order.
+    # d and one of d / 2. driven_qubit and dense_d4 are one block of d^2, in rho.ravel() order.
     model = AGREEMENT_MODELS[name]()
     stacks, real = [], dynamics._powered
     monkeypatch.setattr(dynamics, "_powered",

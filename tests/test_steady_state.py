@@ -19,9 +19,8 @@ from entrodyn.entropy_bounds import steady_state_bound, von_neumann_entropy
 from entrodyn.errors import DegenerateSteadyStateError, NoSteadyStateError, NumericsError
 from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, named_state
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, maximally_mixed
-from entrodyn.steady_state import (_steady_solve, _svd_solve, long_time_entropy, steady_state,
-                                   unvec, vec)
-from oracles import build_superoperator, diagonal_channel_model, sector_model
+from entrodyn.steady_state import _steady_solve, _svd_solve, long_time_entropy, steady_state
+from oracles import build_superoperator, diagonal_channel_model, sector_model, unvec, vec
 
 UNIQUE_PRESETS = ("amplitude_damping", "depolarizing", "driven_qubit", "truncated_oscillator")
 
