@@ -59,6 +59,14 @@ MIN_PROPAGATOR_STEPS = 250
 MAX_SCALE = np.finfo(np.float64).max / 64
 
 
+def _finite(value) -> bool:
+    """math.isfinite(value), but False for an int past the float range, where it overflows."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _frozen_copy(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128)
     out.setflags(write=False)
@@ -72,12 +80,12 @@ class LindbladModel:
     The Hamiltonian must be Hermitian to within 1e-10 relative, and its
     Hermitian part is stored; channel operators may be arbitrary complex
     matrices of the same dimension. Stored arrays are frozen copies, so models
-    are safe to share. Derived once per model: ``channel_adjoints`` (each
-    L_j^dag), ``no_jump`` (K = -iH - sum_j herm(L_j^dag L_j) / 2, herm the
-    Hermitian part), ``channel_norms_sq`` (each |L_j|_F^2) and
-    ``channels_hermitian`` (every channel Hermitian). A Hamiltonian or channel
-    whose squared Frobenius norm is not finite, or a model whose scale
-    |H|_F^2 + sum_j |L_j|_F^2 exceeds ``MAX_SCALE``, raises BadParamsError.
+    are safe to share. Derived once per model: ``no_jump`` (K = -iH - sum_j
+    herm(L_j^dag L_j) / 2, herm the Hermitian part), ``channel_norms_sq`` (each
+    |L_j|_F^2) and ``channels_hermitian`` (every channel Hermitian). A
+    Hamiltonian or channel whose squared Frobenius norm is not finite, or a
+    model whose scale |H|_F^2 + sum_j |L_j|_F^2 exceeds ``MAX_SCALE``, raises
+    BadParamsError.
     Both terms Hermitian, K^dag is iH - sum_j herm(L_j^dag L_j) / 2 exactly, so the
     generator's entries on rho transposed are its entries' conjugates (:func:`_sectors`).
     """
@@ -85,7 +93,6 @@ class LindbladModel:
     hamiltonian: np.ndarray
     channels: tuple[np.ndarray, ...] = ()
     label: str = ""
-    channel_adjoints: tuple[np.ndarray, ...] = field(init=False, repr=False)
     no_jump: np.ndarray = field(init=False, repr=False)
     channel_norms_sq: np.ndarray = field(init=False, repr=False)
     channels_hermitian: bool = field(init=False, repr=False)
@@ -113,8 +120,6 @@ class LindbladModel:
         norms.setflags(write=False)
         object.__setattr__(self, "hamiltonian", _frozen_copy(hermitian_part(h)))
         object.__setattr__(self, "channels", chans)
-        object.__setattr__(self, "channel_adjoints",
-                           tuple(_frozen_copy(np.ascontiguousarray(adjoint(c))) for c in chans))
         decay = sum((0.5 * hermitian_part(adjoint(c) @ c) for c in chans), np.zeros_like(h))
         object.__setattr__(self, "no_jump", _frozen_copy(-1j * self.hamiltonian - decay))
         object.__setattr__(self, "channel_norms_sq", norms)
@@ -143,12 +148,8 @@ class IntegratorConfig:
     def __post_init__(self):
         for name in ("dt", "t_max", "record_stride"):
             value = getattr(self, name)
-            try:  # math.isfinite overflows on an int past the float range
-                valid = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                         and math.isfinite(value) and value > 0)
-            except OverflowError:
-                valid = False
-            if not valid:
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and _finite(value) and value > 0):
                 raise ConfigError(f"{name} must be a positive finite number")
         if not self.dt < self.t_max:
             raise ConfigError("dt must be smaller than t_max")
@@ -180,8 +181,8 @@ def liouvillian_rhs(model: LindbladModel, rho) -> np.ndarray:
         raise DimMismatchError(f"state {state.shape} vs model dim {model.dim}")
     k = model.no_jump
     out = k @ state + state @ adjoint(k)
-    for c, c_dag in zip(model.channels, model.channel_adjoints):
-        out += c @ state @ c_dag
+    for c in model.channels:
+        out += c @ state @ adjoint(c)
     return out
 
 
@@ -337,8 +338,8 @@ def _check_against_direct_map(model: LindbladModel, blocks: list[tuple]) -> tupl
     residual = _apply(blocks, probes) - liouvillian_rhs(model, probes)
     # NaN fails the comparison
     if not np.all(np.linalg.norm(residual, axis=(1, 2)) <= 1e-10 * max(1.0 / peak, frob)):
-        raise NumericsError("superoperator disagrees with the direct generator; "
-                            "vectorization convention broken")
+        raise NumericsError("generator blocks disagree with the direct generator; "
+                            "a block entry is missing or wrong")
     return peak, frob, col
 
 

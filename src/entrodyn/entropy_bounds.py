@@ -80,12 +80,8 @@ def _one(rho) -> SpectralDecomposition:
 
 
 def _entropies(lam: np.ndarray) -> np.ndarray:
-    """-sum lam ln lam per row over its prefix above EIG_FLOOR, added as for one state."""
-    support = np.count_nonzero(lam > EIG_FLOOR, axis=-1)
-    terms = lam * np.log(np.maximum(lam, EIG_FLOOR))
-    out = np.zeros(len(lam))
-    for m in sorted(set(support.tolist())):  # np.unique would import numpy.ma
-        out[support == m] = -terms[support == m, :m].sum(axis=-1)
+    """-sum lam ln lam per row over its eigenvalues above EIG_FLOOR, clamped at 0."""
+    out = -np.where(lam > EIG_FLOOR, lam * np.log(np.maximum(lam, EIG_FLOOR)), 0.0).sum(axis=-1)
     return np.where(out > 0.0, out, 0.0)
 
 

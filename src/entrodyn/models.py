@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import LindbladModel, _frozen_copy
+from .dynamics import LindbladModel, _finite, _frozen_copy
 from .errors import BadParamsError, UnknownModelError
 from .operators import maximally_mixed
 
@@ -157,7 +157,7 @@ def get_model(name: str, params: Mapping[str, float] | None = None) -> LindbladM
         if key not in values:
             raise BadParamsError(f"unknown parameter '{key}' for preset '{name}'")
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value)):
+        if not (number and _finite(value)):
             raise BadParamsError(f"parameter '{key}' must be a finite number")
         values[key] = value
     if "gamma" in values and values["gamma"] <= 0:

@@ -232,6 +232,28 @@ class TestSimulate:
         assert_one_line_error(err)
         assert "diverged to non-finite entries" in err
 
+    def test_trace_drift_exits_four(self, tmp_path, capsys, monkeypatch):
+        # No stable dt drifts the trace alone: an unstable one loses positivity or
+        # diverges first. Records scaled by 1 + 2e-9 drift by 2e-9 > TRACE_DRIFT_TOL.
+        original = dynamics._rk4_propagator
+
+        def drifting(*args):
+            advance = original(*args)
+            return lambda rho, chunks: advance(rho, chunks) * (1 + 2e-9)
+
+        monkeypatch.setattr(dynamics, "_rk4_propagator", drifting)
+        config = {
+            "model": {"name": "depolarizing"},
+            "initial_state": "plus",
+            "integrator": {"dt": 1e-3, "t_max": 0.01, "record_stride": 1},
+        }
+        code, text = run(tmp_path, "simulate", config)
+        assert code == 4
+        assert text == ""
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "trace drift 2.000e-09 exceeds 1.0e-09 at t=0.001; reduce dt" in err
+
     @pytest.mark.parametrize(
         "dt, code, message",
         [(0.69, 0, None), (0.72, 3, "t=360"), (1.0, 4, "by t=500")],

@@ -75,9 +75,7 @@ class TestLindbladModel:
 
     def test_channel_data_is_derived_and_read_only(self):
         model = random_model(3, seed=5, n_channels=2)
-        for c, c_dag, norm in zip(model.channels, model.channel_adjoints, model.channel_norms_sq):
-            assert np.array_equal(c_dag, adjoint(c))
-            assert c_dag.flags.c_contiguous
+        for c, norm in zip(model.channels, model.channel_norms_sq):
             assert norm == float(np.sum(np.abs(c) ** 2))
         decay = sum(adjoint(c) @ c for c in model.channels) / 2
         assert_allclose(model.no_jump, -1j * model.hamiltonian - decay, rtol=0, atol=1e-14)
@@ -93,8 +91,6 @@ class TestLindbladModel:
             model.channel_norms_sq[0] = 0.0
         with pytest.raises(ValueError):
             model.no_jump[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            model.channel_adjoints[0][0, 0] = 0.0
         rebuilt = dataclasses.replace(model, channels=model.channels[:1])
         assert rebuilt.channel_norms_sq.shape == (1,)
 
@@ -107,6 +103,8 @@ class TestIntegratorConfig:
     def test_rejects_bad_stride(self):
         with pytest.raises(ConfigError):
             IntegratorConfig(dt=0.1, t_max=1.0, record_stride=0)
+        with pytest.raises(ConfigError, match="record_stride must be an integer >= 1"):
+            IntegratorConfig(dt=0.1, t_max=1.0, record_stride=2.5)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ConfigError):

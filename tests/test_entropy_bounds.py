@@ -8,9 +8,12 @@ from numpy.testing import assert_allclose
 
 from entrodyn.dynamics import IntegratorConfig, LindbladModel, propagate
 from entrodyn.entropy_bounds import (
+    EIG_FLOOR,
+    _entropies,
     bound_report,
     log_inequality_check,
     maximally_mixed_bound,
+    stack_size,
     steady_state_bound,
     trace_square_audit,
     von_neumann_entropy,
@@ -79,6 +82,24 @@ class TestEntropy:
     def test_range(self, seed, d):
         s = von_neumann_entropy(ginibre_state(d, seed))
         assert 0.0 <= s <= math.log(d) + 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 17, 64])
+    def test_a_state_has_the_same_entropy_alone_as_in_any_stack(self, d):
+        # Rows of every support size, with eigenvalues at, below and just above
+        # EIG_FLOOR after the support, descending as hermitian_eig returns them.
+        rng = np.random.default_rng(d)
+        n = stack_size(d)
+        lam = np.zeros((n, d))
+        for row, k in zip(lam, rng.integers(1, d + 1, n)):
+            weights = rng.random(k) ** rng.integers(1, 6)
+            row[:k] = weights / weights.sum()
+            row[k:] = rng.choice([0.0, -1e-16, 1e-15, EIG_FLOOR, 2 * EIG_FLOOR], d - k)
+        lam = -np.sort(-lam, axis=1)
+        alone = np.concatenate([_entropies(row[None]) for row in lam])
+        for size in sorted({1, 3, 64, n}):
+            stacked = np.concatenate([_entropies(lam[i:i + size]) for i in range(0, n, size)])
+            assert np.array_equal(stacked.view(np.uint64), alone.view(np.uint64))
+        assert np.all(alone >= 0.0)
 
 
 class TestExactRate:

@@ -102,6 +102,11 @@ def test_bad_params():
         get_model("truncated_oscillator", {"d": MAX_DIM + 1})
     with pytest.raises(BadParamsError):
         get_model("depolarizing", {"gamma": True})
+    # ints past the float range, on which math.isfinite overflows
+    with pytest.raises(BadParamsError, match="^parameter 'gamma' must be a finite number$"):
+        get_model("dephasing", {"gamma": 10**400})
+    with pytest.raises(BadParamsError, match="^parameter 'd' must be a finite number$"):
+        get_model("truncated_oscillator", {"d": 10**400})
 
 
 def test_named_states():

@@ -25,7 +25,7 @@ from entrodyn.entropy_bounds import (
     stack_size,
     trace_square_audit,
 )
-from entrodyn.errors import EntrodynError, PositivityLostError
+from entrodyn.errors import EntrodynError, NumericsError, PositivityLostError
 from entrodyn.models import PAULI_Z, get_model
 from entrodyn.operators import ginibre_state, gue_hermitian, maximally_mixed
 from oracles import records
@@ -141,6 +141,21 @@ def test_gate_raises_a_mid_stack_positivity_loss_before_a_divergence():
     stack = np.stack([good, lost, good, np.full((2, 2), np.inf, dtype=complex)])
     with pytest.raises(PositivityLostError) as caught:
         _health_check(stack, [0.0, 0.5, 1.0, 1.5])
+    assert caught.value.time == 0.5 and caught.value.min_eig == pytest.approx(-0.1)
+
+
+def test_gate_raises_trace_drift():
+    drifted = maximally_mixed(2) * (1 + 2e-9)  # positive semidefinite, trace 1 + 2e-9
+    stack = np.stack([maximally_mixed(2), drifted, maximally_mixed(2)])
+    with pytest.raises(NumericsError, match=r"^trace drift 2\.000e-09 exceeds 1\.0e-09 at "
+                                            r"t=0\.5; reduce dt$"):
+        _health_check(stack, [0.0, 0.5, 1.0])
+
+
+def test_positivity_wins_when_one_record_fails_both_gates():
+    both = np.diag([1.1, -0.1]).astype(complex) * (1 + 2e-9)
+    with pytest.raises(PositivityLostError) as caught:
+        _health_check(np.stack([maximally_mixed(2), both]), [0.0, 0.5])
     assert caught.value.time == 0.5 and caught.value.min_eig == pytest.approx(-0.1)
 
 

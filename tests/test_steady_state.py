@@ -260,7 +260,7 @@ class TestSelfCheck:
         # the diagonal entries of rho, the block of index 0, cut in two
         split = [idx[1:], idx[:1, :2], idx[:1, 2:]]
         _check_against_direct_map(model, _generator_blocks(model, sectors))
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match="a block entry is missing or wrong$"):
             _check_against_direct_map(model, _generator_blocks(model, split))
 
 
