@@ -44,7 +44,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
-from typing import Any, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -64,7 +64,6 @@ from .errors import (
     BadParamsError,
     ConfigError,
     DegenerateSteadyStateError,
-    DimMismatchError,
     EntrodynError,
     NoChannelsError,
     NotDensityError,
@@ -110,13 +109,6 @@ AUDIT_HEADER = "case_id,trace_sq_lhs,trace_sq_rhs,trace_sq_holds,logineq_min_eig
 _SIMULATE_ROWS = ["%.16e," * 4 + th + "%s,%.16e,%.16e" for th in (",,", "%.16e,,", "%.16e," * 2)]
 
 
-def _json_float(x: float) -> Any:
-    """JSON-safe float: infinities become string tokens."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
-
-
 def _write_json(out: TextIO, payload) -> None:
     json.dump(payload, out, indent=2)
     out.write("\n")
@@ -141,38 +133,30 @@ def _write_steady_report(out: TextIO, report: dict) -> None:
     out.write(head + _STEADY_KEY + matrix + tail + "\n")
 
 
-def _parse_entry(value) -> complex:
-    if isinstance(value, bool):
-        raise ConfigError("matrix entries must be numbers or [re, im] pairs")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+def _parse_entry(value):
+    """A number or an [re, im] pair of numbers; JSON decoding makes each exactly int or float."""
+    if type(value) in (int, float):
+        return value
+    if (type(value) is list and len(value) == 2
+            and type(value[0]) in (int, float) and type(value[1]) in (int, float)):
         return complex(value[0], value[1])
     raise ConfigError(f"matrix entries must be numbers or [re, im] pairs, got {value!r}")
 
 
-def _parse_matrix(obj, dim: int | None = None, what: str = "matrix") -> np.ndarray:
+def _parse_matrix(obj, dim: int, what: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ConfigError(f"{what} must be a row-major nested array")
     rows = len(obj)
     if any(len(r) != rows for r in obj):
         raise ConfigError(f"{what} must be square, got ragged/non-square rows")
-    if dim is not None and rows != dim:
+    if rows != dim:
         raise ConfigError(f"{what} has dimension {rows}, expected {dim}")
-    out = np.empty((rows, rows), dtype=np.complex128)
-    for i, row in enumerate(obj):
-        for j, value in enumerate(row):
-            out[i, j] = _parse_entry(value)
-    return out
+    return np.array([[_parse_entry(v) for v in row] for row in obj], dtype=np.complex128)
 
 
 def _is_int_in(value, low: int, high: float) -> bool:
     """True for a JSON integer (not a bool) in [low, high]."""
-    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+    return type(value) is int and low <= value <= high
 
 
 def _model_from_config(config: dict) -> LindbladModel:
@@ -208,7 +192,7 @@ def _model_from_config(config: dict) -> LindbladModel:
     label = spec.get("label", "inline")
     try:
         return LindbladModel(hamiltonian, channels, label=str(label))
-    except (NotHermitianError, DimMismatchError) as exc:
+    except NotHermitianError as exc:
         raise ConfigError(f"inline model invalid: {exc}") from exc
 
 
@@ -304,7 +288,7 @@ def run_bounds(config: dict, out: TextIO) -> None:
         "label": model.label,
         "dim": model.dim,
         "entropy": rep.entropy,
-        "rate_exact": _json_float(rep.rate_exact),
+        "rate_exact": "inf" if math.isinf(rep.rate_exact) else rep.rate_exact,
         "rate_lower_bound": rep.rate_lower_bound,
         "threshold_general": rep.threshold_general,
         "threshold_variance": rep.threshold_variance,

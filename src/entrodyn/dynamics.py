@@ -160,7 +160,7 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_max / self.dt)))
+        return round(self.t_max / self.dt)
 
 
 @dataclass(eq=False)

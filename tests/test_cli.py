@@ -450,6 +450,13 @@ class TestBounds:
         assert report["maximally_mixed_floor"] == pytest.approx(2.0 / 9.0)
         assert report["max_entropy"] == pytest.approx(math.log(3))
 
+    def test_saturated_rate_serializes_as_inf(self, tmp_path):
+        config = {"model": {"name": "amplitude_damping"}, "initial_state": "plus"}
+        code, text = run(tmp_path, "bounds", config)
+        assert code == 0
+        assert '"rate_exact": "inf",' in text
+        assert json.loads(text)["log_floor_hit"] is True
+
     def test_no_channels_exits_six(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,
@@ -768,6 +775,39 @@ class TestConfigErrors:
         )
         assert code == 0
         assert json.loads(text)["threshold_variance"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        ("state", "message"),
+        [
+            ([[True, 0], [0, 0.5]], "got True"),
+            ([[[0.5, 0, 0], 0], [0, 0.5]], "got [0.5, 0, 0]"),
+            ([[[0.5, False], 0], [0, 0.5]], "got [0.5, False]"),
+            ([[0.5, 0], [0.5]], "initial_state must be square, got ragged/non-square rows"),
+            ([[1]], "initial_state has dimension 1, expected 2"),
+            ([0.5, 0.5], "initial_state must be a row-major nested array"),
+        ],
+        ids=["bare_bool", "triple", "pair_with_bool", "ragged", "wrong_dim", "not_nested"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "bounds"])
+    def test_malformed_matrix_exits_two(self, tmp_path, capsys, command, state, message):
+        config = {"model": {"name": "dephasing"}, "initial_state": state}
+        code, text = run(tmp_path, command, config)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert message in err
+
+    def test_bare_reals_mix_with_pairs(self, tmp_path):
+        config = {"model": {"name": "driven_qubit"},
+                  "integrator": {"dt": 1e-3, "t_max": 0.3, "record_stride": 50}}
+        mixed = run(tmp_path, "simulate",
+                    {**config, "initial_state": [[0.5, [0, 0.25]], [[0, -0.25], 0.5]]})
+        pairs = run(tmp_path, "simulate",
+                    {**config, "initial_state": [[[0.5, 0], [0, 0.25]], [[0, -0.25], [0.5, 0]]]})
+        assert mixed == pairs
+        assert mixed[0] == 0
+        assert mixed[1].count("\n") == 8
 
     @pytest.mark.parametrize(
         "override",

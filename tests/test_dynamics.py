@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entrodyn import dynamics
 from entrodyn.dynamics import (
     IntegratorConfig,
     _step,
@@ -308,6 +309,14 @@ class TestConvergenceOrder:
     def test_zero_generator_not_applicable(self):
         model = LindbladModel(np.zeros((2, 2)))
         assert convergence_order_check(model, PLUS, IntegratorConfig(dt=1e-2, t_max=1.0)) is None
+
+    def test_errors_that_do_not_shrink_with_dt_not_applicable(self, monkeypatch):
+        # err(dt) = 1e-3 against err(dt/2) = 2e-3: both resolved, but the ratio is below 1
+        offsets = {1e-2: 1e-3, 5e-3: 2e-3, 2.5e-3: 0.0}
+        monkeypatch.setattr(dynamics, "final_state",
+                            lambda model, rho0, cfg: PLUS + offsets[cfg.dt])
+        cfg = IntegratorConfig(dt=1e-2, t_max=1.0)
+        assert convergence_order_check(get_model("dephasing"), PLUS, cfg) is None
 
     def test_needs_at_least_two_steps(self):
         with pytest.raises(ConfigError):

@@ -279,6 +279,10 @@ class TestTraceSquareAudit:
         with pytest.raises(NotHermitianError):
             trace_square_audit(SIGMA_MINUS, PLUS)
 
+    def test_rejects_channel_of_another_dimension(self):
+        with pytest.raises(DimMismatchError):
+            trace_square_audit(PAULI_Z, maximally_mixed(3))
+
 
 class TestRateBoundAtEntropy:
     # the bound is affine in S: -sum_j |L_j|_F^2 S + sum_j gain_j

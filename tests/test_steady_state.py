@@ -16,7 +16,8 @@ from entrodyn.dynamics import (
     liouvillian_rhs,
 )
 from entrodyn.entropy_bounds import steady_state_bound, von_neumann_entropy
-from entrodyn.errors import DegenerateSteadyStateError, NoSteadyStateError, NumericsError
+from entrodyn.errors import (DegenerateSteadyStateError, NoSteadyStateError, NotDensityError,
+                             NumericsError)
 from entrodyn.models import PAULI_Z, SIGMA_MINUS, get_model, named_state
 from entrodyn.operators import ginibre_matrix, ginibre_state, gue_hermitian, maximally_mixed
 from entrodyn.steady_state import _steady_solve, _svd_solve, long_time_entropy, steady_state
@@ -307,6 +308,33 @@ class TestCertifiedSolve:
         with pytest.raises(NoSteadyStateError):
             steady_state(random_model(d, 5, 2), tol=1e-22)
 
+
+def one_block(gen):
+    """A d=2 generator given as one block of size 4 on rho.ravel(), no row paired."""
+    return [(np.arange(4)[None], np.asarray(gen, dtype=np.complex128)[None],
+             np.zeros((1, 4), dtype=bool))]
+
+
+class TestSvdSolveGuards:
+    """Each guard on the state that the SVD extracts, given one hand-built block."""
+
+    def test_traceless_null_vector(self):
+        # the null vector is rho[0, 1], off the diagonal
+        with pytest.raises(NotDensityError, match="extracted null vector is traceless"):
+            _svd_solve(one_block(np.diag([1.0, 0.0, 1.0, 1.0])), 2, 1e-10)
+
+    def test_null_vector_that_is_no_density(self):
+        v = np.diag([2.0, -1.0]).ravel() / math.sqrt(5.0)
+        with pytest.raises(NotDensityError, match="negative eigenvalue -1.000e[+]00"):
+            _svd_solve(one_block(np.identity(4) - np.outer(v, v)), 2, 1e-10)
+
+    def test_state_that_g_does_not_annihilate(self):
+        # G v = 0, but the Hermitian part of v is another state, which e_2 moves
+        v = np.array([1.0, 1j, 0.0, 1.0]) / math.sqrt(3.0)
+        gen = np.identity(4) - np.outer(v, v.conj())
+        gen[2, 2] += 5.0
+        with pytest.raises(NoSteadyStateError, match="generator residual 1.514e[+]00"):
+            _svd_solve(one_block(gen), 2, 1e-10)
 
 def bfs_labels(pattern):
     """Reference: smallest index of each index's component, by breadth-first search."""
