@@ -7,8 +7,8 @@ from .entropy_bounds import (EIG_FLOOR, BoundReport, SteadyStateBound, TraceSqua
                              bound_report, log_inequality_check, maximally_mixed_bound,
                              steady_state_bound, trace_square_audit, von_neumann_entropy)
 from .models import ModelSpec, get_model, list_models, named_state
-from .operators import (adjoint, assert_density, frobenius_norm_sq, ginibre_matrix, ginibre_state,
-                        gue_hermitian, maximally_mixed)
+from .operators import (adjoint, frobenius_norm_sq, ginibre_matrix, ginibre_state, gue_hermitian,
+                        maximally_mixed)
 from .steady_state import long_time_entropy, steady_state
 
 __version__ = "0.1.0"

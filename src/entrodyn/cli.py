@@ -28,6 +28,10 @@ integration; 4 numerical failure (a state that diverges between records, a
 to bound (no usable channel in ``bounds`` or ``steady``, or a variance
 threshold demanded for non-Hermitian channels).
 
+``simulate`` and ``audit`` write each stack's rows as it comes, holding nothing
+across stacks; ``simulate`` writes its header with its first stack, so exit 2
+writes nothing and exit 3 or 4 leaves the rows of the stacks before the failing one.
+
 Config conventions: complex scalars are two-element arrays [re, im] (bare
 reals are also accepted on input); matrices are row-major nested arrays.
 Floats in CSV output carry 17 significant digits in scientific notation; a
@@ -48,7 +52,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, LindbladModel, propagate
+from .dynamics import IntegratorConfig, LindbladModel, _gated_stacks
 from .entropy_bounds import (
     _entropies,
     _steady_floor,
@@ -220,18 +224,20 @@ def run_simulate(config: dict, out: TextIO) -> None:
     model = _model_from_config(config)
     rho0 = _state_from_config(config, model.dim)
     cfg = _integrator_from_config(config)
+    head = SIMULATE_HEADER + "\n"
     try:
-        traj = propagate(model, rho0, cfg)
+        for times, _, reports, trace_errs, min_eigs in _gated_stacks(model, rho0, cfg):
+            lines = []
+            for t, rep, err, low in zip(times, reports, trace_errs.tolist(), min_eigs.tolist()):
+                given = [x for x in (rep.threshold_general, rep.threshold_variance)
+                         if x is not None]
+                lines.append(_SIMULATE_ROWS[len(given)] % (
+                    t, rep.entropy, rep.rate_exact, rep.rate_lower_bound, *given,
+                    "true" if rep.monotone_guaranteed else "false", err, low))
+            out.write(head + "\n".join(lines) + "\n")
+            head = ""
     except NotDensityError as exc:
         raise ConfigError(f"initial_state fails the integrator's input gate: {exc}") from exc
-    lines = [SIMULATE_HEADER]
-    for t, rep, trace_error, min_eig in zip(traj.times.tolist(), traj.reports,
-                                            traj.trace_errors.tolist(), traj.min_eigs.tolist()):
-        given = [x for x in (rep.threshold_general, rep.threshold_variance) if x is not None]
-        lines.append(_SIMULATE_ROWS[len(given)] % (
-            t, rep.entropy, rep.rate_exact, rep.rate_lower_bound, *given,
-            "true" if rep.monotone_guaranteed else "false", trace_error, min_eig))
-    out.write("\n".join(lines) + "\n")
 
 
 def run_steady(config: dict, out: TextIO) -> None:

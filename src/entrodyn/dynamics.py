@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
 from . import entropy_bounds
 from .errors import (BadParamsError, ConfigError, DimMismatchError, NotHermitianError,
                      NumericsError, PositivityLostError)
-from .operators import (SpectralDecomposition, adjoint, as_operator, assert_density,
+from .operators import (SpectralDecomposition, adjoint, as_operator, density_spectra,
                         frobenius_norm_sq, hermitian_eig, hermitian_part, hermiticity_defect,
                         is_hermitian)
 
@@ -426,8 +427,9 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     the run is too short to repay the build (``MIN_PROPAGATOR_STEPS``), it overflows or
     G is too small to self-check (below 1 / ``MAX_SCALE``).
     """
-    states = hermitian_part(assert_density(rho0, hermiticity_tol=1e-9,
-                                           positivity_tol=POSITIVITY_TOL, trace_tol=1e-9))[None]
+    states = as_operator(rho0)[None]
+    density_spectra(states, hermiticity_tol=1e-9, trace_tol=1e-9, positivity_tol=POSITIVITY_TOL)
+    states = hermitian_part(states)
     n, stride, d = cfg.n_steps, int(cfg.record_stride), model.dim
 
     def advance(rho: np.ndarray, chunks: list[int]) -> np.ndarray:  # the direct map
@@ -482,27 +484,31 @@ def _health_check(states, times) -> tuple[np.ndarray, np.ndarray, SpectralDecomp
     return trace_errs, min_eigs, spectra
 
 
+def _gated_stacks(model: LindbladModel, rho0, cfg: IntegratorConfig):
+    """Yield (times, states, reports, trace_errors, min_eigs) for each stack of records.
+
+    Each stack of :func:`_recorded_steps` passes :func:`_health_check` (one ``eigh``; a
+    stack's first failure raises first) before it is bounded. Nothing is kept across stacks.
+    """
+    for ks, stack in _recorded_steps(model, rho0, cfg):
+        times = [k * cfg.dt for k in ks]
+        *gate, spectra = _health_check(stack, times)
+        # These spectra stand in for entropy_bounds.gated_spectra: records are exactly
+        # Hermitian, and positivity 1e-8 and trace 1e-9 are stricter than its 1e-6/1e-6.
+        yield times, stack, entropy_bounds.bound_reports(model, times, spectra), *gate
+
+
 def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRecord:
     """Integrate the master equation and record states with bound reports.
 
-    Records at step multiples of ``cfg.record_stride`` plus the final step.
-    Every recorded state is gated on positivity (within ``POSITIVITY_TOL``)
-    and trace drift (within ``TRACE_DRIFT_TOL``), one stack of
-    :func:`_recorded_steps` (1, 2, 4, ... records up to ``stack_size``) at a
-    time with one ``eigh``. A failing run stops within about twice the records
-    before its failure, and the gate raises a stack's first failure first.
+    Records at step multiples of ``cfg.record_stride`` plus the final step, each gated
+    on positivity (``POSITIVITY_TOL``) and trace drift (``TRACE_DRIFT_TOL``): the stacks
+    of :func:`_gated_stacks`, held whole. A failing run stops within about twice the
+    records before its failure.
     """
-    times, states, reports, gates = [], [], [], []
-    for ks, stack in _recorded_steps(model, rho0, cfg):
-        stack_times = [k * cfg.dt for k in ks]
-        *gate, spectra = _health_check(stack, stack_times)
-        # These spectra stand in for entropy_bounds.gated_spectra: records are exactly
-        # Hermitian, and positivity 1e-8 and trace 1e-9 are stricter than its 1e-6/1e-6.
-        reports += entropy_bounds.bound_reports(model, stack_times, spectra)
-        times += stack_times
-        states += list(stack)
-        gates.append(gate)
-    return TrajectoryRecord(np.asarray(times), states, reports, *map(np.concatenate, zip(*gates)))
+    times, states, reports, *gates = zip(*_gated_stacks(model, rho0, cfg))
+    return TrajectoryRecord(np.asarray(list(chain(*times))), list(chain(*states)),
+                            list(chain(*reports)), *map(np.concatenate, gates))
 
 
 def final_state(model: LindbladModel, rho0, cfg: IntegratorConfig) -> np.ndarray:

@@ -122,20 +122,6 @@ def density_spectra(
     return dec
 
 
-def assert_density(
-    rho,
-    *,
-    hermiticity_tol: float = 1e-10,
-    positivity_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-) -> np.ndarray:
-    """Gate one state with :func:`density_spectra` and return it as an operator."""
-    arr = as_operator(rho)
-    density_spectra(arr[None], hermiticity_tol=hermiticity_tol, trace_tol=trace_tol,
-                    positivity_tol=positivity_tol)
-    return arr
-
-
 def ginibre_matrix(d: int, seed: int) -> np.ndarray:
     """Square matrix of iid complex normal entries, deterministic in seed."""
     if d < 1:

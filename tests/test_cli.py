@@ -78,6 +78,20 @@ def assert_one_line_error(stderr):
     assert stderr.count("\n") == 1
 
 
+def first_row(tmp_path, config, dt):
+    """The header and t=0 row of an exit-0 run of ``config``'s model and state at ``dt``.
+
+    That row holds only the initial state, so it is what a run that fails in a
+    later stack has written before the failure.
+    """
+    stable = {**config, "integrator": {"dt": dt, "t_max": 2 * dt}}
+    code, text = run(tmp_path, "simulate", stable, out_name="stable.csv")
+    assert code == 0
+    head = text.splitlines(keepends=True)[:2]
+    assert head[0] == SIMULATE_HEADER + "\n" and head[1].startswith("0.0000000000000000e+00,")
+    return "".join(head)
+
+
 def parse_csv(text):
     lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
@@ -194,18 +208,16 @@ class TestSimulate:
         assert code == 3
 
     def test_divergent_integration_exits_four(self, tmp_path, capsys):
-        # dt far beyond the stability boundary overflows between two records.
-        code, text = run(
-            tmp_path,
-            "simulate",
-            {
-                "model": {"name": "depolarizing", "params": {"gamma": 1e6}},
-                "initial_state": "plus",
-                "integrator": {"dt": 0.01, "t_max": 1.0, "record_stride": 100},
-            },
-        )
+        # dt far beyond the stability boundary overflows between two records; the
+        # first stack, the t=0 record, is written before the second one fails.
+        config = {
+            "model": {"name": "depolarizing", "params": {"gamma": 1e6}},
+            "initial_state": "plus",
+            "integrator": {"dt": 0.01, "t_max": 1.0, "record_stride": 100},
+        }
+        code, text = run(tmp_path, "simulate", config)
         assert code == 4
-        assert text == ""
+        assert text == first_row(tmp_path, config, 1e-9)
         err = capsys.readouterr().err
         assert_one_line_error(err)
         assert "non-finite" in err
@@ -227,7 +239,7 @@ class TestSimulate:
         config["initial_state"] = "maximally_mixed"
         code, text = run(tmp_path, "simulate", config, out_name="moving.csv")
         assert code == 4
-        assert text == ""
+        assert text == first_row(tmp_path, config, 1e-303)
         err = capsys.readouterr().err
         assert_one_line_error(err)
         assert "diverged to non-finite entries" in err
@@ -235,6 +247,12 @@ class TestSimulate:
     def test_trace_drift_exits_four(self, tmp_path, capsys, monkeypatch):
         # No stable dt drifts the trace alone: an unstable one loses positivity or
         # diverges first. Records scaled by 1 + 2e-9 drift by 2e-9 > TRACE_DRIFT_TOL.
+        config = {
+            "model": {"name": "depolarizing"},
+            "initial_state": "plus",
+            "integrator": {"dt": 1e-3, "t_max": 0.01, "record_stride": 1},
+        }
+        written = first_row(tmp_path, config, 1e-3)  # the t=0 record is rho0, not advanced
         original = dynamics._rk4_propagator
 
         def drifting(*args):
@@ -242,14 +260,9 @@ class TestSimulate:
             return lambda rho, chunks: advance(rho, chunks) * (1 + 2e-9)
 
         monkeypatch.setattr(dynamics, "_rk4_propagator", drifting)
-        config = {
-            "model": {"name": "depolarizing"},
-            "initial_state": "plus",
-            "integrator": {"dt": 1e-3, "t_max": 0.01, "record_stride": 1},
-        }
         code, text = run(tmp_path, "simulate", config)
         assert code == 4
-        assert text == ""
+        assert text == written
         err = capsys.readouterr().err
         assert_one_line_error(err)
         assert "trace drift 2.000e-09 exceeds 1.0e-09 at t=0.001; reduce dt" in err
@@ -261,6 +274,7 @@ class TestSimulate:
     def test_unstable_dt_exit_codes(self, tmp_path, capsys, dt, code, message):
         # Across the RK4 stability limit of depolarizing, each chunk of 500 steps
         # is one cached power: the first record past the limit still decides the code.
+        # It lies in the second stack, so the t=0 row is written first.
         config = {
             "model": {"name": "depolarizing", "params": {"gamma": 1.0}},
             "initial_state": "plus",
@@ -272,9 +286,42 @@ class TestSimulate:
         if message is None:
             assert err == "" and text.startswith(SIMULATE_HEADER)
         else:
-            assert text == ""
+            assert text == first_row(tmp_path, config, 1e-3)
             assert_one_line_error(err)
             assert message in err
+
+    def test_failing_run_has_written_each_stack_gated_before_it(self, tmp_path, capsys):
+        # Near the maximally mixed state at dt past the RK4 limit, the growing
+        # coherence takes 93 steps to lose positivity: stacks of 1 to 32 records
+        # pass the gate and are written, and the stack of 64 from t=45.36 fails.
+        config = {
+            "model": {"name": "depolarizing"},
+            "initial_state": [[0.5, 1e-6], [1e-6, 0.5]],
+            "integrator": {"dt": 0.72, "t_max": 20000, "record_stride": 1},
+        }
+        code, text = run(tmp_path, "simulate", config)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert_one_line_error(err)
+        assert "t=66.96" in err
+        assert len(text.splitlines()) == 1 + 63
+        config["integrator"]["t_max"] = 62 * 0.72
+        code, passed = run(tmp_path, "simulate", config, out_name="passed.csv")
+        assert code == 0
+        assert text == passed
+
+    def test_memory_is_flat_in_the_record_count(self):
+        # Each stack's rows are written as they come and nothing is held across
+        # stacks, so 2000 records of the d=32 oscillator peak within 1 MB of what 200
+        # do (a run held whole grows by about 17 KB a record: 6.5 and 36.7 MB).
+        peaks = []
+        for t_max in (0.2, 2.0):
+            config = {"model": {"name": "truncated_oscillator", "params": {"d": 32, "gamma": 0.2}},
+                      "initial_state": "maximally_mixed",
+                      "integrator": {"dt": 1e-3, "t_max": t_max, "record_stride": 1}}
+            with open(os.devnull, "w") as out:
+                peaks.append(traced_peak_mb(cli.run_simulate, config, out)[1])
+        assert peaks[1] < peaks[0] + 1.0, peaks
 
     def test_non_finite_power_falls_back_to_steps(self, tmp_path, monkeypatch):
         # At dt = 1000 dephasing's coherences grow by ~7e11 a step, so P^1000
@@ -514,20 +561,6 @@ class TestAudit:
         code, text = run(tmp_path, "audit", {"d": 2, "count": 3, "seed": 1})
         assert code == 0
         assert text.strip().splitlines()[-1].startswith("# summary: rows=3")
-
-    def test_reader_closing_stdout_early_is_no_failure(self, tmp_path):
-        # `entrodyn audit ... | head -1`: 20 000 rows, about 1.8 MB, overrun the pipe's
-        # buffer, so writes go on after the reader has closed its end
-        config = write_config(tmp_path, {"d": 2, "count": 20000})
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        with subprocess.Popen([sys.executable, "-m", "entrodyn", "audit", "--config", config],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-            assert proc.stdout.readline().decode().rstrip("\n") == AUDIT_HEADER
-            proc.stdout.close()
-            stderr = proc.stderr.read()
-            assert proc.wait(timeout=60) == 0
-        assert stderr == b""
 
 
 class TestModels:
@@ -997,3 +1030,24 @@ def test_commands_leave_numpy_ma_unloaded(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[0, 0, 0] False"
+
+
+# `entrodyn CMD ... | head -1`: each output, about 1.8 MB of audit rows or 3.8 MB of
+# simulate rows, overruns the pipe's buffer, so writes go on after the reader has
+# closed its end
+@pytest.mark.parametrize("command, config, header", [
+    ("audit", {"d": 2, "count": 20000}, AUDIT_HEADER),
+    ("simulate", {"model": {"name": "depolarizing"}, "initial_state": "plus",
+                  "integrator": {"dt": 1e-3, "t_max": 20.0, "record_stride": 1}}, SIMULATE_HEADER),
+], ids=["audit", "simulate"])
+def test_reader_closing_stdout_early_is_no_failure(tmp_path, command, config, header):
+    config = write_config(tmp_path, config)
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen([sys.executable, "-m", "entrodyn", command, "--config", config],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().decode().rstrip("\n") == header
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert stderr == b""

@@ -16,7 +16,7 @@ from entrodyn.errors import (
 )
 from entrodyn.operators import (
     adjoint,
-    assert_density,
+    density_spectra,
     frobenius_norm_sq,
     ginibre_matrices,
     ginibre_matrix,
@@ -143,8 +143,8 @@ def test_ginibre_validity_sweep():
     seed = 0
     for d in (2, 3, 4):
         for _ in range(334):
-            assert_density(
-                ginibre_state(d, seed),
+            density_spectra(
+                ginibre_state(d, seed)[None],
                 hermiticity_tol=1e-10,
                 positivity_tol=1e-10,
                 trace_tol=1e-10,
@@ -188,13 +188,14 @@ def test_gue_hermitian_exact_and_deterministic():
 
 
 def test_assert_density_rejects_bad_inputs():
+    tols = {"hermiticity_tol": 1e-10, "positivity_tol": 1e-10, "trace_tol": 1e-10}
     with pytest.raises(NotDensityError):
-        assert_density(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
+        density_spectra(np.array([[[0.5, 1.0], [0.0, 0.5]]]), **tols)  # not Hermitian
     with pytest.raises(NotDensityError):
-        assert_density(np.diag([0.9, 0.3]))  # trace 1.2
+        density_spectra(np.diag([0.9, 0.3])[None], **tols)  # trace 1.2
     with pytest.raises(NotDensityError):
-        assert_density(np.diag([1.2, -0.2]))  # negative eigenvalue
-    assert_density(maximally_mixed(5))
+        density_spectra(np.diag([1.2, -0.2])[None], **tols)  # negative eigenvalue
+    density_spectra(maximally_mixed(5)[None], **tols)
 
 
 def test_maximally_mixed_requires_positive_dim():
@@ -220,10 +221,10 @@ def test_top_level_exports():
     assert exported == [
         "BoundReport", "EIG_FLOOR", "IntegratorConfig", "LindbladModel", "ModelSpec",
         "SteadyStateBound", "TraceSquareAudit", "TrajectoryRecord", "adjoint",
-        "assert_density", "bound_report", "convergence_order_check", "final_state",
+        "bound_report", "convergence_order_check", "final_state",
         "frobenius_norm_sq", "get_model", "ginibre_matrix", "ginibre_state", "gue_hermitian",
         "liouvillian_rhs", "list_models", "log_inequality_check", "long_time_entropy",
         "maximally_mixed", "maximally_mixed_bound", "named_state", "propagate", "steady_state",
         "steady_state_bound", "trace_square_audit", "von_neumann_entropy",
     ]
-    assert len(exported) == 30
+    assert len(exported) == 29

@@ -181,6 +181,7 @@ def gate_calls(monkeypatch):
 
     monkeypatch.setattr(operators, "density_spectra", counted)
     monkeypatch.setattr(entropy_bounds, "density_spectra", counted)
+    monkeypatch.setattr(dynamics, "density_spectra", counted)
     return sizes
 
 
