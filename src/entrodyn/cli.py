@@ -21,12 +21,12 @@ Hamiltonian or channel with a non-finite Frobenius norm, a model scale
 generator whose largest entry is below 1/``MAX_SCALE``, a dimension above
 ``MAX_DIM``, integrator keys other than the fields of ``IntegratorConfig`` or
 values of the wrong type, a non-bool ``require_variance_threshold``, an
-initial state outside its density gate (in ``simulate``, the integrator's),
-an output path that cannot be opened; 3 positivity lost during
-integration; 4 numerical failure (a state that diverges between records, a
-``numpy.linalg.LinAlgError``); 5 degenerate steady-state manifold; 6 nothing
-to bound (no usable channel in ``bounds`` or ``steady``, or a variance
-threshold demanded for non-Hermitian channels).
+initial state outside its density gate (``operators.STRICT_GATE`` in
+``simulate``, ``ENTROPY_GATE`` in ``bounds``), an output path that cannot be
+opened; 3 positivity lost during integration; 4 numerical failure (a state that
+diverges between records, a ``numpy.linalg.LinAlgError`` or a ``MemoryError``);
+5 degenerate steady-state manifold; 6 nothing to bound (no usable channel in
+``bounds`` or ``steady``, or a variance threshold demanded for non-Hermitian channels).
 
 ``simulate`` and ``audit`` write each stack's rows as it comes, holding nothing
 across stacks; ``simulate`` writes its header with its first stack, so exit 2
@@ -78,7 +78,6 @@ from .errors import (
 )
 from .models import MAX_DIM, PAULI_Z, get_model, list_models, named_state
 from .operators import (
-    density_spectra,
     ginibre_matrices,
     gram_state,
     hermitian_part,
@@ -99,7 +98,7 @@ _EXIT_CODES = (
     (PositivityLostError, EXIT_POSITIVITY),
     (DegenerateSteadyStateError, EXIT_DEGENERATE),
     ((NoChannelsError, ZeroChannelError), EXIT_NOTHING_TO_BOUND),
-    ((EntrodynError, np.linalg.LinAlgError), EXIT_NUMERICS),
+    ((EntrodynError, np.linalg.LinAlgError, MemoryError), EXIT_NUMERICS),
 )
 
 SIMULATE_HEADER = (
@@ -281,8 +280,7 @@ def run_bounds(config: dict, out: TextIO) -> None:
         raise ConfigError(f"require_variance_threshold must be a bool, got {json.dumps(demand)}")
     states = _state_from_config(config, model.dim)[None]
     try:
-        spectra = density_spectra(states, hermiticity_tol=1e-8, trace_tol=1e-6,
-                                  positivity_tol=1e-8)
+        spectra = gated_spectra(states)
     except NotDensityError as exc:
         raise ConfigError(f"initial_state is not a density matrix: {exc}") from exc
     if not np.any(model.channel_norms_sq > 0.0):
@@ -464,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
             out.flush()  # a reader that closed early shows here, not at the interpreter's exit
     except BrokenPipeError:  # what that reader took is the output; the rest goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except (EntrodynError, np.linalg.LinAlgError) as exc:
+    except (EntrodynError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     return EXIT_OK

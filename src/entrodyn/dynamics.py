@@ -31,15 +31,9 @@ import numpy as np
 from . import entropy_bounds
 from .errors import (BadParamsError, ConfigError, DimMismatchError, NotHermitianError,
                      NumericsError, PositivityLostError)
-from .operators import (SpectralDecomposition, adjoint, as_operator, density_spectra,
-                        frobenius_norm_sq, hermitian_eig, hermitian_part, hermiticity_defect,
-                        is_hermitian)
-
-# Recorded states must hold |tr(rho) - 1| within this drift; the trace is never renormalized.
-TRACE_DRIFT_TOL = 1e-9
-
-# Recorded states may dip this far below zero in their smallest eigenvalue.
-POSITIVITY_TOL = 1e-8
+from .operators import (STRICT_GATE, SpectralDecomposition, adjoint, as_operator,
+                        density_spectra, frobenius_norm_sq, hermitian_eig, hermitian_part,
+                        hermiticity_defect, is_hermitian)
 
 # The RK4 propagator advances the blocks of _sectors (one of each conjugate pair of G's
 # sectors, packed two to a block no larger than the largest sector, s) only where
@@ -138,8 +132,8 @@ class IntegratorConfig:
     ``t_max`` is interpreted as ``round(t_max / dt)`` steps of exactly ``dt``.
     States are recorded at step 0, every ``record_stride`` steps and the last
     step. Each record is the Hermitian part of the RK4 state (integration
-    continues from the state itself), gated on positivity (``POSITIVITY_TOL``)
-    and trace drift (``TRACE_DRIFT_TOL``); the trace is never renormalized.
+    continues from the state itself), gated on positivity and trace drift at
+    ``operators.STRICT_GATE``; the trace is never renormalized.
     """
 
     dt: float
@@ -428,7 +422,7 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     G is too small to self-check (below 1 / ``MAX_SCALE``).
     """
     states = as_operator(rho0)[None]
-    density_spectra(states, hermiticity_tol=1e-9, trace_tol=1e-9, positivity_tol=POSITIVITY_TOL)
+    density_spectra(states, **STRICT_GATE)
     states = hermitian_part(states)
     n, stride, d = cfg.n_steps, int(cfg.record_stride), model.dim
 
@@ -467,18 +461,19 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
 
 def _health_check(states, times) -> tuple[np.ndarray, np.ndarray, SpectralDecomposition]:
     """Gate states at ``times`` (finite, positivity, trace drift); first failure raises."""
+    trace_tol, positivity_tol = STRICT_GATE["trace_tol"], STRICT_GATE["positivity_tol"]
     finite = np.isfinite(states).all(axis=(1, 2))
     n = len(states) if finite.all() else int(np.argmin(finite))
     with np.errstate(over="ignore", invalid="ignore"):  # a state overflowing here fails below
         spectra = hermitian_eig(states[:n])
         trace_errs = np.abs(np.trace(states[:n], axis1=1, axis2=2) - 1.0)
     min_eigs = spectra.eigenvalues[:, -1]
-    bad = np.flatnonzero((min_eigs < -POSITIVITY_TOL) | (trace_errs > TRACE_DRIFT_TOL))
-    if bad.size and min_eigs[bad[0]] < -POSITIVITY_TOL:
-        raise PositivityLostError(times[bad[0]], float(min_eigs[bad[0]]), POSITIVITY_TOL)
+    bad = np.flatnonzero((min_eigs < -positivity_tol) | (trace_errs > trace_tol))
+    if bad.size and min_eigs[bad[0]] < -positivity_tol:
+        raise PositivityLostError(times[bad[0]], float(min_eigs[bad[0]]), positivity_tol)
     if bad.size:
         raise NumericsError(f"trace drift {trace_errs[bad[0]]:.3e} exceeds "
-                            f"{TRACE_DRIFT_TOL:.1e} at t={times[bad[0]]:.6g}; reduce dt")
+                            f"{trace_tol:.1e} at t={times[bad[0]]:.6g}; reduce dt")
     if n < len(states):
         raise NumericsError(f"state diverged to non-finite entries by t={times[n]:.6g}; reduce dt")
     return trace_errs, min_eigs, spectra
@@ -494,7 +489,7 @@ def _gated_stacks(model: LindbladModel, rho0, cfg: IntegratorConfig):
         times = [k * cfg.dt for k in ks]
         *gate, spectra = _health_check(stack, times)
         # These spectra stand in for entropy_bounds.gated_spectra: records are exactly
-        # Hermitian, and positivity 1e-8 and trace 1e-9 are stricter than its 1e-6/1e-6.
+        # Hermitian, and STRICT_GATE is at least as strict as its ENTROPY_GATE.
         yield times, stack, entropy_bounds.bound_reports(model, times, spectra), *gate
 
 
@@ -502,9 +497,9 @@ def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRe
     """Integrate the master equation and record states with bound reports.
 
     Records at step multiples of ``cfg.record_stride`` plus the final step, each gated
-    on positivity (``POSITIVITY_TOL``) and trace drift (``TRACE_DRIFT_TOL``): the stacks
-    of :func:`_gated_stacks`, held whole. A failing run stops within about twice the
-    records before its failure.
+    on positivity and trace drift at ``operators.STRICT_GATE``: the stacks of
+    :func:`_gated_stacks`, held whole. A failing run stops within about twice the records
+    before its failure.
     """
     times, states, reports, *gates = zip(*_gated_stacks(model, rho0, cfg))
     return TrajectoryRecord(np.asarray(list(chain(*times))), list(chain(*states)),

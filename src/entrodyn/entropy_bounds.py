@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import BadDimensionError, DimMismatchError, NoChannelsError, ZeroChannelError
 from .operators import (
+    ENTROPY_GATE,
     SpectralDecomposition,
     adjoint,
     as_operator,
@@ -56,12 +57,6 @@ RATE_SATURATED = math.inf
 # x86-64 VM), d=2/8/32: 5/16/174 us at 2^14 entries, 6/18/248 at 2^16; d=32 250 at 2^12.
 STACK_ENTRIES = 2**14
 
-# Gate tolerances for states handed to entropy evaluations. Looser than the
-# construction-time tolerances so integrator output passes without massaging.
-_HERMITICITY_GATE = 1e-8
-_POSITIVITY_GATE = 1e-6
-_TRACE_GATE = 1e-6
-
 
 def stack_size(d: int) -> int:
     """Most d x d states per stack: ``STACK_ENTRIES // d^2``, at least one."""
@@ -69,9 +64,8 @@ def stack_size(d: int) -> int:
 
 
 def gated_spectra(states) -> SpectralDecomposition:
-    """:func:`density_spectra` of a stack at the entropy-evaluation gates."""
-    return density_spectra(states, hermiticity_tol=_HERMITICITY_GATE, trace_tol=_TRACE_GATE,
-                           positivity_tol=_POSITIVITY_GATE)
+    """:func:`density_spectra` of a stack at the entropy-evaluation gate, ``ENTROPY_GATE``."""
+    return density_spectra(states, **ENTROPY_GATE)
 
 
 def _one(rho) -> SpectralDecomposition:

@@ -1,8 +1,9 @@
 """Dense complex matrix core shared by every other module.
 
 Operators are plain complex128 numpy arrays; a density matrix is any operator
-that passes :func:`density_spectra`, the one density gate. Throughout the
-package the squared Frobenius norm means ``tr(A^dag A) = sum_ij |a_ij|^2``.
+that passes :func:`density_spectra`, the one density gate, at one of its two
+tolerance sets. Throughout the package the squared Frobenius norm means
+``tr(A^dag A) = sum_ij |a_ij|^2``.
 The Hermiticity, eigen and gate functions and :func:`gram_state` also act on
 each matrix of a stack. :func:`hermitian_eig` does not gate its input; callers
 pass exactly Hermitian matrices, and :func:`require_hermitian` is the check.
@@ -120,6 +121,14 @@ def density_spectra(
     if bad.size:
         raise NotDensityError(f"negative eigenvalue {low[bad[0]]:.3e} < -{positivity_tol:.1e}")
     return dec
+
+
+# The two tolerance sets of density_spectra, passed as density_spectra(x, **STRICT_GATE).
+# STRICT_GATE gates the integrator's initial state, its records and an extracted steady
+# state; ENTROPY_GATE, looser so integrator output passes unmassaged, gates the states of
+# entropy evaluations. STRICT_GATE is at least as strict on every key.
+STRICT_GATE = {"hermiticity_tol": 1e-9, "trace_tol": 1e-9, "positivity_tol": 1e-8}
+ENTROPY_GATE = {"hermiticity_tol": 1e-8, "trace_tol": 1e-6, "positivity_tol": 1e-6}
 
 
 def ginibre_matrix(d: int, seed: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from .dynamics import (IntegratorConfig, LindbladModel, _apply, _check_against_d
                        _generator_blocks, _sectors, final_state)
 from .entropy_bounds import von_neumann_entropy
 from .errors import DegenerateSteadyStateError, NoSteadyStateError, NotDensityError
-from .operators import SpectralDecomposition, density_spectra, hermitian_part
+from .operators import STRICT_GATE, SpectralDecomposition, density_spectra, hermitian_part
 
 
 def steady_state(model: LindbladModel, tol: float = 1e-10) -> np.ndarray:
@@ -127,8 +127,7 @@ def _normalized(v: np.ndarray, d: int) -> np.ndarray:
 
 def _validated(rho: np.ndarray) -> SpectralDecomposition:
     try:
-        return density_spectra(rho[None], hermiticity_tol=1e-10, trace_tol=1e-10,
-                               positivity_tol=1e-8)
+        return density_spectra(rho[None], **STRICT_GATE)
     except NotDensityError as exc:
         raise NotDensityError(f"extracted steady state fails validation: {exc}") from exc
 

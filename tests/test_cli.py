@@ -12,7 +12,9 @@ import pytest
 
 from entrodyn import cli, dynamics
 from entrodyn.cli import AUDIT_HEADER, SIMULATE_HEADER, main
-from entrodyn.models import MAX_DIM
+from entrodyn.entropy_bounds import bound_report
+from entrodyn.errors import NotDensityError
+from entrodyn.models import MAX_DIM, get_model
 from oracles import PEAK_MB, build_superoperator, traced_peak_mb, vec
 
 PRESET_NAMES = (
@@ -409,6 +411,16 @@ class TestSteady:
         assert code == 4
         assert capsys.readouterr().err == "error: SVD did not converge\n"
 
+    def test_memory_error_exits_four(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(model, tol):
+            raise MemoryError("Unable to allocate 256. MiB for an array")
+
+        monkeypatch.setattr(cli, "_steady_solve", out_of_memory)
+        code, text = run(tmp_path, "steady", {"model": {"name": "driven_qubit"}})
+        assert code == 4
+        assert text == ""
+        assert capsys.readouterr().err == "error: Unable to allocate 256. MiB for an array\n"
+
     @pytest.mark.parametrize("name", ["driven_qubit", "truncated_oscillator"])
     def test_generator_built_zero_times(self, tmp_path, name):
         # the traced peak stays under the d=64 models' bound, and the report's
@@ -520,6 +532,35 @@ class TestBounds:
             code, _ = run(tmp_path, "steady", {"model": model})
             assert code == 6
             assert_one_line_error(capsys.readouterr().err)
+
+    def test_state_inside_entropy_gate_matches_bound_report(self, tmp_path, capsys):
+        # a smallest eigenvalue of -5e-7 fails the strict gate's 1e-8 but passes the
+        # entropy gate's 1e-6, which bound_report applies too
+        state = [[1.0000005, 0], [0, -5e-7]]
+        config = {"model": {"name": "depolarizing"}, "initial_state": state}
+        code, text = run(tmp_path, "bounds", config)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(text)
+        assert report["rate_exact"] == "inf"
+        assert report["log_floor_hit"] is True
+        rep = bound_report(get_model("depolarizing"), np.array(state))
+        for key in ("entropy", "rate_lower_bound", "threshold_general", "threshold_variance",
+                    "monotone_guaranteed", "log_floor_hit"):
+            assert report[key] == getattr(rep, key), key
+        assert math.isinf(rep.rate_exact)
+
+    def test_state_outside_entropy_gate_is_refused_by_both(self, tmp_path, capsys):
+        state = [[1.000002, 0], [0, -2e-6]]
+        config = {"model": {"name": "depolarizing"}, "initial_state": state}
+        code, text = run(tmp_path, "bounds", config)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "negative eigenvalue" in err
+        with pytest.raises(NotDensityError, match="negative eigenvalue"):
+            bound_report(get_model("depolarizing"), np.array(state))
 
     def test_variance_demand_on_nonhermitian_channel_exits_six(self, tmp_path, capsys):
         code, _ = run(
@@ -689,13 +730,22 @@ class TestConfigErrors:
         bad.write_text("{not json")
         assert main(["simulate", "--config", str(bad)]) == 2
 
-    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        ("write", "message"),
+        [
+            (lambda path: path.write_bytes(b"\xff\xfe{}"), "config is not valid UTF-8"),
+            (lambda path: path.write_text("[]"), "config root must be a JSON object"),
+            (lambda path: path.mkdir(), "cannot read config"),
+        ],
+        ids=["not_utf8", "root_array", "directory"],
+    )
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys, write, message):
         bad = tmp_path / "bad.json"
-        bad.write_bytes(b"\xff\xfe{}")
+        write(bad)
         assert main(["steady", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert_one_line_error(err)
-        assert "config is not valid UTF-8" in err
+        assert message in err
 
     @pytest.mark.parametrize(
         "text",
@@ -963,8 +1013,11 @@ class TestConfigErrors:
                 ("bounds", {"require_variance_threshold": value}, "require_variance_threshold")
                 for value in ("false", 1, None)
             ),
+            ("simulate", {"initial_state": None}, "config needs 'initial_state'"),
+            ("simulate", {"integrator": []}, "'integrator' must be an object"),
         ],
-        ids=["simulate_state", "bounds_state", "bounds_dim_1", "rvt_false", "rvt_1", "rvt_null"],
+        ids=["simulate_state", "bounds_state", "bounds_dim_1", "rvt_false", "rvt_1", "rvt_null",
+             "no_state", "integrator_array"],
     )
     def test_rejected_input_exits_two(self, tmp_path, capsys, command, config, message):
         base = {"model": {"name": "amplitude_damping"}, "initial_state": "maximally_mixed"}

@@ -49,6 +49,10 @@ class TestLindbladModel:
         with pytest.raises(DimMismatchError):
             LindbladModel(np.zeros((2, 2)), (np.zeros((3, 3)),))
 
+    def test_rejects_non_square_hamiltonian(self):
+        with pytest.raises(DimMismatchError):
+            LindbladModel(np.zeros((2, 3)))
+
     def test_arrays_are_frozen(self):
         model = get_model("dephasing")
         with pytest.raises(ValueError):

@@ -107,6 +107,8 @@ def test_bad_params():
         get_model("dephasing", {"gamma": 10**400})
     with pytest.raises(BadParamsError, match="^parameter 'd' must be a finite number$"):
         get_model("truncated_oscillator", {"d": 10**400})
+    with pytest.raises(BadParamsError):
+        lowering_operator(1)
 
 
 def test_named_states():

@@ -201,6 +201,8 @@ def test_assert_density_rejects_bad_inputs():
 def test_maximally_mixed_requires_positive_dim():
     with pytest.raises(BadDimensionError):
         maximally_mixed(0)
+    with pytest.raises(BadDimensionError):
+        ginibre_matrix(0, 1)
 
 
 def test_is_hermitian_relative_scale():

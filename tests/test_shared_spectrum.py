@@ -201,3 +201,10 @@ def test_propagate_gates_only_its_initial_state(gate_calls):
     assert len(traj.reports) == 151
     # the records reuse _health_check's spectra
     assert gate_calls == [1]
+
+
+def test_strict_gate_is_at_least_as_strict_as_entropy_gate():
+    # what lets the records' STRICT_GATE spectra stand in for gated_spectra
+    assert operators.STRICT_GATE.keys() == operators.ENTROPY_GATE.keys()
+    for key, tol in operators.STRICT_GATE.items():
+        assert tol <= operators.ENTROPY_GATE[key], key
