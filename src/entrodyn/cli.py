@@ -23,7 +23,8 @@ generator whose largest entry is below 1/``MAX_SCALE``, a dimension above
 values of the wrong type, a non-bool ``require_variance_threshold``, an
 initial state outside its density gate (``operators.STRICT_GATE`` in
 ``simulate``, ``ENTROPY_GATE`` in ``bounds``), an output path that cannot be
-opened; 3 positivity lost during integration; 4 numerical failure (a state that
+opened or an output that cannot be written (a full device, or a stdout closed at
+start); 3 positivity lost during integration; 4 numerical failure (a state that
 diverges between records, a ``numpy.linalg.LinAlgError`` or a ``MemoryError``);
 5 degenerate steady-state manifold; 6 nothing to bound (no usable channel in
 ``bounds`` or ``steady``, or a variance threshold demanded for non-Hermitian channels).
@@ -56,8 +57,7 @@ from .dynamics import IntegratorConfig, LindbladModel, _gated_stacks
 from .entropy_bounds import (
     _entropies,
     _steady_floor,
-    bound_reports,
-    gated_spectra,
+    bound_report,
     log_inequality_checks,
     maximally_mixed_bound,
     stack_size,
@@ -78,6 +78,8 @@ from .errors import (
 )
 from .models import MAX_DIM, PAULI_Z, get_model, list_models, named_state
 from .operators import (
+    ENTROPY_GATE,
+    density_spectra,
     ginibre_matrices,
     gram_state,
     hermitian_part,
@@ -278,16 +280,14 @@ def run_bounds(config: dict, out: TextIO) -> None:
     demand = config.get("require_variance_threshold", False)
     if not isinstance(demand, bool):
         raise ConfigError(f"require_variance_threshold must be a bool, got {json.dumps(demand)}")
-    states = _state_from_config(config, model.dim)[None]
     try:
-        spectra = gated_spectra(states)
+        rep = bound_report(model, _state_from_config(config, model.dim))
     except NotDensityError as exc:
         raise ConfigError(f"initial_state is not a density matrix: {exc}") from exc
     if not np.any(model.channel_norms_sq > 0.0):
         raise ZeroChannelError("nothing to bound; model has no non-zero channel")
     if demand and not model.channels_hermitian:
         raise NoChannelsError("variance threshold requires every channel to be Hermitian")
-    rep = bound_reports(model, [0.0], spectra)[0]
     payload = {
         "label": model.label,
         "dim": model.dim,
@@ -328,7 +328,7 @@ def run_audit(config: dict, out: TextIO) -> None:
         if d == 2 and start == 0:
             # Canned sign-indefinite case: the z Pauli matrix against I/2.
             ids[0], channels[0], states[0] = "canned", PAULI_Z, maximally_mixed(2)
-        spectra = gated_spectra(states)
+        spectra = density_spectra(states, **ENTROPY_GATE)
         lhs, rhs, holds = trace_square_audits(channels, spectra)
         gaps = log_inequality_checks(spectra)
         trace_sq_violations += int(np.count_nonzero(~holds))
@@ -407,6 +407,8 @@ def _load_config(path: str) -> dict:
 
 def _open_out(path: str | None):
     if path is None:
+        if sys.stdout is None:  # the process started with its stdout closed
+            raise ConfigError("cannot open output: stdout is closed")
         return nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8")
@@ -458,10 +460,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = None if args.command == "models" else _load_config(args.config)
         with _open_out(args.out) as out:
-            runners[args.command](config, out)
-            out.flush()  # a reader that closed early shows here, not at the interpreter's exit
-    except BrokenPipeError:  # what that reader took is the output; the rest goes nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            try:
+                runners[args.command](config, out)
+            finally:  # a write that fails shows here, not at the interpreter's exit
+                out.flush()
+    except OSError as exc:  # from a write: the rest of the output goes nowhere
+        if args.out is None:  # nor at exit, where stdout's flush would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that closed early took its output
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     except (EntrodynError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

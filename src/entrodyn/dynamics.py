@@ -31,9 +31,8 @@ import numpy as np
 from . import entropy_bounds
 from .errors import (BadParamsError, ConfigError, DimMismatchError, NotHermitianError,
                      NumericsError, PositivityLostError)
-from .operators import (STRICT_GATE, SpectralDecomposition, adjoint, as_operator,
-                        density_spectra, frobenius_norm_sq, hermitian_eig, hermitian_part,
-                        hermiticity_defect, is_hermitian)
+from .operators import (STRICT_GATE, adjoint, as_operator, density_spectra, frobenius_norm_sq,
+                        hermitian_eig, hermitian_part, hermiticity_defect, is_hermitian)
 
 # The RK4 propagator advances the blocks of _sectors (one of each conjugate pair of G's
 # sectors, packed two to a block no larger than the largest sector, s) only where
@@ -419,11 +418,9 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
     :func:`_rk4_propagator` (within 1e-12 of stepping) unless a block would be larger
     than ``MAX_BLOCK`` (checked on the sectors' shapes, before any block is built),
     the run is too short to repay the build (``MIN_PROPAGATOR_STEPS``), it overflows or
-    G is too small to self-check (below 1 / ``MAX_SCALE``).
+    G is too small to self-check (below 1 / ``MAX_SCALE``). Callers gate rho0.
     """
-    states = as_operator(rho0)[None]
-    density_spectra(states, **STRICT_GATE)
-    states = hermitian_part(states)
+    states = hermitian_part(as_operator(rho0)[None])
     n, stride, d = cfg.n_steps, int(cfg.record_stride), model.dim
 
     def advance(rho: np.ndarray, chunks: list[int]) -> np.ndarray:  # the direct map
@@ -459,13 +456,16 @@ def _recorded_steps(model: LindbladModel, rho0, cfg: IntegratorConfig):
         yield ks, states
 
 
-def _health_check(states, times) -> tuple[np.ndarray, np.ndarray, SpectralDecomposition]:
-    """Gate states at ``times`` (finite, positivity, trace drift); first failure raises."""
+def _health_check(states, times, spectra=None):
+    """Gate states at ``times`` (finite, positivity, trace drift); first failure raises.
+
+    Returns (trace errors, smallest eigenvalues, spectra), the last ``spectra`` if given.
+    """
     trace_tol, positivity_tol = STRICT_GATE["trace_tol"], STRICT_GATE["positivity_tol"]
     finite = np.isfinite(states).all(axis=(1, 2))
     n = len(states) if finite.all() else int(np.argmin(finite))
     with np.errstate(over="ignore", invalid="ignore"):  # a state overflowing here fails below
-        spectra = hermitian_eig(states[:n])
+        spectra = hermitian_eig(states[:n]) if spectra is None else spectra
         trace_errs = np.abs(np.trace(states[:n], axis1=1, axis2=2) - 1.0)
     min_eigs = spectra.eigenvalues[:, -1]
     bad = np.flatnonzero((min_eigs < -positivity_tol) | (trace_errs > trace_tol))
@@ -482,14 +482,15 @@ def _health_check(states, times) -> tuple[np.ndarray, np.ndarray, SpectralDecomp
 def _gated_stacks(model: LindbladModel, rho0, cfg: IntegratorConfig):
     """Yield (times, states, reports, trace_errors, min_eigs) for each stack of records.
 
-    Each stack of :func:`_recorded_steps` passes :func:`_health_check` (one ``eigh``; a
-    stack's first failure raises first) before it is bounded. Nothing is kept across stacks.
+    rho0's input gate decomposes record 0, its Hermitian part; each later stack of
+    :func:`_recorded_steps` passes :func:`_health_check` (one ``eigh``; a stack's first
+    failure raises first). These ``STRICT_GATE`` spectra, at least as strict as
+    ``ENTROPY_GATE``, are bounded as they are. Nothing is kept across stacks.
     """
+    spectra = density_spectra(as_operator(rho0)[None], **STRICT_GATE)
     for ks, stack in _recorded_steps(model, rho0, cfg):
         times = [k * cfg.dt for k in ks]
-        *gate, spectra = _health_check(stack, times)
-        # These spectra stand in for entropy_bounds.gated_spectra: records are exactly
-        # Hermitian, and STRICT_GATE is at least as strict as its ENTROPY_GATE.
+        *gate, spectra = _health_check(stack, times, spectra if ks == [0] else None)
         yield times, stack, entropy_bounds.bound_reports(model, times, spectra), *gate
 
 
@@ -507,7 +508,8 @@ def propagate(model: LindbladModel, rho0, cfg: IntegratorConfig) -> TrajectoryRe
 
 
 def final_state(model: LindbladModel, rho0, cfg: IntegratorConfig) -> np.ndarray:
-    """Propagate without intermediate recording; health checks run at the end only."""
+    """Propagate without intermediate recording; rho0 is gated, the last state health-checked."""
+    density_spectra(as_operator(rho0)[None], **STRICT_GATE)
     for ks, states in _recorded_steps(model, rho0, cfg):
         pass
     _health_check(states[-1:], [ks[-1] * cfg.dt])

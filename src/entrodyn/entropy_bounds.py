@@ -63,14 +63,9 @@ def stack_size(d: int) -> int:
     return max(1, STACK_ENTRIES // d**2)
 
 
-def gated_spectra(states) -> SpectralDecomposition:
-    """:func:`density_spectra` of a stack at the entropy-evaluation gate, ``ENTROPY_GATE``."""
-    return density_spectra(states, **ENTROPY_GATE)
-
-
 def _one(rho) -> SpectralDecomposition:
-    """The gated spectrum of one state, as a stack of one."""
-    return gated_spectra(as_operator(rho)[None])
+    """The spectrum of one state gated at ``ENTROPY_GATE``, as a stack of one."""
+    return density_spectra(as_operator(rho)[None], **ENTROPY_GATE)
 
 
 def _entropies(lam: np.ndarray) -> np.ndarray:
@@ -180,7 +175,7 @@ def maximally_mixed_bound(d: int) -> float:
 
 
 def log_inequality_checks(spectra) -> np.ndarray:
-    """:func:`log_inequality_check` of each state of a stack, from its :func:`gated_spectra`."""
+    """:func:`log_inequality_check` per state of a stack, its spectrum within ``ENTROPY_GATE``."""
     lam = spectra.eigenvalues
     return (-np.log(np.maximum(lam, EIG_FLOOR)) - 1.0 + lam).min(axis=-1)
 
@@ -218,7 +213,7 @@ class BoundReport:
 
 
 def bound_reports(model: "LindbladModel", times, spectra) -> list[BoundReport]:
-    """:func:`bound_report` of each state of a stack, from its :func:`gated_spectra`."""
+    """:func:`bound_report` per state of a stack, its spectrum within ``ENTROPY_GATE``."""
     lam = spectra.eigenvalues
     if model.dim != lam.shape[-1]:
         raise DimMismatchError(f"state dim {lam.shape[-1]} vs model dim {model.dim}")

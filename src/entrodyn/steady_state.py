@@ -77,7 +77,7 @@ def _steady_solve(model: LindbladModel,
             # a density has |rho|_F <= 1, so rho also passes _svd_solve's residual gate
             residual = np.linalg.norm(_apply(blocks, rho / peak))
             if residual <= tol * col * np.linalg.norm(rho):
-                return rho, _validated(rho), peak * float(residual)
+                return rho, density_spectra(rho[None], **STRICT_GATE), peak * float(residual)
     return _svd_solve(blocks, d, tol)
 
 
@@ -109,7 +109,7 @@ def _svd_solve(blocks: list[tuple], d: int,
     null = np.zeros(d * d, dtype=np.complex128)
     null[idx[block]] = np.conj(vh[block, pos])
     rho = _normalized(null, d)
-    spectra = _validated(rho)
+    spectra = density_spectra(rho[None], **STRICT_GATE)
     residual = float(np.linalg.norm(_apply(blocks, rho)))
     if residual > 10.0 * tol * max(1.0, smax):
         raise NoSteadyStateError(f"extracted state has generator residual {residual:.3e}; "
@@ -123,13 +123,6 @@ def _normalized(v: np.ndarray, d: int) -> np.ndarray:
     if abs(trace) < 1e-12:
         raise NotDensityError("extracted null vector is traceless; cannot normalize")
     return rho / trace
-
-
-def _validated(rho: np.ndarray) -> SpectralDecomposition:
-    try:
-        return density_spectra(rho[None], **STRICT_GATE)
-    except NotDensityError as exc:
-        raise NotDensityError(f"extracted steady state fails validation: {exc}") from exc
 
 
 def long_time_entropy(model: LindbladModel, rho0, t_long: float, cfg: IntegratorConfig) -> float:

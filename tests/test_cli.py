@@ -1104,3 +1104,48 @@ def test_reader_closing_stdout_early_is_no_failure(tmp_path, command, config, he
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert stderr == b""
+
+
+
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+# case: (command, config or None)
+WRITE_CASES = {
+    "simulate": ("simulate", {"model": {"name": "depolarizing"}, "initial_state": "plus",
+                              "integrator": {"dt": 0.1, "t_max": 1.0}}),
+    "steady": ("steady", {"model": {"name": "depolarizing"}}),
+    "bounds": ("bounds", {"model": {"name": "depolarizing"}, "initial_state": "plus"}),
+    "audit": ("audit", {"d": 2, "count": 5}),
+    "models": ("models", None),
+    # exit 3 once the t=0 row is written
+    "positivity_lost": ("simulate", {"model": {"name": "dephasing"}, "initial_state": "plus",
+                                     "integrator": {"dt": 1.5, "t_max": 3.0}}),
+    # about 170 kB, past stdout's buffer: a write in run_audit fails, not the last flush
+    "long_audit": ("audit", {"d": 2, "count": 2000}),
+}
+REDIRECTS = {"--out": 'exec "$@" --out /dev/full', ">": 'exec "$@" > /dev/full',
+             ">&-": 'exec "$@" >&-'}
+
+
+# /dev/full refuses every write, and a process started with its stdout closed has none.
+# stdout is block-buffered, as by default, so most of these fail at the last flush.
+@pytest.mark.parametrize("case, redirect, message", [
+    *(pytest.param(case, "--out", "cannot write output: ", id=f"{case}-out", marks=NEEDS_DEV_FULL)
+      for case in ("simulate", "steady", "bounds", "audit", "models")),
+    *(pytest.param(case, ">", "cannot write output: ", id=f"{case}-stdout", marks=NEEDS_DEV_FULL)
+      for case in ("positivity_lost", "long_audit")),
+    *(pytest.param(case, ">&-", "cannot open output: stdout is closed", id=f"{case}-closed")
+      for case in ("audit", "models")),
+])
+def test_output_that_cannot_be_written_exits_two(tmp_path, case, redirect, message):
+    command, config = WRITE_CASES[case]
+    argv = [sys.executable, "-m", "entrodyn", command]
+    if config is not None:
+        argv += ["--config", write_config(tmp_path, config)]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    result = subprocess.run(["sh", "-c", REDIRECTS[redirect], "sh", *argv], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 2
+    assert_one_line_error(result.stderr)
+    assert result.stderr.startswith("error: " + message)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entrodyn import dynamics
+from entrodyn import dynamics, long_time_entropy
 from entrodyn.dynamics import (
     IntegratorConfig,
     _step,
@@ -18,6 +18,7 @@ from entrodyn.dynamics import (
 from entrodyn.errors import (
     ConfigError,
     DimMismatchError,
+    NotDensityError,
     NotHermitianError,
     PositivityLostError,
 )
@@ -295,6 +296,23 @@ class TestPropagate:
             propagate(get_model("dephasing"), PLUS, IntegratorConfig(dt=1.5, t_max=3.0))
         assert excinfo.value.time == pytest.approx(1.5)
         assert "smaller dt" in str(excinfo.value)
+
+    @pytest.mark.parametrize("run", [
+        propagate,
+        final_state,
+        lambda model, rho0, cfg: long_time_entropy(model, rho0, 1.0, cfg),
+        convergence_order_check,
+    ], ids=["propagate", "final_state", "long_time_entropy", "convergence_order_check"])
+    @pytest.mark.parametrize("rho0", [
+        np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),
+        np.diag([0.9, 0.3]).astype(complex),
+        np.diag([1.2, -0.2]).astype(complex),
+    ], ids=["not_hermitian", "trace_1.2", "eigenvalue_-0.2"])
+    def test_initial_state_outside_the_input_gate_is_refused(self, run, rho0):
+        # without the gate, record 0's health check would pass the Hermitian part of the
+        # first state and raise other errors for the other two
+        with pytest.raises(NotDensityError):
+            run(get_model("dephasing"), rho0, IntegratorConfig(dt=0.1, t_max=1.0))
 
 
 class TestConvergenceOrder:

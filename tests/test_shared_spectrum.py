@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from entrodyn import dynamics, entropy_bounds, operators
+from entrodyn import cli, dynamics, entropy_bounds, operators
 from entrodyn.cli import main
 from entrodyn.dynamics import IntegratorConfig, LindbladModel, propagate
 from entrodyn.entropy_bounds import (
@@ -53,8 +53,8 @@ def linalg_calls(monkeypatch):
 def test_propagate_decomposes_each_record_once(linalg_calls, name, params, d):
     cfg = IntegratorConfig(dt=1e-3, t_max=0.05, record_stride=4)
     traj = propagate(get_model(name, params), ginibre_state(d, seed=3), cfg)
-    # one eigh per recorded state; one more validates the initial state
-    assert linalg_calls == Counter(eigh=len(traj.reports) + 1)
+    # one eigh per recorded state: the input gate's is record 0's
+    assert linalg_calls == Counter(eigh=len(traj.reports))
     assert linalg_calls.largest["eigh"] <= stack_size(d)
 
 
@@ -63,7 +63,7 @@ def test_propagate_splits_long_runs_into_stacks(linalg_calls):
     cfg = IntegratorConfig(dt=1e-3, t_max=0.15, record_stride=1)
     traj = propagate(get_model("truncated_oscillator", {"d": d}), ginibre_state(d, seed=4), cfg)
     assert len(traj.reports) == 151 > 2 * stack_size(d)
-    assert linalg_calls == Counter(eigh=151 + 1)
+    assert linalg_calls == Counter(eigh=151)
     assert linalg_calls.largest["eigh"] == stack_size(d)
 
 
@@ -87,8 +87,8 @@ def test_cli_simulate_decomposes_its_initial_state_once(tmp_path, linalg_calls):
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     records = len(out.read_text().splitlines()) - 1
     assert records == 3
-    # one eigh per record; one more is the integrator's input gate, the state's only gate
-    assert linalg_calls == Counter(eigh=records + 1)
+    # one eigh per record; the integrator's input gate, the state's only gate, is record 0's
+    assert linalg_calls == Counter(eigh=records)
 
 
 def test_cli_bounds_decomposes_its_state_once(tmp_path, linalg_calls):
@@ -182,6 +182,7 @@ def gate_calls(monkeypatch):
     monkeypatch.setattr(operators, "density_spectra", counted)
     monkeypatch.setattr(entropy_bounds, "density_spectra", counted)
     monkeypatch.setattr(dynamics, "density_spectra", counted)
+    monkeypatch.setattr(cli, "density_spectra", counted)
     return sizes
 
 
@@ -199,12 +200,12 @@ def test_propagate_gates_only_its_initial_state(gate_calls):
     cfg = IntegratorConfig(dt=1e-3, t_max=0.15, record_stride=1)
     traj = propagate(get_model("truncated_oscillator", {"d": d}), ginibre_state(d, seed=4), cfg)
     assert len(traj.reports) == 151
-    # the records reuse _health_check's spectra
+    # record 0 reuses the input gate's spectrum, the later records _health_check's
     assert gate_calls == [1]
 
 
 def test_strict_gate_is_at_least_as_strict_as_entropy_gate():
-    # what lets the records' STRICT_GATE spectra stand in for gated_spectra
+    # what lets bound_reports take the records' STRICT_GATE spectra as they are
     assert operators.STRICT_GATE.keys() == operators.ENTROPY_GATE.keys()
     for key, tol in operators.STRICT_GATE.items():
         assert tol <= operators.ENTROPY_GATE[key], key
