@@ -22,12 +22,13 @@ generator whose largest entry is below 1/``MAX_SCALE``, a dimension above
 ``MAX_DIM``, integrator keys other than the fields of ``IntegratorConfig`` or
 values of the wrong type, a non-bool ``require_variance_threshold``, an
 initial state outside its density gate (``operators.STRICT_GATE`` in
-``simulate``, ``ENTROPY_GATE`` in ``bounds``), an output path that cannot be
-opened or an output that cannot be written (a full device, or a stdout closed at
-start); 3 positivity lost during integration; 4 numerical failure (a state that
-diverges between records, a ``numpy.linalg.LinAlgError`` or a ``MemoryError``);
-5 degenerate steady-state manifold; 6 nothing to bound (no usable channel in
-``bounds`` or ``steady``, or a variance threshold demanded for non-Hermitian channels).
+``simulate``, ``ENTROPY_GATE`` in ``bounds``), an output path that cannot be opened or
+an output that cannot be written, ``--help``'s too (a full device, or a stdout closed at
+start); 3 positivity lost during integration; 4 numerical failure (a state that diverges
+between records, a ``numpy.linalg.LinAlgError`` or a ``MemoryError``); 5 degenerate
+steady-state manifold; 6 nothing to bound (no usable channel in ``bounds`` or
+``steady``, or a variance threshold demanded for non-Hermitian channels). A stderr that
+cannot be written loses the ``error:`` line, not the code.
 
 ``simulate`` and ``audit`` write each stack's rows as it comes, holding nothing
 across stacks; ``simulate`` writes its header with its first stack, so exit 2
@@ -64,16 +65,12 @@ from .entropy_bounds import (
     trace_square_audits,
 )
 from .errors import (
-    BadDimensionError,
-    BadParamsError,
     ConfigError,
     DegenerateSteadyStateError,
     EntrodynError,
     NoChannelsError,
     NotDensityError,
-    NotHermitianError,
     PositivityLostError,
-    UnknownModelError,
     ZeroChannelError,
 )
 from .models import MAX_DIM, PAULI_Z, get_model, list_models, named_state
@@ -96,10 +93,10 @@ EXIT_NOTHING_TO_BOUND = 6
 
 # First matching row wins, so subclasses precede the EntrodynError catch-all.
 _EXIT_CODES = (
-    ((ConfigError, BadParamsError, UnknownModelError, BadDimensionError), EXIT_CONFIG),
+    (ConfigError, EXIT_CONFIG),
     (PositivityLostError, EXIT_POSITIVITY),
     (DegenerateSteadyStateError, EXIT_DEGENERATE),
-    ((NoChannelsError, ZeroChannelError), EXIT_NOTHING_TO_BOUND),
+    (NoChannelsError, EXIT_NOTHING_TO_BOUND),
     ((EntrodynError, np.linalg.LinAlgError, MemoryError), EXIT_NUMERICS),
 )
 
@@ -195,10 +192,7 @@ def _model_from_config(config: dict) -> LindbladModel:
         _parse_matrix(c, dim, f"channels[{i}]") for i, c in enumerate(raw_channels)
     )
     label = spec.get("label", "inline")
-    try:
-        return LindbladModel(hamiltonian, channels, label=str(label))
-    except NotHermitianError as exc:
-        raise ConfigError(f"inline model invalid: {exc}") from exc
+    return LindbladModel(hamiltonian, channels, label=str(label))
 
 
 def _state_from_config(config: dict, dim: int) -> np.ndarray:
@@ -454,26 +448,33 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_argv(argv) or _build_parser().parse_args(argv)
-    runners = {"simulate": run_simulate, "steady": run_steady, "bounds": run_bounds,
-               "audit": run_audit, "models": lambda _, out: run_models(out, args.json)}
+    args = argparse.Namespace(out=None)  # the output is stdout until argv names an --out
     try:
-        config = None if args.command == "models" else _load_config(args.config)
-        with _open_out(args.out) as out:
-            try:
+        try:
+            args = _parse_argv(argv) or _build_parser().parse_args(argv)
+            runners = {"simulate": run_simulate, "steady": run_steady, "bounds": run_bounds,
+                       "audit": run_audit, "models": lambda _, out: run_models(out, args.json)}
+            config = None if args.command == "models" else _load_config(args.config)
+            with _open_out(args.out) as out:  # closing an --out file flushes it
                 runners[args.command](config, out)
-            finally:  # a write that fails shows here, not at the interpreter's exit
-                out.flush()
+            return EXIT_OK
+        finally:  # a failed write, --help's too, shows here, not at the interpreter's exit
+            if sys.stdout is not None:
+                sys.stdout.flush()
     except OSError as exc:  # from a write: the rest of the output goes nowhere
         if args.out is None:  # nor at exit, where stdout's flush would fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):  # a reader that closed early took its output
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        if isinstance(exc, BrokenPipeError):  # a reader that closed early took its output
+            return EXIT_OK
+        message, code = f"cannot write output: {exc}", EXIT_CONFIG
     except (EntrodynError, np.linalg.LinAlgError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
-    return EXIT_OK
+        message, code = str(exc), next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
+    if sys.stderr is not None:  # None in a process started with fd 2 closed
+        try:
+            print(f"error: {message}", file=sys.stderr, flush=True)
+        except OSError:  # the line is lost, not the code, and stderr's flush at exit must not fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
 
 
 if __name__ == "__main__":

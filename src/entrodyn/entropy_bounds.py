@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BadDimensionError, DimMismatchError, NoChannelsError, ZeroChannelError
+from .errors import BadDimensionError, DimMismatchError, ZeroChannelError
 from .operators import (
     ENTROPY_GATE,
     SpectralDecomposition,
@@ -153,11 +153,9 @@ def steady_state_bound(model: "LindbladModel", rho_inf) -> SteadyStateBound:
 
 def _steady_floor(model: "LindbladModel", spectra) -> SteadyStateBound:
     """:func:`steady_state_bound` from the spectrum of the steady state, a stack of one."""
-    if not model.channels:
-        raise NoChannelsError("model has no decoherence channels")
     weight = float(model.channel_norms_sq.sum())
     if weight <= 0.0:
-        raise ZeroChannelError("every channel has zero Frobenius norm")
+        raise ZeroChannelError("nothing to bound; model has no non-zero channel")
     lam = spectra.eigenvalues
     (gains,), _ = _channel_forms(model.channels, spectra, [lam[:, None, :] * (1 - lam[:, :, None])])
     raw = float(gains.sum()) / weight

@@ -1,24 +1,24 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy: a ConfigError is an invalid input, a NoChannelsError nothing to bound."""
 
 
 class EntrodynError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ConfigError(EntrodynError):
+    """An input is invalid: a config, a model, a parameter or a run setting."""
+
+
 class DimMismatchError(EntrodynError):
     """Operands have incompatible matrix dimensions."""
 
 
-class NotHermitianError(EntrodynError):
+class NotHermitianError(ConfigError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
 
 class NotDensityError(EntrodynError):
     """A matrix fails the density-matrix invariants (Hermitian, PSD, unit trace)."""
-
-
-class ConfigError(EntrodynError):
-    """An integrator or run configuration is invalid."""
 
 
 class PositivityLostError(EntrodynError):
@@ -39,14 +39,14 @@ class NumericsError(EntrodynError):
 
 
 class NoChannelsError(EntrodynError):
-    """The operation needs at least one decoherence channel."""
+    """Nothing to bound: no usable decoherence channel."""
 
 
-class ZeroChannelError(EntrodynError):
+class ZeroChannelError(NoChannelsError):
     """Every supplied channel operator has zero Frobenius norm."""
 
 
-class BadDimensionError(EntrodynError):
+class BadDimensionError(ConfigError):
     """Hilbert-space dimension outside the supported range."""
 
 
@@ -65,9 +65,9 @@ class NoSteadyStateError(EntrodynError):
     """No null direction found within tolerance; the cutoff is misconfigured."""
 
 
-class UnknownModelError(EntrodynError):
+class UnknownModelError(ConfigError):
     """Requested preset name is not in the catalog."""
 
 
-class BadParamsError(EntrodynError):
+class BadParamsError(ConfigError):
     """A parameter value is missing, unknown, or out of range."""

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrodyn import cli, dynamics
+from entrodyn import cli, dynamics, errors
 from entrodyn.cli import AUDIT_HEADER, SIMULATE_HEADER, main
 from entrodyn.entropy_bounds import bound_report
 from entrodyn.errors import NotDensityError
@@ -1121,6 +1121,8 @@ WRITE_CASES = {
                                      "integrator": {"dt": 1.5, "t_max": 3.0}}),
     # about 170 kB, past stdout's buffer: a write in run_audit fails, not the last flush
     "long_audit": ("audit", {"d": 2, "count": 2000}),
+    # argparse prints the help and exits; the flush in main, not the interpreter's, fails
+    "help": ("--help", None),
 }
 REDIRECTS = {"--out": 'exec "$@" --out /dev/full', ">": 'exec "$@" > /dev/full',
              ">&-": 'exec "$@" >&-'}
@@ -1132,7 +1134,7 @@ REDIRECTS = {"--out": 'exec "$@" --out /dev/full', ">": 'exec "$@" > /dev/full',
     *(pytest.param(case, "--out", "cannot write output: ", id=f"{case}-out", marks=NEEDS_DEV_FULL)
       for case in ("simulate", "steady", "bounds", "audit", "models")),
     *(pytest.param(case, ">", "cannot write output: ", id=f"{case}-stdout", marks=NEEDS_DEV_FULL)
-      for case in ("positivity_lost", "long_audit")),
+      for case in ("positivity_lost", "long_audit", "help")),
     *(pytest.param(case, ">&-", "cannot open output: stdout is closed", id=f"{case}-closed")
       for case in ("audit", "models")),
 ])
@@ -1149,3 +1151,51 @@ def test_output_that_cannot_be_written_exits_two(tmp_path, case, redirect, messa
     assert result.returncode == 2
     assert_one_line_error(result.stderr)
     assert result.stderr.startswith("error: " + message)
+
+
+# fd 2 closed (Python then has no sys.stderr) or open read-only (a write to it fails)
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read_only"])
+@pytest.mark.parametrize("command, config, code", [
+    ("steady", None, 2),
+    (*WRITE_CASES["positivity_lost"], 3),
+    ("steady", {"model": {"name": "dephasing"}}, 5),
+    ("bounds", {"model": {"dim": 2, "channels": [[[0, 0], [0, 0]]]}, "initial_state": "plus"}, 6),
+], ids=["missing_config", "positivity_lost", "degenerate", "zero_channel"])
+def test_stderr_that_cannot_be_written_loses_the_line_not_the_code(tmp_path, redirect, command,
+                                                                   config, code):
+    path = str(tmp_path / "missing.json") if config is None else write_config(tmp_path, config)
+    argv = [sys.executable, "-m", "entrodyn", command, "--config", path]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    result = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *argv],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == code
+    assert result.stderr == ""
+    assert not any(line.startswith("error: ") for line in result.stdout.splitlines())
+
+
+# class name: exit code, for every class in entrodyn.errors and the two numpy/builtin failures
+EXIT_BY_CLASS = {
+    "ConfigError": 2, "NotHermitianError": 2, "BadDimensionError": 2, "UnknownModelError": 2,
+    "BadParamsError": 2, "PositivityLostError": 3, "EntrodynError": 4, "NumericsError": 4,
+    "NoSteadyStateError": 4, "NotDensityError": 4, "DimMismatchError": 4, "LinAlgError": 4,
+    "MemoryError": 4, "DegenerateSteadyStateError": 5, "NoChannelsError": 6,
+    "ZeroChannelError": 6,
+}
+ERROR_ARGS = {"PositivityLostError": (1.5, -0.2, 1e-8), "DegenerateSteadyStateError": (2,)}
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [*(c for c in vars(errors).values() if isinstance(c, type)), np.linalg.LinAlgError,
+     MemoryError],
+    ids=lambda kind: kind.__name__,
+)
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, kind):
+    def fail(config, out):
+        raise kind(*ERROR_ARGS.get(kind.__name__, ("failed",)))
+
+    monkeypatch.setattr(cli, "run_steady", fail)
+    assert main(["steady", "--config", write_config(tmp_path, {})]) == EXIT_BY_CLASS[kind.__name__]
+    assert_one_line_error(capsys.readouterr().err)
